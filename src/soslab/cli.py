@@ -41,6 +41,7 @@ from .errors import (
 from .quadfield import QuadInt, RingContext
 from .residues import is_square_mod_two
 from .sintegers import SKind, s_element, s_is_sum_of_squares
+from .sweep import Sweep
 from .verify import (
     CLAIM_ALIASES,
     CLAIM_NAMES,
@@ -176,6 +177,17 @@ def _parse_d_spec(spec: str) -> tuple[int, ...]:
                 out.append(d)
         return tuple(out)
     return tuple(int(part) for part in spec.split(","))
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1, anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def _parse_m_range(spec: str) -> tuple[int, int]:
@@ -454,6 +466,11 @@ def cmd_sint(cfg: CliConfig) -> int:
 
 def cmd_scan(cfg: CliConfig) -> int:
     ctx = RingContext(cfg.args.D)
+    sweep = (
+        Sweep(ctx, max(cfg.args.trace_bound, 0), node_budget=cfg.node_budget)
+        if cfg.args.with_oracle
+        else None
+    )
     if cfg.fmt == "json":
         cfg.emit({"schema": 1}, "")
     for alpha in scan_totally_positive(ctx, cfg.args.trace_bound):
@@ -469,8 +486,8 @@ def cmd_scan(cfg: CliConfig) -> int:
             f"{alpha}\ttrace={alpha.trace}\tnorm={alpha.norm}"
             f"\tsquare_mod_2O={record['square_mod_2O']}"
         )
-        if cfg.args.with_oracle:
-            length = pythagoras_length(alpha, node_budget=cfg.node_budget)
+        if sweep is not None:
+            length = sweep.length(alpha)
             record["length"] = length
             human += f"\tlength={length}"
         cfg.emit(record, human)
@@ -483,8 +500,6 @@ def cmd_verify(cfg: CliConfig) -> int:
         trace_bound=cfg.args.trace_bound,
         m_range=_parse_m_range(cfg.args.m_range) if cfg.args.m_range else None,
         node_budget=cfg.node_budget,
-        seed=cfg.args.seed,
-        workers=cfg.args.workers,
     )
     claims = list(CLAIM_NAMES) if cfg.args.claim == "all" else [cfg.args.claim]
     reports = run_claims(spec, claims)
@@ -531,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--format", choices=("human", "json", "tsv"), default="human", dest="fmt"
         )
-        p.add_argument("--node-budget", type=int, default=None)
+        p.add_argument("--node-budget", type=_positive_int, default=None)
         p.add_argument("--out", default=None, help="append output to this file")
 
     p = sub.add_parser("decompose", help="find an explicit sum-of-squares decomposition")
@@ -573,12 +588,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--D", required=True, help="D spec: '6', '2,3,5', or '2..50'")
     p.add_argument("--trace-bound", type=int, required=True)
     p.add_argument("--m-range", default=None, help="multiplier range, e.g. '1..5'")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument(
         "--format", choices=("human", "json", "tsv"), default="json", dest="fmt"
     )
-    p.add_argument("--node-budget", type=int, default=None)
+    p.add_argument("--node-budget", type=_positive_int, default=None)
     p.add_argument("--out", default=None, help="write the JSONL report here")
 
     return parser
@@ -599,7 +612,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        node_budget = args.node_budget if args.node_budget else _env_node_budget()
+        node_budget = args.node_budget if args.node_budget is not None else _env_node_budget()
         cfg = CliConfig(
             command=args.command,
             fmt=args.fmt,

@@ -1,11 +1,13 @@
 """Scan harness: finite verifications of the package's headline claims.
 
 Each verifier walks an exactly-enumerated stream of totally positive
-elements (ordered by (trace, a, b)), applies a claim-specific check backed
-by the search oracle, and returns a Report: instances checked, failures
-(element, expected, got), standalone-checkable witnesses, and
-claim-specific scalars.  Reports serialize to JSONL with a schema header;
-serialization is canonical (sorted keys, no timestamps), so a rerun with
+elements (ordered by (trace, a, b)), applies a claim-specific check, and
+returns a Report: instances checked, failures (element, expected, got),
+standalone-checkable witnesses, and claim-specific scalars.
+Representability and shortest lengths over the box are read from one
+`Sweep` per ring, which `run_claims` shares across the claims; witness
+refutations run the search oracle.  Reports serialize to JSONL with a
+schema header; serialization is canonical (sorted keys, no timestamps), so a rerun with
 the same parameters produces byte-identical output.
 
 Failures are the load-bearing part: an empty failure list from an honest
@@ -16,14 +18,12 @@ D = 2, 3 mod 4) are reported under `details` as findings, not failures.
 
 from __future__ import annotations
 
-import functools
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import isqrt
 from pathlib import Path
-from typing import IO, Callable, Iterator
+from typing import IO, Callable, Iterator, NamedTuple
 
 from .criteria import (
     doubling_witness,
@@ -32,17 +32,12 @@ from .criteria import (
     peters_five_squares,
     small_multiplier_obstructed,
 )
-from .decompose import (
-    DEFAULT_NODE_BUDGET,
-    VerdictKind,
-    decompose_sos,
-    is_sum_of_squares,
-    pythagoras_length,
-)
+from .decompose import DEFAULT_NODE_BUDGET, VerdictKind, decompose_sos
 from .errors import WrongField
 from .quadfield import DyadicClass, QuadInt, RingContext
 from .residues import is_square_mod_two
 from .sintegers import s_pythagoras_upper
+from .sweep import Sweep
 
 SCHEMA_VERSION = 1
 
@@ -54,13 +49,17 @@ LENGTH3_ATTAINED_TRACE = 12
 
 @dataclass(frozen=True)
 class ScanSpec:
-    """Validated parameters for a batch of verifications."""
+    """Validated parameters for a batch of verifications.
+
+    `workers` has no effect: the claims read one sweep per ring in this
+    process.  It is still accepted, and must be at least 1, so that
+    existing callers keep working.
+    """
 
     d_list: tuple[int, ...]
     trace_bound: int
     m_range: tuple[int, int] | None = None
     node_budget: int = DEFAULT_NODE_BUDGET
-    seed: int = 0
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -70,6 +69,8 @@ class ScanSpec:
             raise ValueError(f"bad multiplier range {self.m_range}")
         if self.node_budget < 1:
             raise ValueError("node budget must be positive")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
         for d in self.d_list:
             RingContext(d)  # raises unless squarefree and >= 2
 
@@ -142,64 +143,21 @@ def scan_totally_positive(ctx: RingContext, trace_bound: int) -> Iterator[QuadIn
                 yield ctx.element(u, v)
 
 
-# -- element-level checks (module level so process pools can pickle them) ----
+# -- claims read lengths from a sweep ----------------------------------------
 
 
-def _chunk(items: list, n: int) -> list[list]:
-    size = max(1, (len(items) + n - 1) // n)
-    return [items[i : i + size] for i in range(0, len(items), size)]
-
-
-def _run_element_checks(
-    check: str, d: int, node_budget: int, coords: list[tuple[int, int]]
-) -> list[dict]:
-    ctx = RingContext(d)
-    out = []
-    for u, v in coords:
-        alpha = ctx.element(u, v)
-        if check == "double_is_sos":
-            result: dict = {"sos": is_sum_of_squares(2 * alpha, node_budget=node_budget)}
-        elif check == "sos_if_square":
-            square = is_square_mod_two(alpha)
-            result = {"square": square}
-            if square:
-                result["sos"] = is_sum_of_squares(alpha, node_budget=node_budget)
-        elif check == "length":
-            result = {"length": pythagoras_length(alpha, node_budget=node_budget)}
-        elif check == "sos_and_square":
-            result = {
-                "sos": is_sum_of_squares(alpha, node_budget=node_budget),
-                "square": is_square_mod_two(alpha),
-            }
-        elif check == "peters_vs_oracle":
-            result = {
-                "peters": peters_five_squares(alpha),
-                "sos": is_sum_of_squares(alpha, node_budget=node_budget),
-            }
-        else:  # pragma: no cover - registry is closed
-            raise ValueError(f"unknown check {check!r}")
-        result["element"] = str(alpha)
-        out.append(result)
-    return out
-
-
-def _map_elements(
-    check: str,
-    ctx: RingContext,
-    elements: list[QuadInt],
-    node_budget: int,
-    workers: int,
-) -> list[dict]:
-    coords = [(e.u, e.v) for e in elements]
-    fn = functools.partial(_run_element_checks, check, ctx.D, node_budget)
-    if workers <= 1 or len(coords) < 2 * workers:
-        return fn(coords)
-    chunks = _chunk(coords, workers * 4)
-    out: list[dict] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(fn, chunks):  # order-preserving merge
-            out.extend(part)
-    return out
+def _covering_sweep(
+    ctx: RingContext, trace_bound: int, node_budget: int, sweep: Sweep | None
+) -> Sweep:
+    """`sweep` after checking that it covers the box, or a new sweep of it."""
+    if sweep is None:
+        return Sweep(ctx, trace_bound, node_budget=node_budget)
+    if sweep.ctx.D != ctx.D or sweep.trace_bound < trace_bound:
+        raise ValueError(
+            f"a sweep of D={sweep.ctx.D} up to trace {sweep.trace_bound} does "
+            f"not cover D={ctx.D} up to trace {trace_bound}"
+        )
+    return sweep
 
 
 def _timed_report(
@@ -221,21 +179,22 @@ def verify_doubling(
     trace_bound: int,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    workers: int = 1,
+    sweep: Sweep | None = None,
 ) -> Report:
     """Doubled totally positive elements: all sums of squares for D in
-    {2, 3, 5}; for other D the doubled witness is refuted by exhaustion."""
+    {2, 3, 5}, read from a sweep up to 2*trace_bound; for other D the
+    doubled witness is refuted by exhaustion."""
 
     def build() -> tuple[int, list[dict], list[str], dict]:
         if ctx.D in (2, 3, 5):
+            lengths = _covering_sweep(ctx, 2 * trace_bound, node_budget, sweep)
             elements = list(scan_totally_positive(ctx, trace_bound))
-            rows = _map_elements("double_is_sos", ctx, elements, node_budget, workers)
             failures = [
-                {"element": r["element"], "expected": "2*alpha sum of squares", "got": "refuted"}
-                for r in rows
-                if not r["sos"]
+                {"element": str(alpha), "expected": "2*alpha sum of squares", "got": "refuted"}
+                for alpha in elements
+                if not lengths.is_sum_of_squares(2 * alpha)
             ]
-            return len(rows), failures, [], {"branch": "all_doubles_representable"}
+            return len(elements), failures, [], {"branch": "all_doubles_representable"}
         witness = 2 * doubling_witness(ctx)
         verdict = decompose_sos(witness, node_budget=node_budget)
         if verdict.kind is VerdictKind.EXHAUSTED_NONE:
@@ -257,7 +216,7 @@ def verify_scharlau(
     trace_bound: int,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    workers: int = 1,
+    sweep: Sweep | None = None,
 ) -> Report:
     """For D in {2, 3}: totally positive and square mod 2*O implies sum of
     squares (the everywhere-local test is exact in these two rings)."""
@@ -265,15 +224,15 @@ def verify_scharlau(
         raise WrongField(f"claim is specific to D in {{2, 3}}, got D={ctx.D}")
 
     def build() -> tuple[int, list[dict], list[str], dict]:
+        lengths = _covering_sweep(ctx, trace_bound, node_budget, sweep)
         elements = list(scan_totally_positive(ctx, trace_bound))
-        rows = _map_elements("sos_if_square", ctx, elements, node_budget, workers)
+        squares = [alpha for alpha in elements if is_square_mod_two(alpha)]
         failures = [
-            {"element": r["element"], "expected": "sum of squares", "got": "refuted"}
-            for r in rows
-            if r["square"] and not r["sos"]
+            {"element": str(alpha), "expected": "sum of squares", "got": "refuted"}
+            for alpha in squares
+            if not lengths.is_sum_of_squares(alpha)
         ]
-        checked = sum(1 for r in rows if r["square"])
-        return checked, failures, [], {"scanned": len(rows)}
+        return len(squares), failures, [], {"scanned": len(elements)}
 
     return _timed_report(f"scharlau/D={ctx.D}", build)
 
@@ -282,24 +241,27 @@ def verify_maass_three_squares(
     trace_bound: int,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    workers: int = 1,
+    sweep: Sweep | None = None,
 ) -> Report:
     """For D = 5: every totally positive element is a sum of three squares."""
     ctx = RingContext(5)
 
     def build() -> tuple[int, list[dict], list[str], dict]:
-        elements = list(scan_totally_positive(ctx, trace_bound))
-        rows = _map_elements("length", ctx, elements, node_budget, workers)
+        shortest = _covering_sweep(ctx, trace_bound, node_budget, sweep)
+        rows = [
+            (alpha, shortest.length(alpha))
+            for alpha in scan_totally_positive(ctx, trace_bound)
+        ]
         failures = [
             {
-                "element": r["element"],
+                "element": str(alpha),
                 "expected": "length <= 3",
-                "got": "not a sum of squares" if r["length"] is None else f"length {r['length']}",
+                "got": "not a sum of squares" if n is None else f"length {n}",
             }
-            for r in rows
-            if r["length"] is None or r["length"] > 3
+            for alpha, n in rows
+            if n is None or n > 3
         ]
-        lengths = [r["length"] for r in rows if r["length"] is not None]
+        lengths = [n for _, n in rows if n is not None]
         return len(rows), failures, [], {"max_length": max(lengths, default=0)}
 
     return _timed_report("maass/D=5", build)
@@ -310,24 +272,27 @@ def verify_pythagoras(
     trace_bound: int,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    workers: int = 1,
+    sweep: Sweep | None = None,
 ) -> Report:
     """Shortest representations never need more than five squares; for
     D in {2, 3, 5} never more than three, and three really occurs."""
 
     def build() -> tuple[int, list[dict], list[str], dict]:
         cap = 3 if ctx.D in (2, 3, 5) else 5
-        elements = list(scan_totally_positive(ctx, trace_bound))
-        rows = _map_elements("length", ctx, elements, node_budget, workers)
-        lengths = [r["length"] for r in rows if r["length"] is not None]
+        shortest = _covering_sweep(ctx, trace_bound, node_budget, sweep)
+        rows = [
+            (alpha, shortest.length(alpha))
+            for alpha in scan_totally_positive(ctx, trace_bound)
+        ]
+        lengths = [n for _, n in rows if n is not None]
         failures = [
             {
-                "element": r["element"],
+                "element": str(alpha),
                 "expected": f"length <= {cap}",
-                "got": f"length {r['length']}",
+                "got": f"length {n}",
             }
-            for r in rows
-            if r["length"] is not None and r["length"] > cap
+            for alpha, n in rows
+            if n is not None and n > cap
         ]
         details = {
             "cap": cap,
@@ -354,34 +319,36 @@ def verify_peters_equivalence(
     trace_bound: int,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    workers: int = 1,
+    sweep: Sweep | None = None,
 ) -> Report:
-    """Interval test vs. the oracle on every scanned totally positive element.
+    """Interval test vs. the sweep on every scanned totally positive element.
 
-    A hit that the oracle refutes breaks the criterion's stated
-    (sufficiency) direction and is a failure.  An oracle hit the interval
+    A hit that the sweep refutes breaks the criterion's stated
+    (sufficiency) direction and is a failure.  A sum of squares the interval
     test misses is only a failure where the criterion is an equivalence
     (D = 1 mod 4); for D = 2, 3 (mod 4) it would be a new phenomenon, so it
     is recorded under details["findings"] instead.
     """
 
     def build() -> tuple[int, list[dict], list[str], dict]:
+        lengths = _covering_sweep(ctx, trace_bound, node_budget, sweep)
         elements = list(scan_totally_positive(ctx, trace_bound))
-        rows = _map_elements("peters_vs_oracle", ctx, elements, node_budget, workers)
         failures = []
         findings = []
-        for r in rows:
-            if r["peters"] and not r["sos"]:
+        for alpha in elements:
+            peters = peters_five_squares(alpha)
+            sos = lengths.is_sum_of_squares(alpha)
+            if peters and not sos:
                 failures.append(
                     {
-                        "element": r["element"],
+                        "element": str(alpha),
                         "expected": "sum of five squares (interval hit)",
                         "got": "refuted by exhaustion",
                     }
                 )
-            elif r["sos"] and not r["peters"]:
+            elif sos and not peters:
                 record = {
-                    "element": r["element"],
+                    "element": str(alpha),
                     "expected": "interval hit (element is a sum of squares)",
                     "got": "empty interval",
                 }
@@ -389,7 +356,7 @@ def verify_peters_equivalence(
                     failures.append(record)
                 else:
                     findings.append(record)
-        return len(rows), failures, [], {"findings": findings}
+        return len(elements), failures, [], {"findings": findings}
 
     return _timed_report(f"peters-oracle/D={ctx.D}", build)
 
@@ -400,23 +367,20 @@ def verify_multiplier_thresholds(
     trace_bound: int,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    seed: int = 0,
     refutation_trace_cap: int = 40,
+    sweep: Sweep | None = None,
 ) -> Report:
     """Multiplier thresholds, for each m in m_range.
 
     Small m (16m^2 < kappa^2*D): the m-fold doubling witness is refuted by
     exhaustion.  Large m (2m >= D): the interval test accepts kappa*m*beta
-    for every scanned beta, with exhaustive confirmation whenever the
-    scaled trace still fits under trace_bound.  Odd m with 2 ramified:
+    for every scanned beta, confirmed by a sweep up to trace_bound whenever
+    the scaled trace still fits under it.  Odd m with 2 ramified:
     the odd multiple witness is never a square mod 2*O -- already a proof
     of non-representability by local necessity -- with an independent
     oracle refutation whenever its trace fits under
     `refutation_trace_cap`.
     """
-
-    # `seed` is accepted for interface uniformity; every scan below walks an
-    # exhaustive prefix in a fixed order, so nothing is actually sampled.
 
     def build() -> tuple[int, list[dict], list[str], dict]:
         instances = 0
@@ -424,6 +388,7 @@ def verify_multiplier_thresholds(
         witnesses: list[str] = []
         details: dict = {"m_range": list(m_range), "cases": []}
         betas = list(scan_totally_positive(ctx, trace_bound))
+        lengths = None
         for m in range(m_range[0], m_range[1] + 1):
             case: dict = {"m": m}
             if small_multiplier_obstructed(ctx, m):
@@ -444,6 +409,8 @@ def verify_multiplier_thresholds(
                         }
                     )
             if large_multiplier_guaranteed(ctx, m):
+                if lengths is None:
+                    lengths = _covering_sweep(ctx, trace_bound, node_budget, sweep)
                 scale = ctx.kappa * m
                 confirmed = 0
                 for beta in betas:
@@ -459,7 +426,7 @@ def verify_multiplier_thresholds(
                         )
                     if target.trace <= trace_bound:
                         confirmed += 1
-                        if not is_sum_of_squares(target, node_budget=node_budget):
+                        if not lengths.is_sum_of_squares(target):
                             failures.append(
                                 {
                                     "element": str(target),
@@ -507,8 +474,6 @@ def estimate_stable_multiplier(
     ctx: RingContext,
     m_max: int,
     trace_bound: int,
-    *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Report:
     """Smallest m* such that the interval test accepts 2*m*beta for every
     scanned totally positive beta and every m in [m*, m_max].
@@ -517,8 +482,6 @@ def estimate_stable_multiplier(
     exists (any m >= D/2 qualifies), and the report records the largest
     multiplier below m* that still fails, with a failing element.
     """
-    del node_budget  # interval test only; kept for a uniform signature
-
     def build() -> tuple[int, list[dict], list[str], dict]:
         betas = list(scan_totally_positive(ctx, trace_bound))
         first_bad: dict[int, str] = {}
@@ -555,26 +518,25 @@ def verify_local_necessity(
     trace_bound: int,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    workers: int = 1,
+    sweep: Sweep | None = None,
 ) -> Report:
     """Every scanned sum of squares is a square mod 2*O (the local test is
     necessary; its failure is a genuine obstruction)."""
 
     def build() -> tuple[int, list[dict], list[str], dict]:
+        lengths = _covering_sweep(ctx, trace_bound, node_budget, sweep)
         elements = list(scan_totally_positive(ctx, trace_bound))
-        rows = _map_elements("sos_and_square", ctx, elements, node_budget, workers)
+        sums = [alpha for alpha in elements if lengths.is_sum_of_squares(alpha)]
         failures = [
             {
-                "element": r["element"],
+                "element": str(alpha),
                 "expected": "square mod 2*O",
                 "got": "non-square class",
             }
-            for r in rows
-            if r["sos"] and not r["square"]
+            for alpha in sums
+            if not is_square_mod_two(alpha)
         ]
-        return len(rows), failures, [], {
-            "sums_of_squares": sum(1 for r in rows if r["sos"])
-        }
+        return len(elements), failures, [], {"sums_of_squares": len(sums)}
 
     return _timed_report(f"local-necessity/D={ctx.D}", build)
 
@@ -589,70 +551,134 @@ CLAIM_ALIASES = {
     "peters": "peters-oracle",
 }
 
-CLAIM_NAMES = (
-    "doubling",
-    "scharlau",
-    "maass",
-    "pythagoras",
-    "peters-oracle",
-    "thresholds",
-    "stable-multiplier",
-    "local-necessity",
-)
+
+def _every_d(d: int) -> bool:
+    return True
+
+
+def _trace_box(ctx: RingContext, spec: ScanSpec) -> int:
+    return spec.trace_bound
+
+
+def _thresholds_m_range(spec: ScanSpec, d: int) -> tuple[int, int]:
+    return spec.m_range or (1, max(4, -(-d // 2)))
+
+
+class _Claim(NamedTuple):
+    """How run_claims runs one claim on one ring."""
+
+    applies: Callable[[int], bool]
+    # Trace bound of the sweep the claim reads on this ring; 0 reads none.
+    box: Callable[[RingContext, ScanSpec], int]
+    run: Callable[[RingContext, ScanSpec, Sweep | None], Report]
+
+
+# In report order: run_claims walks claims outer, D inner, and the JSONL
+# output keeps that order.  The runners look the verify_* functions up by
+# name when called, so wrappers put on this module's attributes (as
+# perfbench's tracer does) see every call.
+_CLAIMS: dict[str, _Claim] = {
+    "doubling": _Claim(
+        _every_d,
+        lambda ctx, spec: 2 * spec.trace_bound if ctx.D in (2, 3, 5) else 0,
+        lambda ctx, spec, sweep: verify_doubling(
+            ctx, spec.trace_bound, node_budget=spec.node_budget, sweep=sweep
+        ),
+    ),
+    "scharlau": _Claim(
+        lambda d: d in (2, 3),
+        _trace_box,
+        lambda ctx, spec, sweep: verify_scharlau(
+            ctx, spec.trace_bound, node_budget=spec.node_budget, sweep=sweep
+        ),
+    ),
+    "maass": _Claim(
+        lambda d: d == 5,
+        _trace_box,
+        lambda ctx, spec, sweep: verify_maass_three_squares(
+            spec.trace_bound, node_budget=spec.node_budget, sweep=sweep
+        ),
+    ),
+    "pythagoras": _Claim(
+        _every_d,
+        _trace_box,
+        lambda ctx, spec, sweep: verify_pythagoras(
+            ctx, spec.trace_bound, node_budget=spec.node_budget, sweep=sweep
+        ),
+    ),
+    "peters-oracle": _Claim(
+        _every_d,
+        _trace_box,
+        lambda ctx, spec, sweep: verify_peters_equivalence(
+            ctx, spec.trace_bound, node_budget=spec.node_budget, sweep=sweep
+        ),
+    ),
+    "thresholds": _Claim(
+        _every_d,
+        lambda ctx, spec: (
+            spec.trace_bound
+            if large_multiplier_guaranteed(ctx, _thresholds_m_range(spec, ctx.D)[1])
+            else 0
+        ),
+        lambda ctx, spec, sweep: verify_multiplier_thresholds(
+            ctx,
+            _thresholds_m_range(spec, ctx.D),
+            spec.trace_bound,
+            node_budget=spec.node_budget,
+            sweep=sweep,
+        ),
+    ),
+    "stable-multiplier": _Claim(
+        _every_d,
+        lambda ctx, spec: 0,
+        lambda ctx, spec, sweep: estimate_stable_multiplier(
+            ctx,
+            spec.m_range[1] if spec.m_range else -(-ctx.D // 2) + 1,
+            spec.trace_bound,
+        ),
+    ),
+    "local-necessity": _Claim(
+        _every_d,
+        _trace_box,
+        lambda ctx, spec, sweep: verify_local_necessity(
+            ctx, spec.trace_bound, node_budget=spec.node_budget, sweep=sweep
+        ),
+    ),
+}
+
+CLAIM_NAMES = tuple(_CLAIMS)
 
 
 def run_claims(spec: ScanSpec, claims: list[str]) -> list[Report]:
-    """Run named claims over every applicable D in the spec, in order."""
-    reports: list[Report] = []
-    for name in claims:
-        claim = CLAIM_ALIASES.get(name, name)
-        if claim not in CLAIM_NAMES:
+    """Run named claims over every applicable D in the spec, in order.
+
+    Each ring gets at most one sweep per call, as large as the largest box
+    any requested claim reads on it, built when a claim first needs it.
+    """
+    names = [CLAIM_ALIASES.get(name, name) for name in claims]
+    for name, claim in zip(claims, names):
+        if claim not in _CLAIMS:
             raise ValueError(f"unknown claim {name!r}")
+    contexts = {d: RingContext(d) for d in spec.d_list}
+    boxes = {
+        d: max(
+            (_CLAIMS[c].box(ctx, spec) for c in names if _CLAIMS[c].applies(d)),
+            default=0,
+        )
+        for d, ctx in contexts.items()
+    }
+    sweeps: dict[int, Sweep] = {}
+    reports: list[Report] = []
+    for claim in names:
+        entry = _CLAIMS[claim]
         for d in spec.d_list:
-            ctx = RingContext(d)
-            kw = {"node_budget": spec.node_budget}
-            if claim == "doubling":
-                reports.append(
-                    verify_doubling(ctx, spec.trace_bound, workers=spec.workers, **kw)
-                )
-            elif claim == "scharlau":
-                if d in (2, 3):
-                    reports.append(
-                        verify_scharlau(ctx, spec.trace_bound, workers=spec.workers, **kw)
-                    )
-            elif claim == "maass":
-                if d == 5:
-                    reports.append(
-                        verify_maass_three_squares(
-                            spec.trace_bound, workers=spec.workers, **kw
-                        )
-                    )
-            elif claim == "pythagoras":
-                reports.append(
-                    verify_pythagoras(ctx, spec.trace_bound, workers=spec.workers, **kw)
-                )
-            elif claim == "peters-oracle":
-                reports.append(
-                    verify_peters_equivalence(
-                        ctx, spec.trace_bound, workers=spec.workers, **kw
-                    )
-                )
-            elif claim == "thresholds":
-                m_range = spec.m_range or (1, max(4, -(-d // 2)))
-                reports.append(
-                    verify_multiplier_thresholds(
-                        ctx, m_range, spec.trace_bound, seed=spec.seed, **kw
-                    )
-                )
-            elif claim == "stable-multiplier":
-                m_max = spec.m_range[1] if spec.m_range else -(-d // 2) + 1
-                reports.append(
-                    estimate_stable_multiplier(ctx, m_max, spec.trace_bound, **kw)
-                )
-            elif claim == "local-necessity":
-                reports.append(
-                    verify_local_necessity(
-                        ctx, spec.trace_bound, workers=spec.workers, **kw
-                    )
-                )
+            if not entry.applies(d):
+                continue
+            ctx = contexts[d]
+            sweep = None
+            if entry.box(ctx, spec):
+                if d not in sweeps:
+                    sweeps[d] = Sweep(ctx, boxes[d], node_budget=spec.node_budget)
+                sweep = sweeps[d]
+            reports.append(entry.run(ctx, spec, sweep))
     return reports

@@ -272,9 +272,7 @@ def _c11_stable_multiplier() -> dict:
         m_star = report.details.get("m_star")
         if m_star is None or m_star > cap:
             failures.append(f"D={d}: m* = {m_star}, expected <= {cap}")
-    spec = ScanSpec(
-        d_list=list(STABLE_MULTIPLIER_DS), trace_bound=16, node_budget=BUDGET, seed=7
-    )
+    spec = ScanSpec(d_list=list(STABLE_MULTIPLIER_DS), trace_bound=16, node_budget=BUDGET)
     first = reports_to_jsonl(run_claims(spec, ["stable-multiplier"]))
     second = reports_to_jsonl(run_claims(spec, ["stable-multiplier"]))
     if first != second:

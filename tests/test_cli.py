@@ -242,6 +242,22 @@ def test_budget_exhaustion_exits_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--D", "2", "--elem", "4+2sqrt2"],
+        ["verify", "doubling", "--D", "2", "--trace-bound", "8"],
+    ],
+)
+def test_nonpositive_node_budget_is_a_usage_error(capsys, argv, budget):
+    # Neither value may fall back to a default or report an exhausted budget.
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--node-budget", budget])
+    assert exc.value.code == 2
+    assert "--node-budget" in capsys.readouterr().err
+
+
 def test_env_budget_is_honored(capsys, monkeypatch):
     monkeypatch.setenv("SOSLAB_NODE_BUDGET", "2")
     code, _ = run_cli(capsys, "decompose", "--D", "13", "--elem", "20+2w")

@@ -1,4 +1,4 @@
-"""Claim-scan harness: reports, JSONL reproducibility, worker determinism."""
+"""Claim-scan harness: reports, JSONL reproducibility, the dispatch table."""
 
 import json
 
@@ -125,7 +125,7 @@ def test_peters_equivalence(ctx5, ctx6):
 
 
 def test_thresholds(ctx6):
-    rep = verify_multiplier_thresholds(ctx6, (1, 3), 10, node_budget=BUDGET, seed=0)
+    rep = verify_multiplier_thresholds(ctx6, (1, 3), 10, node_budget=BUDGET)
     assert rep.passed
     ms = [case["m"] for case in rep.details["cases"]]
     assert ms == [1, 2, 3]
@@ -206,8 +206,3 @@ def test_jsonl_round_trip_via_file(tmp_path, ctx2):
     write_reports_jsonl(reports, out)
     assert out.read_text() == reports_to_jsonl(reports)
 
-
-def test_workers_do_not_change_results(ctx5):
-    serial = verify_doubling(ctx5, 16, node_budget=BUDGET, workers=1)
-    parallel = verify_doubling(ctx5, 16, node_budget=BUDGET, workers=2)
-    assert serial.to_record() == parallel.to_record()
