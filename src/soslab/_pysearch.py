@@ -15,14 +15,10 @@ trace >= 2, so depth is bounded by trace/2 and the traversal is finite.  A
 completed traversal with no hit is a proof that no decomposition exists
 within the term bound -- soundness rests only on integer arithmetic, never
 on any representability theorem.
-
-soslab._speedups reimplements `run_search` in C integers, node for node;
-keep the two in lockstep.
 """
 
 from __future__ import annotations
 
-import random
 from math import isqrt
 
 STATUS_EXHAUSTED = 0
@@ -101,19 +97,13 @@ def run_search(
     cands: list[Candidate],
     max_depth: int,
     budget: int,
-    order_seed: int | None = None,
 ) -> tuple[int, int, list[tuple[int, int]] | None]:
     """Exhaustive DFS for a decomposition of (A, B) into squares of `cands`.
 
     Returns (status, nodes, terms); terms are (A, B) pairs in pick order.
-    `order_seed` shuffles the candidate list first -- the verdict kind must
-    not depend on candidate order (multisets are enumerated under any fixed
-    order), which the test suite exercises through this hook.
+    The verdict kind does not depend on the order of `cands`: multisets are
+    enumerated under any fixed order.
     """
-    if order_seed is not None:
-        cands = list(cands)
-        random.Random(order_seed).shuffle(cands)
-
     nodes = 0
     path: list[tuple[int, int]] = []
 

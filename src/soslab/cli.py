@@ -23,7 +23,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from math import isqrt as _isqrt
 
 from .criteria import (
     doubling_witness,
@@ -31,14 +30,20 @@ from .criteria import (
     peters_interval,
     ramified_obstruction_witness,
 )
-from .decompose import DEFAULT_NODE_BUDGET, VerdictKind, decompose_sos, pythagoras_length
+from .decompose import (
+    DEFAULT_NODE_BUDGET,
+    SearchVerdict,
+    VerdictKind,
+    decompose_sos,
+    pythagoras_length,
+)
 from .errors import (
     BasisMismatch,
     BudgetExceeded,
     ParseError,
     SoslabError,
 )
-from .quadfield import QuadInt, RingContext
+from .quadfield import QuadInt, RingContext, square_factor
 from .residues import is_square_mod_two
 from .sintegers import SKind, s_element, s_is_sum_of_squares
 from .sweep import Sweep
@@ -171,11 +176,7 @@ def _parse_d_spec(spec: str) -> tuple[int, ...]:
     if ".." in spec:
         lo_s, hi_s = spec.split("..", 1)
         lo, hi = int(lo_s), int(hi_s)
-        out = []
-        for d in range(max(lo, 2), hi + 1):
-            if all(d % (p * p) for p in range(2, _isqrt(d) + 1)):
-                out.append(d)
-        return tuple(out)
+        return tuple(d for d in range(max(lo, 2), hi + 1) if square_factor(d) is None)
     return tuple(int(part) for part in spec.split(","))
 
 
@@ -201,145 +202,87 @@ def _parse_m_range(spec: str) -> tuple[int, int]:
 # -- subcommand handlers ---------------------------------------------------------
 
 
-def _search_record(cfg: CliConfig, ctx: RingContext, alpha: QuadInt, max_terms: int | None):
-    start = time.perf_counter()
-    verdict = decompose_sos(alpha, max_terms=max_terms, node_budget=cfg.node_budget)
-    elapsed_ms = int(1000 * (time.perf_counter() - start))
-    return verdict, elapsed_ms
+def _search_record(
+    cfg: CliConfig, alpha: QuadInt, verdict: SearchVerdict, elapsed_ms: int
+) -> tuple[dict, int]:
+    """The JSON record of one check/decompose verdict, and its exit code."""
+    record = {
+        "command": cfg.command,
+        "D": alpha.ctx.D,
+        "element": str(alpha),
+        "terms": None,
+        "nodes": verdict.nodes,
+        "elapsed_ms": elapsed_ms,
+    }
+    decomposition = verdict.decomposition
+    if decomposition is not None:
+        terms = [str(t) for t in decomposition.terms]
+        if cfg.command == "check":
+            certificate = {"kind": "decomposition", "terms": terms}
+        else:
+            certificate = {"kind": "decomposition", "length": len(decomposition)}
+        record.update(verdict="sum_of_squares", certificate=certificate, terms=terms)
+        return record, 0
+    if verdict.kind is VerdictKind.EXHAUSTED_NONE:
+        certificate = {"kind": "exhaustion", "nodes": verdict.nodes}
+        record.update(verdict="not_sum_of_squares", certificate=certificate)
+        return record, 0
+    certificate = {"kind": "budget_exceeded", "budget": cfg.node_budget}
+    record.update(verdict="unknown", certificate=certificate)
+    return record, 3
+
+
+def _no_verdict(cfg: CliConfig, alpha: QuadInt) -> str:
+    return f"no verdict for {alpha}: node budget {cfg.node_budget} exceeded"
 
 
 def cmd_decompose(cfg: CliConfig) -> int:
     ctx = RingContext(cfg.args.D)
     alpha = parse_element(ctx, cfg.args.elem)
-    if cfg.args.shortest:
-        start = time.perf_counter()
-        length = pythagoras_length(alpha, node_budget=cfg.node_budget)
-        elapsed_ms = int(1000 * (time.perf_counter() - start))
-        if length is None:
-            verdict = decompose_sos(alpha, node_budget=cfg.node_budget)
-            record = {
-                "command": "decompose",
-                "D": ctx.D,
-                "element": str(alpha),
-                "verdict": "not_sum_of_squares",
-                "certificate": {"kind": "exhaustion", "nodes": verdict.nodes},
-                "terms": None,
-                "nodes": verdict.nodes,
-                "elapsed_ms": elapsed_ms,
-            }
-            cfg.emit(record, f"{alpha} is not a sum of squares in O(sqrt{ctx.D})")
-            return 0
-        capped = decompose_sos(alpha, max_terms=length, node_budget=cfg.node_budget)
-        assert capped.decomposition is not None
-        terms = [str(t) for t in capped.decomposition.terms]
-        record = {
-            "command": "decompose",
-            "D": ctx.D,
-            "element": str(alpha),
-            "verdict": "sum_of_squares",
-            "certificate": {"kind": "decomposition", "length": length},
-            "terms": terms,
-            "nodes": capped.nodes,
-            "elapsed_ms": elapsed_ms,
-        }
-        cfg.emit(record, f"{capped.decomposition}  [shortest: {length} squares]")
-        return 0
-    verdict, elapsed_ms = _search_record(cfg, ctx, alpha, cfg.args.max_terms)
-    if verdict.kind is VerdictKind.FOUND:
-        assert verdict.decomposition is not None
-        record = {
-            "command": "decompose",
-            "D": ctx.D,
-            "element": str(alpha),
-            "verdict": "sum_of_squares",
-            "certificate": {"kind": "decomposition", "length": len(verdict.decomposition)},
-            "terms": [str(t) for t in verdict.decomposition.terms],
-            "nodes": verdict.nodes,
-            "elapsed_ms": elapsed_ms,
-        }
-        cfg.emit(record, str(verdict.decomposition))
-        return 0
-    if verdict.kind is VerdictKind.EXHAUSTED_NONE:
-        bound = "" if cfg.args.max_terms is None else f" with at most {cfg.args.max_terms} terms"
-        record = {
-            "command": "decompose",
-            "D": ctx.D,
-            "element": str(alpha),
-            "verdict": "not_sum_of_squares",
-            "certificate": {"kind": "exhaustion", "nodes": verdict.nodes},
-            "terms": None,
-            "nodes": verdict.nodes,
-            "elapsed_ms": elapsed_ms,
-        }
-        cfg.emit(record, f"{alpha} is not a sum of squares{bound} [exhausted {verdict.nodes} nodes]")
-        return 0
-    record = {
-        "command": "decompose",
-        "D": ctx.D,
-        "element": str(alpha),
-        "verdict": "unknown",
-        "certificate": {"kind": "budget_exceeded", "budget": cfg.node_budget},
-        "terms": None,
-        "nodes": verdict.nodes,
-        "elapsed_ms": elapsed_ms,
-    }
-    cfg.emit(record, f"no verdict for {alpha}: node budget {cfg.node_budget} exceeded")
-    return 3
+    shortest = cfg.args.shortest
+    start = time.perf_counter()
+    # --shortest reruns one search capped at the shortest length, for its
+    # terms; a None length makes that the unbounded search, which refutes.
+    if shortest:
+        max_terms = pythagoras_length(alpha, node_budget=cfg.node_budget)
+    else:
+        max_terms = cfg.args.max_terms
+    verdict = decompose_sos(alpha, max_terms=max_terms, node_budget=cfg.node_budget)
+    elapsed_ms = int(1000 * (time.perf_counter() - start))
+    record, code = _search_record(cfg, alpha, verdict, elapsed_ms)
+    decomposition = verdict.decomposition
+    if decomposition is not None:
+        human = str(decomposition)
+        if shortest:
+            human += f"  [shortest: {len(decomposition)} squares]"
+    elif code == 3:
+        human = _no_verdict(cfg, alpha)
+    elif shortest:
+        human = f"{alpha} is not a sum of squares in O(sqrt{ctx.D})"
+    else:
+        bound = "" if max_terms is None else f" with at most {max_terms} terms"
+        human = f"{alpha} is not a sum of squares{bound} [exhausted {verdict.nodes} nodes]"
+    cfg.emit(record, human)
+    return code
 
 
 def cmd_check(cfg: CliConfig) -> int:
     ctx = RingContext(cfg.args.D)
     alpha = parse_element(ctx, cfg.args.elem)
-    verdict, elapsed_ms = _search_record(cfg, ctx, alpha, None)
-    info = {
-        "totally_positive": alpha.is_totally_positive(),
-        "square_mod_2O": is_square_mod_two(alpha),
-    }
-    if verdict.kind is VerdictKind.FOUND:
-        assert verdict.decomposition is not None
-        record = {
-            "command": "check",
-            "D": ctx.D,
-            "element": str(alpha),
-            "verdict": "sum_of_squares",
-            "certificate": {
-                "kind": "decomposition",
-                "terms": [str(t) for t in verdict.decomposition.terms],
-            },
-            "terms": [str(t) for t in verdict.decomposition.terms],
-            "nodes": verdict.nodes,
-            "elapsed_ms": elapsed_ms,
-            **info,
-        }
-        cfg.emit(record, f"{alpha} is a sum of {len(verdict.decomposition)} squares")
-        return 0
-    if verdict.kind is VerdictKind.EXHAUSTED_NONE:
-        record = {
-            "command": "check",
-            "D": ctx.D,
-            "element": str(alpha),
-            "verdict": "not_sum_of_squares",
-            "certificate": {"kind": "exhaustion", "nodes": verdict.nodes},
-            "terms": None,
-            "nodes": verdict.nodes,
-            "elapsed_ms": elapsed_ms,
-            **info,
-        }
-        cfg.emit(record, f"{alpha} is not a sum of squares [exhausted {verdict.nodes} nodes]")
-        return 0
-    record = {
-        "command": "check",
-        "D": ctx.D,
-        "element": str(alpha),
-        "verdict": "unknown",
-        "certificate": {"kind": "budget_exceeded", "budget": cfg.node_budget},
-        "terms": None,
-        "nodes": verdict.nodes,
-        "elapsed_ms": elapsed_ms,
-        **info,
-    }
-    cfg.emit(record, f"no verdict for {alpha}: node budget {cfg.node_budget} exceeded")
-    return 3
+    start = time.perf_counter()
+    verdict = decompose_sos(alpha, node_budget=cfg.node_budget)
+    elapsed_ms = int(1000 * (time.perf_counter() - start))
+    record, code = _search_record(cfg, alpha, verdict, elapsed_ms)
+    record["totally_positive"] = alpha.is_totally_positive()
+    record["square_mod_2O"] = is_square_mod_two(alpha)
+    if verdict.decomposition is not None:
+        human = f"{alpha} is a sum of {len(verdict.decomposition)} squares"
+    elif code == 3:
+        human = _no_verdict(cfg, alpha)
+    else:
+        human = f"{alpha} is not a sum of squares [exhausted {verdict.nodes} nodes]"
+    cfg.emit(record, human)
+    return code
 
 
 def cmd_peters(cfg: CliConfig) -> int:
@@ -466,8 +409,10 @@ def cmd_sint(cfg: CliConfig) -> int:
 
 def cmd_scan(cfg: CliConfig) -> int:
     ctx = RingContext(cfg.args.D)
+    if cfg.args.trace_bound < 2:
+        raise ValueError("trace bound below 2 scans nothing")
     sweep = (
-        Sweep(ctx, max(cfg.args.trace_bound, 0), node_budget=cfg.node_budget)
+        Sweep(ctx, cfg.args.trace_bound, node_budget=cfg.node_budget)
         if cfg.args.with_oracle
         else None
     )

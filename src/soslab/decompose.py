@@ -6,38 +6,25 @@ exists within the term bound (a completed exhaustive traversal), or gives
 up with a budget verdict -- it never guesses, and it never prunes with a
 representability theorem, so its negative answers are unconditional.
 
-Two interchangeable kernels run the traversal: a pure-Python one
-(arbitrary precision) and an optional compiled one (64-bit integers) built
-from ``_speedups.pyx``.  ``engine="auto"`` picks the compiled kernel when
-it is importable and the instance provably fits its integer envelope.
-``SOSLAB_PURE_PYTHON=1`` in the environment disables the compiled kernel.
+The traversal itself is `_pysearch.run_search`, in arbitrary-precision
+Python integers; `sweep.Sweep` is the independent breadth-first engine the
+tests compare it with.
 """
 
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass
 
 from . import _pysearch
 from .errors import BudgetExceeded, NotTotallyNonneg
 from .quadfield import QuadInt
 
-try:  # pragma: no cover - exercised only when the extension is absent
-    from . import _speedups as _compiled
-except ImportError:  # pragma: no cover
-    _compiled = None
-
-if os.environ.get("SOSLAB_PURE_PYTHON") == "1":
-    _compiled = None
+# No compiled kernel exists; perfbench still reads this attribute to report
+# which kernel ran.
+_compiled = None
 
 DEFAULT_NODE_BUDGET = 10**8
-
-# Compiled-kernel envelope: with trace T and discriminant D, every integer
-# the kernel touches is bounded by 16*(T+2)^2*(D+1); stay far inside 2^63.
-# The slab cap keeps its per-level candidate workspace to ~128 MiB.
-_ENVELOPE_LIMIT = 2**62
-_SLAB_ENTRY_CAP = 1 << 22
 
 
 class VerdictKind(enum.Enum):
@@ -118,44 +105,18 @@ def candidate_roots(gamma: QuadInt) -> list[QuadInt]:
     return [ctx.from_half_pair(a, b) for a, b, _, _ in raw]
 
 
-def fits_compiled_kernel(d: int, trace: int, ncand: int, max_depth: int) -> bool:
-    """Whether the 64-bit kernel provably cannot overflow on this instance."""
-    if trace < 0:
-        return False
-    if 16 * (trace + 2) * (trace + 2) * (d + 1) >= _ENVELOPE_LIMIT:
-        return False
-    return max(ncand, 1) * (max_depth + 1) <= _SLAB_ENTRY_CAP
-
-
-def _resolve_engine(engine: str, d: int, trace: int, ncand: int, max_depth: int) -> str:
-    if engine == "auto":
-        if _compiled is not None and fits_compiled_kernel(d, trace, ncand, max_depth):
-            return "c"
-        return "python"
-    if engine == "c":
-        if _compiled is None:
-            raise RuntimeError("compiled search kernel is not available")
-        if not fits_compiled_kernel(d, trace, ncand, max_depth):
-            raise RuntimeError("instance exceeds the compiled kernel's envelope")
-        return "c"
-    if engine == "python":
-        return "python"
-    raise ValueError(f"unknown engine {engine!r}")
-
-
 def decompose_sos(
     alpha: QuadInt,
     max_terms: int | None = None,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    engine: str = "auto",
 ) -> SearchVerdict:
     """Decide whether alpha is a sum of (at most max_terms) squares in O.
 
     Found verdicts carry a re-verified decomposition; exhausted verdicts
     are proofs of non-representability within the term bound (for the
     default unbounded search, non-representability outright); budget
-    verdicts carry no claim.  Results do not depend on the kernel used.
+    verdicts carry no claim.
     """
     ctx = alpha.ctx
     if not alpha.is_totally_nonnegative():
@@ -169,15 +130,9 @@ def decompose_sos(
         # Candidate generation alone would outrun the budget.
         return SearchVerdict(VerdictKind.BUDGET_EXCEEDED, None, 0)
     cands = _pysearch.generate_candidates(ctx.D, ctx.kappa == 1, big_a, big_b)
-    chosen = _resolve_engine(engine, ctx.D, big_a, len(cands), depth_cap)
-    if chosen == "c":
-        status, nodes, raw_terms = _compiled.run_search(
-            ctx.D, big_a, big_b, cands, depth_cap, node_budget
-        )
-    else:
-        status, nodes, raw_terms = _pysearch.run_search(
-            ctx.D, big_a, big_b, cands, depth_cap, node_budget
-        )
+    status, nodes, raw_terms = _pysearch.run_search(
+        ctx.D, big_a, big_b, cands, depth_cap, node_budget
+    )
     if status == _pysearch.STATUS_FOUND:
         terms = tuple(ctx.from_half_pair(a, b) for a, b in raw_terms)
         return SearchVerdict(VerdictKind.FOUND, Decomposition(alpha, terms), nodes)
@@ -186,32 +141,22 @@ def decompose_sos(
     return SearchVerdict(VerdictKind.EXHAUSTED_NONE, None, nodes)
 
 
-def is_sum_of_squares(
-    alpha: QuadInt,
-    *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    engine: str = "auto",
-) -> bool:
+def is_sum_of_squares(alpha: QuadInt, *, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """True/False with proof either way; raises BudgetExceeded when unsure."""
-    verdict = decompose_sos(alpha, node_budget=node_budget, engine=engine)
+    verdict = decompose_sos(alpha, node_budget=node_budget)
     if verdict.kind is VerdictKind.BUDGET_EXCEEDED:
         raise BudgetExceeded(verdict.nodes, node_budget)
     return verdict.found
 
 
-def pythagoras_length(
-    alpha: QuadInt,
-    *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    engine: str = "auto",
-) -> int | None:
+def pythagoras_length(alpha: QuadInt, *, node_budget: int = DEFAULT_NODE_BUDGET) -> int | None:
     """Length of the shortest sum-of-squares representation, or None.
 
     None is a proven negative (exhausted search), never a shrug; running
     out of node budget raises instead.  Computed by one unbounded search
     followed by iterative deepening below the length it found.
     """
-    unbounded = decompose_sos(alpha, node_budget=node_budget, engine=engine)
+    unbounded = decompose_sos(alpha, node_budget=node_budget)
     if unbounded.kind is VerdictKind.BUDGET_EXCEEDED:
         raise BudgetExceeded(unbounded.nodes, node_budget)
     if unbounded.kind is VerdictKind.EXHAUSTED_NONE:
@@ -219,9 +164,7 @@ def pythagoras_length(
     assert unbounded.decomposition is not None
     best = len(unbounded.decomposition)
     for cap in range(1, best):
-        capped = decompose_sos(
-            alpha, max_terms=cap, node_budget=node_budget, engine=engine
-        )
+        capped = decompose_sos(alpha, max_terms=cap, node_budget=node_budget)
         if capped.kind is VerdictKind.BUDGET_EXCEEDED:
             raise BudgetExceeded(capped.nodes, node_budget)
         if capped.found:

@@ -43,12 +43,30 @@ def _sign(x: Rational) -> int:
     return (x > 0) - (x < 0)
 
 
+def square_factor(d: int) -> int | None:
+    """The smallest prime p with p^2 | d, or None when d >= 1 is squarefree.
+
+    Divides out the primes up to the cube root of what is left; at that
+    point the cofactor has at most two prime factors, so it is divisible by
+    a square exactly when it is a perfect square.  Exact, in O(d^(1/3)).
+    """
+    n, p = d, 2
+    while p * p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return p
+        p += 1 if p == 2 else 2
+    root = isqrt(n)
+    return root if root > 1 and root * root == n else None
+
+
 @dataclass(frozen=True)
 class RingContext:
     """Validated container for everything derived from a squarefree D >= 2.
 
-    Construction performs the squarefreeness check by trial division up to
-    isqrt(D), so holding a context is proof the parameters are coherent.
+    Construction checks that D is squarefree (see `square_factor`), so
+    holding a context is proof the parameters are coherent.
     """
 
     D: int
@@ -63,9 +81,9 @@ class RingContext:
         d = self.D
         if not isinstance(d, int) or d < 2:
             raise TooSmall(f"D must be an integer >= 2, got {d!r}")
-        for p in range(2, isqrt(d) + 1):
-            if d % (p * p) == 0:
-                raise NotSquarefree(d, p)
+        p = square_factor(d)
+        if p is not None:
+            raise NotSquarefree(d, p)
         mod4 = d % 4
         object.__setattr__(self, "d_mod4", mod4)
         object.__setattr__(self, "kappa", 1 if mod4 == 1 else 2)

@@ -112,8 +112,12 @@ class SVerdict:
 
     def __post_init__(self) -> None:
         if self.kind is SKind.REPRESENTABLE:
-            assert self.terms is not None and self.j_used is not None
-            assert self.j_used >= self.element.j
+            if self.terms is None or self.j_used is None:
+                raise ValueError("a representable verdict needs terms and j_used")
+            if self.j_used < self.element.j:
+                raise ValueError(
+                    f"j_used={self.j_used} is below the element's exponent {self.element.j}"
+                )
             scale = self.element.m ** (2 * (self.j_used - self.element.j))
             total = self.element.ctx.zero
             for term in self.terms:
@@ -121,7 +125,8 @@ class SVerdict:
             if total != self.element.numerator * scale:
                 raise ValueError("S-integer decomposition does not verify")
         elif self.kind is SKind.OBSTRUCTED:
-            assert self.certificate is not None and self.certificate.is_valid()
+            if self.certificate is None or not self.certificate.is_valid():
+                raise ValueError("an obstructed verdict needs a valid certificate")
 
 
 def s_element(gamma: QuadInt, j: int, m: int) -> SElement:
@@ -153,11 +158,7 @@ def s_obstruction(xi: SElement) -> ObstructionCert | None:
 
 
 def s_is_sum_of_squares(
-    xi: SElement,
-    j_budget: int = 4,
-    *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    engine: str = "auto",
+    xi: SElement, j_budget: int = 4, *, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> SVerdict:
     """Three-way decision for xi = gamma / m^(2j) in O[1/m].
 
@@ -181,9 +182,7 @@ def s_is_sum_of_squares(
         # A five-term cap first (hits are fast and short), then the
         # unbounded search, which alone settles this level.
         for cap in (5, None):
-            verdict = decompose_sos(
-                target, max_terms=cap, node_budget=node_budget, engine=engine
-            )
+            verdict = decompose_sos(target, max_terms=cap, node_budget=node_budget)
             nodes += verdict.nodes
             if verdict.found:
                 assert verdict.decomposition is not None

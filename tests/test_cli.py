@@ -5,7 +5,7 @@ import json
 import pytest
 
 from soslab import BasisMismatch, ParseError, RingContext
-from soslab.cli import format_element, main, parse_element
+from soslab.cli import _parse_d_spec, format_element, main, parse_element
 
 # ---------------------------------------------------------------------------
 # element grammar
@@ -281,3 +281,20 @@ def test_tsv_format(capsys):
     assert fields[2] == "4+2sqrt2"
     assert fields[3] == "sum_of_squares"
     assert fields[4] == "1+sqrt2;1"
+
+
+@pytest.mark.parametrize("bound", ["-3", "0", "1"])
+@pytest.mark.parametrize("oracle", [[], ["--with-oracle"]])
+def test_scan_rejects_trace_bound_below_two(capsys, bound, oracle):
+    code = main(["scan", "--D", "6", "--trace-bound", bound, *oracle])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "trace bound below 2 scans nothing" in captured.err
+
+
+def test_d_range_keeps_only_squarefree():
+    assert _parse_d_spec("1..30") == (
+        2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 26, 29, 30,
+    )
+    assert _parse_d_spec("2,3,5") == (2, 3, 5)

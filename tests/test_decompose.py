@@ -149,6 +149,9 @@ def test_budget_verdict(ctx2):
     v = decompose_sos(big, node_budget=3)
     assert v.kind is VerdictKind.BUDGET_EXCEEDED
     assert v.decomposition is None
+    # Candidate generation alone would outrun the budget, so the guard
+    # answers before any node is searched.
+    assert v.nodes == 0
     with pytest.raises(BudgetExceeded):
         is_sum_of_squares(big, node_budget=3)
 
@@ -177,18 +180,19 @@ def test_sums_of_squares_pass_the_local_test(alpha):
         assert is_square_mod_two(alpha)
 
 
-@given(tp_elements(), st.integers(0, 2**31 - 1))
+@given(tp_elements(), st.data())
 @settings(max_examples=25, deadline=None)
-def test_verdict_kind_ignores_candidate_order(alpha, seed):
+def test_verdict_kind_ignores_candidate_order(alpha, data):
     """FOUND/EXHAUSTED_NONE is a property of the element, not the list order."""
     ctx = alpha.ctx
     big_a, big_b = alpha.half_coords
     cands = _pysearch.generate_candidates(ctx.D, ctx.kappa == 1, big_a, big_b)
+    shuffled = data.draw(st.permutations(cands))
     base_status, _, _ = _pysearch.run_search(
         ctx.D, big_a, big_b, cands, big_a // 2, 10**6
     )
     shuf_status, _, _ = _pysearch.run_search(
-        ctx.D, big_a, big_b, cands, big_a // 2, 10**6, order_seed=seed
+        ctx.D, big_a, big_b, shuffled, big_a // 2, 10**6
     )
     assert base_status == shuf_status
 

@@ -15,6 +15,7 @@ from soslab import (
     TooSmall,
     real_sign,
 )
+from soslab.quadfield import square_factor
 
 SQUAREFREE_DS = st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13, 17, 21, 29, 33, 101])
 SMALL_COORDS = st.integers(min_value=-40, max_value=40)
@@ -52,11 +53,34 @@ def test_context_rejects_small_d(bad):
         RingContext(bad)
 
 
-@pytest.mark.parametrize("bad,p", [(4, 2), (12, 2), (18, 3), (50, 5), (9, 3)])
+@pytest.mark.parametrize(
+    "bad,p", [(4, 2), (12, 2), (18, 3), (50, 5), (9, 3), (1_000_000_007**2, 1_000_000_007)]
+)
 def test_context_rejects_squareful_d(bad, p):
     with pytest.raises(NotSquarefree) as exc:
         RingContext(bad)
     assert exc.value.p == p
+
+
+def _naive_square_factor(d):
+    return next((p for p in range(2, math.isqrt(d) + 1) if d % (p * p) == 0), None)
+
+
+def test_square_factor_matches_trial_division_below_20000():
+    for d in range(1, 20_000):
+        assert square_factor(d) == _naive_square_factor(d), d
+
+
+# Primes just above 10^9: their products lie far beyond trial division to
+# sqrt(D), but only primes up to the cube root of D are ever divided out.
+P, Q = 1_000_000_007, 1_000_000_009
+
+
+@pytest.mark.parametrize(
+    "d,p", [(Q * Q, Q), (6 * Q * Q, Q), (P * Q, None), (6 * P * Q, None)]
+)
+def test_square_factor_near_1e9(d, p):
+    assert square_factor(d) == p
 
 
 def test_context_rejects_non_int():

@@ -1,14 +1,21 @@
 """Sums of squares in O[1/m]: escalation, obstruction certificates."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import soslab
 from soslab import (
     BadModulus,
     NotTotallyPositive,
     RingContext,
     SKind,
+    SVerdict,
     is_square_mod_two,
     ramified_obstruction_witness,
     s_element,
@@ -188,6 +195,54 @@ def test_integral_sums_stay_representable(d, idx):
     if is_sum_of_squares(alpha, node_budget=10**7):
         verdict = s_is_sum_of_squares(s_element(alpha, 0, 2), j_budget=2)
         assert verdict.kind is SKind.REPRESENTABLE
+
+
+# ---------------------------------------------------------------------------
+# verdict invariants (checked with exceptions, so they survive python -O)
+
+
+def test_obstructed_verdict_needs_a_certificate(ctx6):
+    xi = s_element(ctx6.element(3, 1), 0, 5)
+    with pytest.raises(ValueError):
+        SVerdict(SKind.OBSTRUCTED, xi, certificate=None)
+
+
+def test_obstructed_verdict_rejects_an_invalid_certificate(ctx6):
+    xi = s_element(ctx6.element(3, 1), 0, 5)
+    bogus = dataclasses.replace(s_obstruction(xi), m_odd=False)
+    with pytest.raises(ValueError):
+        SVerdict(SKind.OBSTRUCTED, xi, certificate=bogus)
+
+
+def test_representable_verdict_needs_terms_and_a_level(ctx6):
+    xi = s_element(ctx6.from_int(2), 1, 2)  # 2/4, already canonical
+    ones = (ctx6.one, ctx6.one)
+    with pytest.raises(ValueError):
+        SVerdict(SKind.REPRESENTABLE, xi, terms=None, j_used=1)
+    with pytest.raises(ValueError):
+        SVerdict(SKind.REPRESENTABLE, xi, terms=ones, j_used=None)
+    with pytest.raises(ValueError):
+        SVerdict(SKind.REPRESENTABLE, xi, terms=ones, j_used=0)  # below xi.j
+    assert SVerdict(SKind.REPRESENTABLE, xi, terms=ones, j_used=1).j_used == 1
+
+
+def test_verdict_invariants_hold_under_optimize_flag():
+    # Under -O every assert is stripped; the checks must still fire.
+    script = (
+        "from soslab import RingContext, SKind, SVerdict, s_element\n"
+        "xi = s_element(RingContext(6).element(3, 1), 0, 5)\n"
+        "assert False, 'asserts are live'\n"
+        "try:\n"
+        "    SVerdict(SKind.OBSTRUCTED, xi, certificate=None)\n"
+        "except ValueError:\n"
+        "    print('rejected')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(soslab.__file__))}
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "rejected\n"
 
 
 # ---------------------------------------------------------------------------
