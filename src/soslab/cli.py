@@ -34,8 +34,8 @@ from .decompose import (
     DEFAULT_NODE_BUDGET,
     SearchVerdict,
     VerdictKind,
+    _shortest_verdict,
     decompose_sos,
-    pythagoras_length,
 )
 from .errors import (
     BasisMismatch,
@@ -48,7 +48,6 @@ from .residues import is_square_mod_two
 from .sintegers import SKind, s_element, s_is_sum_of_squares
 from .sweep import Sweep
 from .verify import (
-    CLAIM_ALIASES,
     CLAIM_NAMES,
     ScanSpec,
     reports_to_jsonl,
@@ -180,15 +179,24 @@ def _parse_d_spec(spec: str) -> tuple[int, ...]:
     return tuple(int(part) for part in spec.split(","))
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1, anything else is a usage error."""
+def _int_at_least(text: str, low: int, what: str) -> int:
     try:
         value = int(text)
     except ValueError:
         value = None
-    if value is None or value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    if value is None or value < low:
+        raise argparse.ArgumentTypeError(f"must be a {what} integer, got {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1, anything else is a usage error."""
+    return _int_at_least(text, 1, "positive")
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type: an integer >= 0, anything else is a usage error."""
+    return _int_at_least(text, 0, "nonnegative")
 
 
 def _parse_m_range(spec: str) -> tuple[int, int]:
@@ -240,16 +248,19 @@ def cmd_decompose(cfg: CliConfig) -> int:
     ctx = RingContext(cfg.args.D)
     alpha = parse_element(ctx, cfg.args.elem)
     shortest = cfg.args.shortest
+    max_terms = None if shortest else cfg.args.max_terms
     start = time.perf_counter()
-    # --shortest reruns one search capped at the shortest length, for its
-    # terms; a None length makes that the unbounded search, which refutes.
     if shortest:
-        max_terms = pythagoras_length(alpha, node_budget=cfg.node_budget)
+        verdict = _shortest_verdict(alpha, cfg.node_budget)
     else:
-        max_terms = cfg.args.max_terms
-    verdict = decompose_sos(alpha, max_terms=max_terms, node_budget=cfg.node_budget)
+        verdict = decompose_sos(alpha, max_terms=max_terms, node_budget=cfg.node_budget)
     elapsed_ms = int(1000 * (time.perf_counter() - start))
     record, code = _search_record(cfg, alpha, verdict, elapsed_ms)
+    capped_miss = max_terms is not None and verdict.kind is VerdictKind.EXHAUSTED_NONE
+    if capped_miss:
+        # Exhausting a capped search says nothing about longer sums.
+        record["verdict"] = "none_within_max_terms"
+        record["certificate"]["max_terms"] = max_terms
     decomposition = verdict.decomposition
     if decomposition is not None:
         human = str(decomposition)
@@ -259,9 +270,13 @@ def cmd_decompose(cfg: CliConfig) -> int:
         human = _no_verdict(cfg, alpha)
     elif shortest:
         human = f"{alpha} is not a sum of squares in O(sqrt{ctx.D})"
+    elif capped_miss:
+        human = (
+            f"{alpha} is not a sum of at most {max_terms} squares "
+            f"[exhausted {verdict.nodes} nodes]"
+        )
     else:
-        bound = "" if max_terms is None else f" with at most {max_terms} terms"
-        human = f"{alpha} is not a sum of squares{bound} [exhausted {verdict.nodes} nodes]"
+        human = f"{alpha} is not a sum of squares [exhausted {verdict.nodes} nodes]"
     cfg.emit(record, human)
     return code
 
@@ -496,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="find an explicit sum-of-squares decomposition")
     common(p)
-    p.add_argument("--max-terms", type=int, default=None)
+    p.add_argument("--max-terms", type=_positive_int, default=None)
     p.add_argument("--shortest", action="store_true", help="minimize the number of squares")
 
     p = sub.add_parser("check", help="decide sum-of-squares representability")
@@ -518,7 +533,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--j", type=int, default=0, help="denominator exponent of the input")
-    p.add_argument("--j-budget", type=int, default=4, help="extra escalation levels to try")
+    p.add_argument(
+        "--j-budget", type=_nonnegative_int, default=4, help="extra escalation levels to try"
+    )
 
     p = sub.add_parser("scan", help="stream totally positive elements")
     common(p, elem=False)
@@ -533,9 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--D", required=True, help="D spec: '6', '2,3,5', or '2..50'")
     p.add_argument("--trace-bound", type=int, required=True)
     p.add_argument("--m-range", default=None, help="multiplier range, e.g. '1..5'")
-    p.add_argument(
-        "--format", choices=("human", "json", "tsv"), default="json", dest="fmt"
-    )
+    p.add_argument("--format", choices=("human", "json"), default="json", dest="fmt")
     p.add_argument("--node-budget", type=_positive_int, default=None)
     p.add_argument("--out", default=None, help="write the JSONL report here")
 
@@ -565,11 +580,6 @@ def main(argv: list[str] | None = None) -> int:
             out=args.out,
             args=args,
         )
-        if args.command == "verify" and args.claim != "all":
-            claim = CLAIM_ALIASES.get(args.claim, args.claim)
-            if claim not in CLAIM_NAMES:
-                parser.error(f"unknown claim {args.claim!r}")
-            args.claim = claim
         return HANDLERS[args.command](cfg)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -61,15 +61,15 @@ class PetersInterval:
 
 
 def _admissible(scale: int, center: int, radicand: int, parity: int | None) -> tuple[int, ...]:
+    # (scale*n - center)^2 <= radicand exactly when |scale*n - center| <=
+    # isqrt(radicand), so the admissible n run from ceil((center - root) /
+    # scale) to floor((center + root) / scale).
     root = isqrt(radicand)
-    lo = (center - root) // scale - 1
-    hi = (center + root) // scale + 1
-    out = []
-    for n in range(lo, hi + 1):
-        t = scale * n - center
-        if t * t <= radicand and (parity is None or n % 2 == parity):
-            out.append(n)
-    return tuple(out)
+    lo = -((root - center) // scale)
+    hi = (center + root) // scale
+    if parity is None:
+        return tuple(range(lo, hi + 1))
+    return tuple(range(lo + (lo - parity) % 2, hi + 1, 2))
 
 
 def peters_interval(alpha: QuadInt) -> PetersInterval | None:

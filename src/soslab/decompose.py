@@ -14,7 +14,7 @@ tests compare it with.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import _pysearch
 from .errors import BudgetExceeded, NotTotallyNonneg
@@ -149,25 +149,34 @@ def is_sum_of_squares(alpha: QuadInt, *, node_budget: int = DEFAULT_NODE_BUDGET)
     return verdict.found
 
 
+def _shortest_verdict(alpha: QuadInt, node_budget: int) -> SearchVerdict:
+    """The verdict for the shortest decomposition of alpha, with the nodes
+    of every search it took.
+
+    One unbounded search, then iterative deepening below the length it
+    found.  A refutation or budget verdict of the unbounded search, or a
+    budget verdict of a capped one, is the answer as it stands.
+    """
+    verdict = decompose_sos(alpha, node_budget=node_budget)
+    if verdict.decomposition is None:
+        return verdict
+    nodes = verdict.nodes
+    for cap in range(1, len(verdict.decomposition)):
+        capped = decompose_sos(alpha, max_terms=cap, node_budget=node_budget)
+        nodes += capped.nodes
+        if capped.kind is not VerdictKind.EXHAUSTED_NONE:
+            verdict = capped
+            break
+    return replace(verdict, nodes=nodes)
+
+
 def pythagoras_length(alpha: QuadInt, *, node_budget: int = DEFAULT_NODE_BUDGET) -> int | None:
     """Length of the shortest sum-of-squares representation, or None.
 
     None is a proven negative (exhausted search), never a shrug; running
-    out of node budget raises instead.  Computed by one unbounded search
-    followed by iterative deepening below the length it found.
+    out of node budget raises instead.
     """
-    unbounded = decompose_sos(alpha, node_budget=node_budget)
-    if unbounded.kind is VerdictKind.BUDGET_EXCEEDED:
-        raise BudgetExceeded(unbounded.nodes, node_budget)
-    if unbounded.kind is VerdictKind.EXHAUSTED_NONE:
-        return None
-    assert unbounded.decomposition is not None
-    best = len(unbounded.decomposition)
-    for cap in range(1, best):
-        capped = decompose_sos(alpha, max_terms=cap, node_budget=node_budget)
-        if capped.kind is VerdictKind.BUDGET_EXCEEDED:
-            raise BudgetExceeded(capped.nodes, node_budget)
-        if capped.found:
-            assert capped.decomposition is not None
-            return len(capped.decomposition)
-    return best
+    verdict = _shortest_verdict(alpha, node_budget)
+    if verdict.kind is VerdictKind.BUDGET_EXCEEDED:
+        raise BudgetExceeded(verdict.nodes, node_budget)
+    return None if verdict.decomposition is None else len(verdict.decomposition)

@@ -11,9 +11,11 @@ For odd m with 2 ramified, the mod-2*O square class of the numerator is
 invariant under escalation (m^2 is an odd unit mod 2*O), so a numerator
 that is not a square mod 2*O is permanently obstructed: that is a
 certificate, not a search outcome.  Otherwise the decision procedure
-searches a finite ladder of escalation levels and returns Unknown when the
-ladder runs out -- representability at some higher level is never ruled
-out by a failed finite search.
+climbs a finite ladder of escalation levels, with one search per level
+capped at the five-square bound of `s_pythagoras_upper`, and returns
+Unknown when the ladder runs out -- representability at some higher level
+is never ruled out by a failed finite search.  The cap therefore bears on
+completeness only: a capped miss moves up the ladder, it never refutes.
 """
 
 from __future__ import annotations
@@ -162,11 +164,11 @@ def s_is_sum_of_squares(
 ) -> SVerdict:
     """Three-way decision for xi = gamma / m^(2j) in O[1/m].
 
-    Tries escalation levels j' = j .. j + j_budget; at each level a
-    five-term search runs before the unbounded one, since five squares
-    suffice whenever any number does (in practice the cap only speeds up
-    hits).  Unknown means the ladder (or a node budget) ran out: it is
-    never evidence of non-representability.
+    Tries escalation levels j' = j .. j + j_budget with one search per
+    level, capped at `s_pythagoras_upper` (five squares suffice whenever
+    any number does).  A capped miss only moves up the ladder, so the cap
+    can cost completeness, never soundness.  Unknown means the ladder (or a
+    node budget) ran out: it is never evidence of non-representability.
     """
     if not xi.numerator.is_totally_positive():
         raise NotTotallyPositive(
@@ -175,26 +177,23 @@ def s_is_sum_of_squares(
     cert = s_obstruction(xi)
     if cert is not None:
         return SVerdict(SKind.OBSTRUCTED, xi, certificate=cert)
+    cap = s_pythagoras_upper(xi.ctx, xi.m).value
     nodes = 0
     m2 = xi.m * xi.m
     target = xi.numerator
     for level in range(xi.j, xi.j + j_budget + 1):
-        # A five-term cap first (hits are fast and short), then the
-        # unbounded search, which alone settles this level.
-        for cap in (5, None):
-            verdict = decompose_sos(target, max_terms=cap, node_budget=node_budget)
-            nodes += verdict.nodes
-            if verdict.found:
-                assert verdict.decomposition is not None
-                return SVerdict(
-                    SKind.REPRESENTABLE,
-                    xi,
-                    terms=verdict.decomposition.terms,
-                    j_used=level,
-                    nodes=nodes,
-                )
-            if verdict.kind is VerdictKind.BUDGET_EXCEEDED:
-                return SVerdict(SKind.UNKNOWN, xi, gave_up_at_j=level, nodes=nodes)
+        verdict = decompose_sos(target, max_terms=cap, node_budget=node_budget)
+        nodes += verdict.nodes
+        if verdict.decomposition is not None:
+            return SVerdict(
+                SKind.REPRESENTABLE,
+                xi,
+                terms=verdict.decomposition.terms,
+                j_used=level,
+                nodes=nodes,
+            )
+        if verdict.kind is VerdictKind.BUDGET_EXCEEDED:
+            return SVerdict(SKind.UNKNOWN, xi, gave_up_at_j=level, nodes=nodes)
         target = target * m2
     return SVerdict(SKind.UNKNOWN, xi, gave_up_at_j=xi.j + j_budget, nodes=nodes)
 
@@ -211,8 +210,9 @@ def s_pythagoras_upper(ctx: RingContext, m: int) -> PythagorasBound:
 
     Classical background, not computed here: any sum of squares in a real
     quadratic ring of integers is a sum of five, and clearing denominators
-    transports that bound to every O[1/m].  The scan harness uses it only
-    to cap reported term counts.
+    transports that bound to every O[1/m].  `s_is_sum_of_squares` caps
+    each escalation search with it, and the `pythagoras` claim checks the
+    same bound on every scanned element; nothing refutes with it.
     """
     if not isinstance(m, int) or m <= 1:
         raise BadModulus(f"modulus must be an integer > 1, got {m!r}")

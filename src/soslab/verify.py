@@ -46,6 +46,10 @@ SCHEMA_VERSION = 1
 # "length 3 is attained" check only applies at or beyond this bound.
 LENGTH3_ATTAINED_TRACE = 12
 
+# `thresholds` refutes an odd multiple witness by exhaustion, as well as by
+# its class mod 2*O, only while its trace stays within this bound.
+REFUTATION_TRACE_CAP = 40
+
 
 @dataclass(frozen=True)
 class ScanSpec:
@@ -367,7 +371,6 @@ def verify_multiplier_thresholds(
     trace_bound: int,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    refutation_trace_cap: int = 40,
     sweep: Sweep | None = None,
 ) -> Report:
     """Multiplier thresholds, for each m in m_range.
@@ -379,7 +382,7 @@ def verify_multiplier_thresholds(
     the odd multiple witness is never a square mod 2*O -- already a proof
     of non-representability by local necessity -- with an independent
     oracle refutation whenever its trace fits under
-    `refutation_trace_cap`.
+    `REFUTATION_TRACE_CAP`.
     """
 
     def build() -> tuple[int, list[dict], list[str], dict]:
@@ -447,7 +450,7 @@ def verify_multiplier_thresholds(
                             "got": "square class",
                         }
                     )
-                if target.trace <= refutation_trace_cap:
+                if target.trace <= REFUTATION_TRACE_CAP:
                     verdict = decompose_sos(target, node_budget=node_budget)
                     case["odd_multiple_refuted"] = (
                         verdict.kind is VerdictKind.EXHAUSTED_NONE

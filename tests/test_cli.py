@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from soslab import BasisMismatch, ParseError, RingContext
+from soslab import BasisMismatch, ParseError, RingContext, decompose_sos
 from soslab.cli import _parse_d_spec, format_element, main, parse_element
 
 # ---------------------------------------------------------------------------
@@ -117,6 +117,54 @@ def test_decompose_shortest(capsys):
     assert len(record["terms"]) == 3
 
 
+def test_decompose_shortest_counts_every_search(capsys):
+    # The unbounded search finds four terms; capped searches at one and two
+    # terms miss, and the one at three terms finds the shortest.
+    ctx = RingContext(2)
+    alpha = parse_element(ctx, "6+2sqrt2")
+    searches = [decompose_sos(alpha, max_terms=k) for k in (None, 1, 2, 3)]
+    code, out = run_cli(
+        capsys, "decompose", "--D", "2", "--elem", "6+2sqrt2", "--shortest", "--format", "json"
+    )
+    assert code == 0
+    record = json.loads(out)
+    assert record["nodes"] == sum(v.nodes for v in searches) == 22
+
+
+def test_capped_exhaustion_is_not_a_refutation(capsys):
+    # 6+2sqrt2 = (1+sqrt2)^2 + 1^2 + (sqrt2)^2 needs three squares.
+    code, out = run_cli(
+        capsys, "decompose", "--D", "2", "--elem", "6+2sqrt2", "--max-terms", "2",
+        "--format", "json",
+    )
+    assert code == 0
+    record = json.loads(out)
+    assert record["verdict"] == "none_within_max_terms"
+    assert record["certificate"] == {
+        "kind": "exhaustion", "nodes": record["nodes"], "max_terms": 2,
+    }
+    code, out = run_cli(
+        capsys, "decompose", "--D", "2", "--elem", "6+2sqrt2", "--max-terms", "2"
+    )
+    assert "not a sum of at most 2 squares" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--D", "2", "--elem", "6+2sqrt2", "--max-terms", "-1"],
+        ["decompose", "--D", "2", "--elem", "6+2sqrt2", "--max-terms", "0"],
+        ["decompose", "--D", "2", "--elem", "6+2sqrt2", "--max-terms", "two"],
+        ["sint", "--D", "6", "--elem", "3+sqrt6", "--m", "2", "--j-budget", "-1"],
+    ],
+)
+def test_out_of_range_search_limits_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "json"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_check_reports_local_information(capsys):
     code, out = run_cli(capsys, "check", "--D", "6", "--elem", "3+sqrt6", "--format", "json")
     assert code == 0
@@ -213,6 +261,23 @@ def test_verify_writes_file(tmp_path, capsys):
     assert code == 0
     lines = out_path.read_text().strip().split("\n")
     assert json.loads(lines[0]) == {"schema": 1}
+
+
+def test_verify_rejects_tsv(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "doubling", "--D", "2", "--trace-bound", "8", "--format", "tsv"])
+    assert exc.value.code == 2
+
+
+def test_verify_resolves_aliases_and_rejects_unknown_claims(capsys):
+    code, out = run_cli(capsys, "verify", "m0", "--D", "6", "--trace-bound", "8")
+    assert code == 0
+    assert json.loads(out.strip().split("\n")[1])["claim_id"].startswith("stable-multiplier")
+    code = main(["verify", "fermat", "--D", "6", "--trace-bound", "8"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "unknown claim 'fermat'" in captured.err
 
 
 def test_verify_human_summary(capsys):

@@ -1,5 +1,7 @@
 """Interval criterion, witness elements, and multiplier thresholds."""
 
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from soslab import (
     scan_totally_positive,
     small_multiplier_obstructed,
 )
+from soslab.criteria import _admissible
 
 # ---------------------------------------------------------------------------
 # the interval criterion
@@ -66,6 +69,28 @@ def test_interval_empty_means_no_claim(ctx6):
     assert iv is not None
     assert iv.admissible_n == ()
     assert not peters_five_squares(alpha)
+
+
+def _admissible_by_scan(scale, center, radicand, parity):
+    """Reference: test every n in a window around the interval."""
+    root = isqrt(radicand)
+    lo = (center - root) // scale - 1
+    hi = (center + root) // scale + 1
+    out = []
+    for n in range(lo, hi + 1):
+        t = scale * n - center
+        if t * t <= radicand and (parity is None or n % 2 == parity):
+            out.append(n)
+    return tuple(out)
+
+
+def test_admissible_points_match_a_scan():
+    for scale in range(1, 7):
+        for center in range(-30, 31):
+            for radicand in range(101):
+                for parity in (None, 0, 1):
+                    args = (scale, center, radicand, parity)
+                    assert _admissible(*args) == _admissible_by_scan(*args), args
 
 
 def test_interval_bounds_are_displayable(ctx5):

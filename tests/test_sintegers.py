@@ -16,6 +16,7 @@ from soslab import (
     RingContext,
     SKind,
     SVerdict,
+    Sweep,
     is_square_mod_two,
     ramified_obstruction_witness,
     s_element,
@@ -171,6 +172,33 @@ def test_unknown_after_exhausting_ladder(ctx6):
     assert verdict.kind is SKind.REPRESENTABLE
     assert verdict.j_used == 1
     assert [str(t) for t in verdict.terms] == ["2+sqrt6", "1", "1"]
+
+
+def test_one_capped_search_per_level(ctx6, monkeypatch):
+    calls = []
+    search = soslab.sintegers.decompose_sos
+
+    def counting(alpha, max_terms=None, **kwargs):
+        calls.append(max_terms)
+        return search(alpha, max_terms=max_terms, **kwargs)
+
+    monkeypatch.setattr(soslab.sintegers, "decompose_sos", counting)
+    verdict = s_is_sum_of_squares(s_element(ctx6.element(3, 1), 0, 2), j_budget=0)
+    assert verdict.kind is SKind.UNKNOWN
+    assert calls == [s_pythagoras_upper(ctx6, 2).value]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 13])
+def test_level_zero_agrees_with_the_sweep(d):
+    """With no escalation, O[1/2] finds exactly the sums of squares in O."""
+    ctx = RingContext(d)
+    lengths = Sweep(ctx, 24)
+    for beta in scan_totally_positive(ctx, 24):
+        verdict = s_is_sum_of_squares(s_element(beta, 0, 2), j_budget=0)
+        expected = SKind.REPRESENTABLE if lengths.is_sum_of_squares(beta) else SKind.UNKNOWN
+        assert verdict.kind is expected, str(beta)
+        if verdict.terms is not None:
+            assert len(verdict.terms) <= 5, str(beta)
 
 
 def test_verdict_reverifies_terms(ctx6):
