@@ -26,7 +26,6 @@ from math import isqrt
 
 from .errors import NotOdd, NotRamified, NotTotallyPositive
 from .quadfield import DyadicClass, QuadInt, RingContext
-from .residues import ValuationClass, dyadic_valuation_class, is_square_mod_two
 
 
 @dataclass(frozen=True)
@@ -132,10 +131,7 @@ def ramified_obstruction_witness(ctx: RingContext) -> QuadInt:
     shift = 0
     while not (base + shift).is_totally_positive():
         shift += 2
-    witness = base + shift
-    assert dyadic_valuation_class(witness) is ValuationClass.IN_P_NOT_P2
-    assert not is_square_mod_two(witness)
-    return witness
+    return base + shift
 
 
 def small_multiplier_obstructed(ctx: RingContext, m: int) -> bool:
@@ -166,6 +162,4 @@ def odd_multiple_witness(ctx: RingContext, m: int) -> QuadInt:
         raise NotOdd(f"multiplier must be odd, got {m}")
     if m < 1:
         raise ValueError(f"multiplier must be >= 1, got {m}")
-    witness = doubling_witness(ctx) * m
-    assert not is_square_mod_two(witness)
-    return witness
+    return doubling_witness(ctx) * m

@@ -6,6 +6,13 @@ exists within the term bound (a completed exhaustive traversal), or gives
 up with a budget verdict -- it never guesses, and it never prunes with a
 representability theorem, so its negative answers are unconditional.
 
+One invariant of the traversal is settled at the root instead of by
+walking it.  When 2 ramifies (D = 2, 3 mod 4), every candidate square has
+doubled coordinates SB = A*B with A and B even, so the remainder's B mod 4
+is the same at every node; a target with B = 2 (mod 4), i.e. an odd
+sqrt(D)-coefficient, can never reach (0, 0), and the traversal would
+exhaust.  The search returns that exhausted verdict with 0 nodes.
+
 The traversal itself is `_pysearch.run_search`, in arbitrary-precision
 Python integers; `sweep.Sweep` is the independent breadth-first engine the
 tests compare it with.
@@ -116,13 +123,18 @@ def decompose_sos(
     Found verdicts carry a re-verified decomposition; exhausted verdicts
     are proofs of non-representability within the term bound (for the
     default unbounded search, non-representability outright); budget
-    verdicts carry no claim.
+    verdicts carry no claim.  An odd sqrt(D)-coefficient with 2 ramified
+    is exhausted at the root, with 0 nodes (see the module docstring).
     """
     ctx = alpha.ctx
     if not alpha.is_totally_nonnegative():
         # No sum of squares has a negative embedding; nothing to search.
         return SearchVerdict(VerdictKind.EXHAUSTED_NONE, None, 0)
     big_a, big_b = alpha.half_coords
+    if ctx.kappa == 2 and big_b % 4 == 2:
+        # Every candidate square has SB = A*B with A, B even, so B mod 4 is
+        # fixed along every path, and the target (0, 0) needs B = 0 mod 4.
+        return SearchVerdict(VerdictKind.EXHAUSTED_NONE, None, 0)
     depth_cap = big_a // 2
     if max_terms is not None:
         depth_cap = min(depth_cap, max(max_terms, 0))

@@ -62,7 +62,9 @@ class BudgetExceeded(SoslabError):
     def __init__(self, nodes: int, budget: int) -> None:
         self.nodes = nodes
         self.budget = budget
-        super().__init__(f"search exhausted its node budget ({nodes} > {budget})")
+        super().__init__(
+            f"no verdict within the node budget of {budget} ({nodes} nodes searched)"
+        )
 
 
 class ParseError(SoslabError):

@@ -65,7 +65,7 @@ class Sweep:
 
     Construction does all the work.  Before it starts, the work bound (box
     size times the number of squares) is checked against `node_budget`,
-    and BudgetExceeded is raised above it.
+    and BudgetExceeded, with 0 nodes searched, is raised above it.
     """
 
     def __init__(
@@ -81,11 +81,11 @@ class Sweep:
         # and the rational squares alone, keeps the counting below bounded.
         floor = (trace_bound // 2 + 1) * isqrt(trace_bound // 2)
         if floor > node_budget:
-            raise BudgetExceeded(floor, node_budget)
+            raise BudgetExceeded(0, node_budget)
         roots = _roots(ctx, trace_bound)
         work = _box_size(ctx, trace_bound) * len(roots)
         if work > node_budget:
-            raise BudgetExceeded(work, node_budget)
+            raise BudgetExceeded(0, node_budget)
         self.ctx = ctx
         self.trace_bound = trace_bound
         self._roots = roots

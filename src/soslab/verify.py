@@ -5,10 +5,12 @@ elements (ordered by (trace, a, b)), applies a claim-specific check, and
 returns a Report: instances checked, failures (element, expected, got),
 standalone-checkable witnesses, and claim-specific scalars.
 Representability and shortest lengths over the box are read from one
-`Sweep` per ring, which `run_claims` shares across the claims; witness
-refutations run the search oracle.  Reports serialize to JSONL with a
-schema header; serialization is canonical (sorted keys, no timestamps), so a rerun with
-the same parameters produces byte-identical output.
+`Sweep` per ring, which `run_claims` shares across the claims, and so
+are the refutations of the odd multiple witnesses; the doubling and
+small-multiplier witness refutations run the search oracle.  Reports
+serialize to JSONL with a schema header; serialization is canonical
+(sorted keys, no timestamps), so a rerun with the same parameters
+produces byte-identical output.
 
 Failures are the load-bearing part: an empty failure list from an honest
 oracle is the whole point of the harness.  Mismatches in directions that
@@ -45,10 +47,6 @@ SCHEMA_VERSION = 1
 # (6+2*sqrt(2), 6+2*sqrt(3), and 3+w for D=5, the latter at trace 7); the
 # "length 3 is attained" check only applies at or beyond this bound.
 LENGTH3_ATTAINED_TRACE = 12
-
-# `thresholds` refutes an odd multiple witness by exhaustion, as well as by
-# its class mod 2*O, only while its trace stays within this bound.
-REFUTATION_TRACE_CAP = 40
 
 
 @dataclass(frozen=True)
@@ -380,9 +378,11 @@ def verify_multiplier_thresholds(
     for every scanned beta, confirmed by a sweep up to trace_bound whenever
     the scaled trace still fits under it.  Odd m with 2 ramified:
     the odd multiple witness is never a square mod 2*O -- already a proof
-    of non-representability by local necessity -- with an independent
-    oracle refutation whenever its trace fits under
-    `REFUTATION_TRACE_CAP`.
+    of non-representability by local necessity -- and, whenever its trace
+    is at most trace_bound, the sweep refutes it independently (the sweep
+    has no parity rule; the search oracle settles odd coefficients by
+    parity, so it would not be independent).  Which witnesses are refuted
+    therefore follows trace_bound.
     """
 
     def build() -> tuple[int, list[dict], list[str], dict]:
@@ -450,19 +450,19 @@ def verify_multiplier_thresholds(
                             "got": "square class",
                         }
                     )
-                if target.trace <= REFUTATION_TRACE_CAP:
-                    verdict = decompose_sos(target, node_budget=node_budget)
-                    case["odd_multiple_refuted"] = (
-                        verdict.kind is VerdictKind.EXHAUSTED_NONE
-                    )
-                    if verdict.kind is VerdictKind.EXHAUSTED_NONE:
+                if target.trace <= trace_bound:
+                    if lengths is None:
+                        lengths = _covering_sweep(ctx, trace_bound, node_budget, sweep)
+                    refuted = not lengths.is_sum_of_squares(target)
+                    case["odd_multiple_refuted"] = refuted
+                    if refuted:
                         witnesses.append(str(target))
                     else:
                         failures.append(
                             {
                                 "element": str(target),
-                                "expected": "exhausted_none",
-                                "got": verdict.kind.value,
+                                "expected": "refuted by exhaustion",
+                                "got": "sum of squares",
                             }
                         )
             details["cases"].append(case)
@@ -567,6 +567,20 @@ def _thresholds_m_range(spec: ScanSpec, d: int) -> tuple[int, int]:
     return spec.m_range or (1, max(4, -(-d // 2)))
 
 
+def _thresholds_box(ctx: RingContext, spec: ScanSpec) -> int:
+    # The sweep confirms the large multipliers and refutes the odd
+    # multiple witnesses of trace <= trace_bound.
+    lo, hi = _thresholds_m_range(spec, ctx.D)
+    witness_fits = (
+        ctx.dyadic is DyadicClass.RAMIFIED
+        and (lo | 1) <= hi
+        and (lo | 1) * doubling_witness(ctx).trace <= spec.trace_bound
+    )
+    if large_multiplier_guaranteed(ctx, hi) or witness_fits:
+        return spec.trace_bound
+    return 0
+
+
 class _Claim(NamedTuple):
     """How run_claims runs one claim on one ring."""
 
@@ -618,11 +632,7 @@ _CLAIMS: dict[str, _Claim] = {
     ),
     "thresholds": _Claim(
         _every_d,
-        lambda ctx, spec: (
-            spec.trace_bound
-            if large_multiplier_guaranteed(ctx, _thresholds_m_range(spec, ctx.D)[1])
-            else 0
-        ),
+        _thresholds_box,
         lambda ctx, spec, sweep: verify_multiplier_thresholds(
             ctx,
             _thresholds_m_range(spec, ctx.D),

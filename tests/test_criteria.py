@@ -26,6 +26,7 @@ from soslab import (
     small_multiplier_obstructed,
 )
 from soslab.criteria import _admissible
+from soslab.quadfield import square_factor
 
 # ---------------------------------------------------------------------------
 # the interval criterion
@@ -172,6 +173,20 @@ def test_odd_multiple_witness_never_a_square_class(d, m):
     w = odd_multiple_witness(RingContext(d), m)
     assert w == m * doubling_witness(RingContext(d))
     assert not is_square_mod_two(w)
+
+
+RAMIFIED_DS = [d for d in range(2, 200) if d % 4 in (2, 3) and square_factor(d) is None]
+
+
+def test_witnesses_are_obstructed_in_every_ramified_ring():
+    for d in RAMIFIED_DS:
+        ctx = RingContext(d)
+        w = ramified_obstruction_witness(ctx)
+        assert w.is_totally_positive(), d
+        assert dyadic_valuation_class(w) is ValuationClass.IN_P_NOT_P2, d
+        assert not is_square_mod_two(w), d
+        for m in range(1, 16, 2):
+            assert not is_square_mod_two(odd_multiple_witness(ctx, m)), (d, m)
 
 
 def test_odd_multiple_witness_guards(ctx5, ctx6):

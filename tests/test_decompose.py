@@ -9,12 +9,16 @@ from soslab import (
     Decomposition,
     NotTotallyNonneg,
     RingContext,
+    SKind,
+    Sweep,
     VerdictKind,
     candidate_roots,
     decompose_sos,
     is_square_mod_two,
     is_sum_of_squares,
     pythagoras_length,
+    s_element,
+    s_is_sum_of_squares,
     scan_totally_positive,
 )
 from soslab import _pysearch
@@ -154,6 +158,68 @@ def test_budget_verdict(ctx2):
     assert v.nodes == 0
     with pytest.raises(BudgetExceeded):
         is_sum_of_squares(big, node_budget=3)
+
+
+def test_budget_message_does_not_overstate_the_nodes():
+    # The candidate-work guard stops before any node is searched.
+    with pytest.raises(BudgetExceeded) as exc:
+        pythagoras_length(RingContext(13).element(20, 2), node_budget=2)
+    assert exc.value.nodes == 0
+    assert str(exc.value) == "no verdict within the node budget of 2 (0 nodes searched)"
+
+
+# ---------------------------------------------------------------------------
+# the parity invariant at the root
+
+PARITY_TRACE = 30
+
+
+def _odd_coefficient_elements(d):
+    return [
+        alpha
+        for alpha in scan_totally_positive(RingContext(d), PARITY_TRACE)
+        if alpha.v % 2
+    ]
+
+
+@pytest.mark.parametrize("d", [2, 3, 6, 7, 10, 11])
+def test_odd_coefficient_is_refuted_at_the_root(d):
+    ctx = RingContext(d)
+    lengths = Sweep(ctx, PARITY_TRACE)
+    elements = _odd_coefficient_elements(d)
+    assert elements
+    for alpha in elements:
+        for max_terms in (None, 3):
+            v = decompose_sos(alpha, max_terms=max_terms)
+            assert (v.kind, v.nodes) == (VerdictKind.EXHAUSTED_NONE, 0), str(alpha)
+        # Neither independent engine has the rule, and both agree.
+        assert not lengths.is_sum_of_squares(alpha), str(alpha)
+        big_a, big_b = alpha.half_coords
+        cands = _pysearch.generate_candidates(ctx.D, False, big_a, big_b)
+        status, _, _ = _pysearch.run_search(ctx.D, big_a, big_b, cands, big_a // 2, 10**7)
+        assert status == _pysearch.STATUS_EXHAUSTED, str(alpha)
+
+
+@pytest.mark.parametrize("d", [5, 13, 17])
+def test_no_parity_rule_when_two_does_not_ramify(d):
+    elements = _odd_coefficient_elements(d)
+    assert elements
+    for alpha in elements:
+        assert decompose_sos(alpha).nodes > 0, str(alpha)
+
+
+def test_odd_coefficient_refutation_needs_no_budget():
+    v = decompose_sos(RingContext(6).element(1200, 1), node_budget=1000)
+    assert (v.kind, v.nodes) == (VerdictKind.EXHAUSTED_NONE, 0)
+
+
+@pytest.mark.parametrize("d,u,v", [(2, 2, 1), (3, 5, 1), (6, 3, 1), (7, 3, 1)])
+def test_sint_level_zero_costs_nothing_on_an_odd_coefficient(d, u, v):
+    alpha = RingContext(d).element(u, v)
+    verdict = s_is_sum_of_squares(s_element(alpha, 0, 2))
+    assert verdict.kind is SKind.REPRESENTABLE
+    assert verdict.j_used == 1
+    assert verdict.nodes == decompose_sos(4 * alpha, max_terms=5).nodes
 
 
 # ---------------------------------------------------------------------------

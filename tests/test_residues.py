@@ -20,6 +20,7 @@ from soslab import (
     residue_mod_two,
     squares_mod_two,
 )
+from soslab.quadfield import square_factor
 
 SQUAREFREE_DS = st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13, 17, 21, 29, 33])
 COORDS = st.integers(min_value=-30, max_value=30)
@@ -64,6 +65,14 @@ def test_dyadic_splitting(d, expected):
 def test_square_classes_mod_two(d, squares):
     got = squares_mod_two(RingContext(d))
     assert got == {Residue2(*r) for r in squares}
+
+
+def test_ramified_square_classes_are_the_even_coefficients():
+    # The closed form the search's root parity rule and the witnesses rest on.
+    ramified = [d for d in range(2, 500) if d % 4 in (2, 3) and square_factor(d) is None]
+    assert len(ramified) > 150
+    for d in ramified:
+        assert squares_mod_two(RingContext(d)) == {Residue2(0, 0), Residue2(1, 0)}, d
 
 
 @given(SQUAREFREE_DS, COORDS, COORDS)

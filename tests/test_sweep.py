@@ -57,8 +57,9 @@ def test_sweep_rejects_questions_it_cannot_answer(ctx2, ctx3):
 
 @pytest.mark.parametrize("trace_bound", [TRACE, 10**12])
 def test_sweep_budget_is_checked_before_any_work(ctx5, trace_bound):
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as exc:
         Sweep(ctx5, trace_bound, node_budget=50)
+    assert exc.value.nodes == 0
 
 
 def test_run_claims_sweep_honours_the_budget():

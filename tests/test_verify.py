@@ -21,6 +21,7 @@ from soslab import (
     verify_scharlau,
     write_reports_jsonl,
 )
+from soslab import verify
 from soslab.verify import CLAIM_ALIASES, CLAIM_NAMES
 
 BUDGET = 10**7
@@ -130,6 +131,39 @@ def test_thresholds(ctx6):
     ms = [case["m"] for case in rep.details["cases"]]
     assert ms == [1, 2, 3]
     assert rep.details["pythagoras_cap"] == 5
+
+
+def test_thresholds_refute_odd_multiples_from_the_sweep(monkeypatch):
+    # The search settles odd coefficients by parity, so the odd multiple
+    # witnesses must be refuted by the sweep, not by the search.
+    ctx = RingContext(19)  # witness 5+sqrt19, trace 10
+    monkeypatch.setattr(verify, "decompose_sos", None)
+    # m = 5..7 are neither small nor large multipliers for D = 19.
+    rep = verify_multiplier_thresholds(ctx, (5, 7), 50, node_budget=BUDGET)
+    assert rep.passed
+    cases = rep.details["cases"]
+    # 5*(5+sqrt19) has trace 50 and is refuted; 7*(5+sqrt19) has trace 70.
+    assert cases[0]["odd_multiple_refuted"] is True
+    assert "odd_multiple_refuted" not in cases[2]
+    assert rep.witnesses == ["25+5sqrt19"]
+
+
+def test_thresholds_share_the_sweep_for_odd_multiples(monkeypatch):
+    built = []
+
+    class CountingSweep(verify.Sweep):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "Sweep", CountingSweep)
+    # m = 1 is no large multiplier for D = 6, but its odd multiple witness
+    # 3+sqrt6 fits the box, so thresholds reads the shared sweep.
+    spec = ScanSpec(d_list=(6,), trace_bound=20, m_range=(1, 1))
+    reports = run_claims(spec, ["pythagoras", "thresholds"])
+    assert all(r.passed for r in reports)
+    assert reports[1].details["cases"][0]["odd_multiple_refuted"] is True
+    assert len(built) == 1
 
 
 def test_local_necessity(ctx6):
