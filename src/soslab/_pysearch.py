@@ -9,10 +9,25 @@ The traversal enumerates multisets of candidate roots: candidates are kept
 in one fixed list (descending canonical order), and a child may only pick
 candidates at or after its parent's position, so each multiset of terms is
 visited exactly once.  A candidate stays in a child's list only while its
-square still fits under the remainder in both real embeddings; remainders
-therefore stay totally nonnegative at every node.  Each nonzero square has
-trace >= 2, so depth is bounded by trace/2 and the traversal is finite.  A
-completed traversal with no hit is a proof that no decomposition exists
+square still fits under the remainder in both real embeddings -- X + Y*sqrt(D)
+is totally nonnegative exactly when X >= 0 and X^2 >= D*Y^2 -- so remainders
+stay totally nonnegative at every node.  Each nonzero square has trace >= 2,
+so depth is bounded by trace/2 and the traversal is finite.
+
+The last term is settled by lookup, not by visiting: with one term left,
+the only completion is a candidate at or after the parent's pick whose
+square equals the remainder, and distinct canonical roots have distinct
+squares, so one dict lookup decides it.  A node with two terms left
+therefore passes its list on unfiltered: each child is one node and one
+lookup.  `nodes` counts every visited node, those children included.
+
+A plain search stops at its first hit.  A shortest search is the same
+traversal run as branch and bound: each hit lowers the term cap to one
+below its length, and the traversal goes on under the lower cap.  Every
+multiset shorter than the final hit is still visited, so a completed
+traversal returns a decomposition of least length.
+
+A completed traversal with no hit is a proof that no decomposition exists
 within the term bound -- soundness rests only on integer arithmetic, never
 on any representability theorem.
 """
@@ -28,26 +43,6 @@ STATUS_BUDGET = 2
 # Candidate tuple layout: (A, B, SA, SB) where (SA, SB) are the doubled
 # coordinates of the candidate's square.
 Candidate = tuple[int, int, int, int]
-
-
-def sgn(p: int, q: int, d: int) -> int:
-    """Exact sign of p + q*sqrt(d) for a nonsquare d >= 2."""
-    if q == 0:
-        return (p > 0) - (p < 0)
-    if p == 0:
-        return (q > 0) - (q < 0)
-    if p > 0 and q > 0:
-        return 1
-    if p < 0 and q < 0:
-        return -1
-    t = p * p - q * q * d
-    s = (t > 0) - (t < 0)
-    return s if p > 0 else -s
-
-
-def square_half_coords(big_a: int, big_b: int, d: int) -> tuple[int, int]:
-    """Doubled coordinates of ((A + B*sqrt(d))/2)^2."""
-    return (big_a * big_a + big_b * big_b * d) // 2, big_a * big_b
 
 
 def candidate_work_bound(d: int, trace: int) -> int:
@@ -70,23 +65,25 @@ def generate_candidates(d: int, half_allowed: bool, big_a: int, big_b: int) -> l
         return out
     # Any admissible root satisfies trace(root^2) <= trace(target), i.e.
     # A^2 + B^2*d <= 2*trace; the exact per-embedding test then filters.
+    # Integrality fixes the parity of A: A = B (mod 2) in the half basis,
+    # A and B both even otherwise.
     b_max = isqrt(2 * trace // d)
     for b in range(-b_max, b_max + 1):
-        rest = 2 * trace - b * b * d
+        if not half_allowed and b % 2:
+            continue
+        bbd = b * b * d
+        rest = 2 * trace - bbd
         if rest < 0:
             continue
         a_lo = 1 if b <= 0 else 0
-        for a in range(a_lo, isqrt(rest) + 1):
-            if half_allowed:
-                if (a - b) % 2:
-                    continue
-            elif (a % 2) or (b % 2):
-                continue
-            sa, sb = square_half_coords(a, b, d)
+        a_lo += (a_lo - b) % 2 if half_allowed else a_lo % 2
+        for a in range(a_lo, isqrt(rest) + 1, 2):
+            sa, sb = (a * a + bbd) // 2, a * b
             da, db = big_a - sa, big_b - sb
-            if sgn(da, db, d) >= 0 and sgn(da, -db, d) >= 0:
+            if da >= 0 and da * da >= d * db * db:
                 out.append((a, b, sa, sb))
-    out.sort(key=lambda c: (c[0], c[1]), reverse=True)
+    # (A, B) is unique per candidate, so plain tuple order is (A, B) order.
+    out.sort(reverse=True)
     return out
 
 
@@ -97,40 +94,95 @@ def run_search(
     cands: list[Candidate],
     max_depth: int,
     budget: int,
+    shortest: bool = False,
 ) -> tuple[int, int, list[tuple[int, int]] | None]:
     """Exhaustive DFS for a decomposition of (A, B) into squares of `cands`.
 
     Returns (status, nodes, terms); terms are (A, B) pairs in pick order.
-    The verdict kind does not depend on the order of `cands`: multisets are
-    enumerated under any fixed order.
+    A plain search stops at its first hit.  With `shortest`, a hit lowers
+    the term cap below its own length and the traversal goes on, so a
+    completed traversal returns a decomposition of least length; a budget
+    overrun after a hit still returns STATUS_BUDGET, never a length that
+    is not known to be minimal.  The verdict kind does not depend on the
+    order of `cands`: multisets are enumerated under any fixed order.
     """
     nodes = 0
     path: list[tuple[int, int]] = []
+    best: list[tuple[int, int]] | None = None
+    limit = max_depth
+    rank: dict[tuple[int, int], int] | None = None
 
-    def rec(r_a: int, r_b: int, cs: list[Candidate], depth_left: int) -> int:
+    def lookup(r_a: int, r_b: int, first: Candidate) -> Candidate | None:
+        """The candidate at or after `first` whose square is (r_a, r_b)."""
+        nonlocal rank
+        if rank is None:
+            # Distinct canonical roots have distinct squares, so the
+            # square names its root.
+            rank = {(c[2], c[3]): i for i, c in enumerate(cands)}
+        i = rank.get((r_a, r_b))
+        if i is None or i < rank[first[2], first[3]]:
+            return None
+        return cands[i]
+
+    def hit(terms: list[tuple[int, int]]) -> bool:
+        """Keep a decomposition; True when the traversal should stop."""
+        nonlocal best, limit
+        best = terms
+        limit = len(terms) - 1
+        return not shortest
+
+    def rec(r_a: int, r_b: int, cs: list[Candidate]) -> bool:
+        """Visit one node; True when the traversal should stop."""
         nonlocal nodes
         nodes += 1
         if nodes > budget:
-            return STATUS_BUDGET
+            return True
         if r_a == 0 and r_b == 0:
-            return STATUS_FOUND
-        if depth_left == 0:
-            return STATUS_EXHAUSTED
-        for i in range(len(cs)):
-            a, b, sa, sb = cs[i]
+            return hit(list(path))
+        depth = len(path)
+        for i, c in enumerate(cs):
+            left = limit - depth
+            if left < 2:
+                if left == 1:
+                    # One term left: the only completion is a candidate in
+                    # cs[i:] whose square is the remainder itself.
+                    last = lookup(r_a, r_b, c)
+                    if last is not None:
+                        return hit(path + [(last[0], last[1])])
+                break
+            a, b, sa, sb = c
             d_a, d_b = r_a - sa, r_b - sb
+            if left == 2:
+                # The child has one term left; settle it here by lookup
+                # instead of filtering a list for it.
+                nodes += 1
+                if nodes > budget:
+                    return True
+                if d_a == 0 and d_b == 0:
+                    stop = hit(path + [(a, b)])
+                else:
+                    last = lookup(d_a, d_b, c)
+                    if last is None:
+                        continue
+                    stop = hit(path + [(a, b), (last[0], last[1])])
+                if stop:
+                    return True
+                continue
             sub = [
-                c
-                for c in cs[i:]
-                if sgn(d_a - c[2], d_b - c[3], d) >= 0
-                and sgn(d_a - c[2], c[3] - d_b, d) >= 0
+                e
+                for e in cs[i:]
+                if (x := d_a - e[2]) >= 0 and x * x >= d * (d_b - e[3]) ** 2
             ]
             path.append((a, b))
-            status = rec(d_a, d_b, sub, depth_left - 1)
-            if status != STATUS_EXHAUSTED:
-                return status
+            stop = rec(d_a, d_b, sub)
             path.pop()
-        return STATUS_EXHAUSTED
+            if stop:
+                return True
+        return False
 
-    status = rec(big_a, big_b, cands, max_depth)
-    return status, nodes, list(path) if status == STATUS_FOUND else None
+    rec(big_a, big_b, cands)
+    if nodes > budget:
+        return STATUS_BUDGET, nodes, None
+    if best is None:
+        return STATUS_EXHAUSTED, nodes, None
+    return STATUS_FOUND, nodes, best

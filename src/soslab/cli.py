@@ -209,6 +209,10 @@ def _parse_m_range(spec: str) -> tuple[int, int]:
 
 # -- subcommand handlers ---------------------------------------------------------
 
+# `peters` lists at most this many admissible integers; beyond it the record
+# gives the range (first, last, step, count) instead.
+PETERS_LISTED = 100
+
 
 def _search_record(
     cfg: CliConfig, alpha: QuadInt, verdict: SearchVerdict, elapsed_ms: int
@@ -304,7 +308,7 @@ def cmd_peters(cfg: CliConfig) -> int:
     ctx = RingContext(cfg.args.D)
     alpha = parse_element(ctx, cfg.args.elem)
     interval = peters_interval(alpha)
-    hit = interval is not None and bool(interval.admissible_n)
+    points = interval.admissible if interval is not None else range(0)
     certificate: dict | None
     if interval is None:
         certificate = {"kind": "odd_sqrt_coefficient"}
@@ -319,17 +323,27 @@ def cmd_peters(cfg: CliConfig) -> int:
             "center": interval.center,
             "radicand": interval.radicand,
             "parity_required": interval.parity_required,
-            "admissible_n": list(interval.admissible_n),
         }
-        if hit:
-            human = f"{alpha} is a sum of five squares: n in {list(interval.admissible_n)}"
+        if points[PETERS_LISTED:]:
+            # Too many to list: the closed-form range stands in for them
+            # (len() of a range fails beyond sys.maxsize points).
+            count = (points[-1] - points[0]) // points.step + 1
+            certificate["admissible_range"] = {
+                "first": points[0], "last": points[-1], "step": points.step, "count": count,
+            }
+            shown = f"{points[0]}, {points[1]}, ..., {points[-1]} ({count} integers)"
+        else:
+            certificate["admissible_n"] = list(points)
+            shown = str(list(points))
+        if points:
+            human = f"{alpha} is a sum of five squares: n in {shown}"
         else:
             human = f"{alpha}: no admissible integer in the interval"
     record = {
         "command": "peters",
         "D": ctx.D,
         "element": str(alpha),
-        "verdict": "interval_hit" if hit else "no_interval_hit",
+        "verdict": "interval_hit" if points else "no_interval_hit",
         "certificate": certificate,
         "terms": None,
         "nodes": 0,
@@ -382,8 +396,9 @@ def cmd_sint(cfg: CliConfig) -> int:
         "nodes": verdict.nodes,
         "elapsed_ms": elapsed_ms,
     }
+    # SVerdict.__post_init__ guarantees terms and j_used on a representable
+    # verdict and a certificate on an obstructed one.
     if verdict.kind is SKind.REPRESENTABLE:
-        assert verdict.terms is not None and verdict.j_used is not None
         record = {
             **base,
             "verdict": "representable",
@@ -395,7 +410,6 @@ def cmd_sint(cfg: CliConfig) -> int:
         cfg.emit(record, f"{xi} = {squares}")
         return 0
     if verdict.kind is SKind.OBSTRUCTED:
-        assert verdict.certificate is not None
         record = {
             **base,
             "verdict": "obstructed",

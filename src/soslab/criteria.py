@@ -9,7 +9,10 @@ even -- an odd coefficient already fails the mod-2*O square test, so such
 elements are not sums of squares at all.
 
 Interval membership is decided exactly: "n is in [(c - sqrt(R))/s,
-(c + sqrt(R))/s]" is the integer inequality (s*n - c)^2 <= R.
+(c + sqrt(R))/s]" is the integer inequality (s*n - c)^2 <= R.  The
+admissible integers are read off in closed form as a `range`, so deciding
+a hit costs the same for an element of any norm; `peters_guaranteed` is
+the norm bound above which the interval always holds one.
 
 The witness constructions pick concrete elements that certify negative
 results: the doubling witness k + sqrt(D) (minimal k making it totally
@@ -42,13 +45,22 @@ class PetersInterval:
     center: int
     radicand: int
     parity_required: int | None
-    admissible_n: tuple[int, ...]
 
     def contains(self, n: int) -> bool:
         if self.parity_required is not None and n % 2 != self.parity_required:
             return False
         t = self.scale * n - self.center
         return t * t <= self.radicand
+
+    @property
+    def admissible(self) -> range:
+        """The admissible integers in closed form, at no cost however many."""
+        return _admissible_points(self.scale, self.center, self.radicand, self.parity_required)
+
+    @property
+    def admissible_n(self) -> tuple[int, ...]:
+        """Every admissible integer, materialized: mind `admissible` first."""
+        return _admissible(self.scale, self.center, self.radicand, self.parity_required)
 
     @property
     def lo(self) -> float:
@@ -59,7 +71,7 @@ class PetersInterval:
         return (self.center + self.radicand**0.5) / self.scale
 
 
-def _admissible(scale: int, center: int, radicand: int, parity: int | None) -> tuple[int, ...]:
+def _admissible_points(scale: int, center: int, radicand: int, parity: int | None) -> range:
     # (scale*n - center)^2 <= radicand exactly when |scale*n - center| <=
     # isqrt(radicand), so the admissible n run from ceil((center - root) /
     # scale) to floor((center + root) / scale).
@@ -67,8 +79,12 @@ def _admissible(scale: int, center: int, radicand: int, parity: int | None) -> t
     lo = -((root - center) // scale)
     hi = (center + root) // scale
     if parity is None:
-        return tuple(range(lo, hi + 1))
-    return tuple(range(lo + (lo - parity) % 2, hi + 1, 2))
+        return range(lo, hi + 1)
+    return range(lo + (lo - parity) % 2, hi + 1, 2)
+
+
+def _admissible(scale: int, center: int, radicand: int, parity: int | None) -> tuple[int, ...]:
+    return tuple(_admissible_points(scale, center, radicand, parity))
 
 
 def peters_interval(alpha: QuadInt) -> PetersInterval | None:
@@ -95,15 +111,32 @@ def peters_interval(alpha: QuadInt) -> PetersInterval | None:
         scale, center = 2 * ctx.D, alpha.u
         radicand = alpha.norm
         parity = None
-    return PetersInterval(
-        scale, center, radicand, parity, _admissible(scale, center, radicand, parity)
-    )
+    return PetersInterval(scale, center, radicand, parity)
 
 
 def peters_five_squares(alpha: QuadInt) -> bool:
     """Interval test for "alpha is a sum of five squares in O"."""
     interval = peters_interval(alpha)
-    return interval is not None and bool(interval.admissible_n)
+    return interval is not None and bool(interval.admissible)
+
+
+def peters_guaranteed(alpha: QuadInt) -> bool:
+    """Whether the norm of alpha alone guarantees an interval hit.
+
+    The admissible n fill |scale*n - center| <= isqrt(radicand), a closed
+    interval of length 2*isqrt(radicand)/scale.  For D = 1 (mod 4) that is
+    2*isqrt(4N)/D with parity step 2, which holds a point of each parity
+    once isqrt(4N) >= D, i.e. 4*N(alpha) >= D^2.  Otherwise it is
+    isqrt(N)/D with no parity, which holds a point once N(alpha) >= D^2,
+    provided the interval applies at all (even sqrt(D)-coefficient).
+    Requires alpha totally positive.
+    """
+    if not alpha.is_totally_positive():
+        raise NotTotallyPositive(f"{alpha} is not totally positive")
+    ctx = alpha.ctx
+    if ctx.kappa == 1:
+        return 4 * alpha.norm >= ctx.D * ctx.D
+    return alpha.v % 2 == 0 and alpha.norm >= ctx.D * ctx.D
 
 
 def doubling_witness(ctx: RingContext) -> QuadInt:
@@ -143,11 +176,17 @@ def small_multiplier_obstructed(ctx: RingContext, m: int) -> bool:
 
 
 def large_multiplier_guaranteed(ctx: RingContext, m: int) -> bool:
-    """Whether 2*m >= D, the regime where every element of kappa*m*O+ is a
-    sum of five squares (the interval test always hits)."""
+    """Whether every element of kappa*m*O+ passes the interval test, hence
+    is a sum of five squares; true exactly when 2*m >= D.
+
+    Each such element is kappa*m*beta with N(beta) >= 1, so its norm is at
+    least that of the rational integer kappa*m, and for kappa = 2 its
+    sqrt(D)-coefficient is even: `peters_guaranteed` on kappa*m covers
+    them all.
+    """
     if m < 1:
         raise ValueError(f"multiplier must be >= 1, got {m}")
-    return 2 * m >= ctx.D
+    return peters_guaranteed(ctx.from_int(ctx.kappa * m))
 
 
 def odd_multiple_witness(ctx: RingContext, m: int) -> QuadInt:

@@ -15,13 +15,19 @@ exhaust.  The search returns that exhausted verdict with 0 nodes.
 
 The traversal itself is `_pysearch.run_search`, in arbitrary-precision
 Python integers; `sweep.Sweep` is the independent breadth-first engine the
-tests compare it with.
+tests compare it with.  Shortest lengths (`pythagoras_length`, and
+`decompose --shortest` through `_shortest_verdict`) come from one run of
+the same traversal as branch and bound: candidates are generated once, and
+each hit lowers the term cap below its own length.  `nodes` counts the
+nodes of that one traversal, and the node budget bounds them; a budget
+overrun after a hit, before shorter sums are ruled out, is a budget
+verdict, never a length that might not be minimal.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import _pysearch
 from .errors import BudgetExceeded, NotTotallyNonneg
@@ -112,20 +118,11 @@ def candidate_roots(gamma: QuadInt) -> list[QuadInt]:
     return [ctx.from_half_pair(a, b) for a, b, _, _ in raw]
 
 
-def decompose_sos(
-    alpha: QuadInt,
-    max_terms: int | None = None,
-    *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+def _search(
+    alpha: QuadInt, max_terms: int | None, node_budget: int, shortest: bool
 ) -> SearchVerdict:
-    """Decide whether alpha is a sum of (at most max_terms) squares in O.
-
-    Found verdicts carry a re-verified decomposition; exhausted verdicts
-    are proofs of non-representability within the term bound (for the
-    default unbounded search, non-representability outright); budget
-    verdicts carry no claim.  An odd sqrt(D)-coefficient with 2 ramified
-    is exhausted at the root, with 0 nodes (see the module docstring).
-    """
+    """One traversal: the first decomposition found, or with `shortest` a
+    decomposition of least length (see `_pysearch.run_search`)."""
     ctx = alpha.ctx
     if not alpha.is_totally_nonnegative():
         # No sum of squares has a negative embedding; nothing to search.
@@ -143,7 +140,7 @@ def decompose_sos(
         return SearchVerdict(VerdictKind.BUDGET_EXCEEDED, None, 0)
     cands = _pysearch.generate_candidates(ctx.D, ctx.kappa == 1, big_a, big_b)
     status, nodes, raw_terms = _pysearch.run_search(
-        ctx.D, big_a, big_b, cands, depth_cap, node_budget
+        ctx.D, big_a, big_b, cands, depth_cap, node_budget, shortest
     )
     if status == _pysearch.STATUS_FOUND:
         terms = tuple(ctx.from_half_pair(a, b) for a, b in raw_terms)
@@ -151,6 +148,23 @@ def decompose_sos(
     if status == _pysearch.STATUS_BUDGET:
         return SearchVerdict(VerdictKind.BUDGET_EXCEEDED, None, nodes)
     return SearchVerdict(VerdictKind.EXHAUSTED_NONE, None, nodes)
+
+
+def decompose_sos(
+    alpha: QuadInt,
+    max_terms: int | None = None,
+    *,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> SearchVerdict:
+    """Decide whether alpha is a sum of (at most max_terms) squares in O.
+
+    Found verdicts carry a re-verified decomposition; exhausted verdicts
+    are proofs of non-representability within the term bound (for the
+    default unbounded search, non-representability outright); budget
+    verdicts carry no claim.  An odd sqrt(D)-coefficient with 2 ramified
+    is exhausted at the root, with 0 nodes (see the module docstring).
+    """
+    return _search(alpha, max_terms, node_budget, shortest=False)
 
 
 def is_sum_of_squares(alpha: QuadInt, *, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
@@ -162,24 +176,14 @@ def is_sum_of_squares(alpha: QuadInt, *, node_budget: int = DEFAULT_NODE_BUDGET)
 
 
 def _shortest_verdict(alpha: QuadInt, node_budget: int) -> SearchVerdict:
-    """The verdict for the shortest decomposition of alpha, with the nodes
-    of every search it took.
+    """The verdict for a shortest decomposition of alpha, from one
+    branch-and-bound traversal.
 
-    One unbounded search, then iterative deepening below the length it
-    found.  A refutation or budget verdict of the unbounded search, or a
-    budget verdict of a capped one, is the answer as it stands.
+    A found verdict carries a decomposition of least length; a budget
+    verdict may follow a hit whose minimality was not yet proven, and then
+    claims nothing.
     """
-    verdict = decompose_sos(alpha, node_budget=node_budget)
-    if verdict.decomposition is None:
-        return verdict
-    nodes = verdict.nodes
-    for cap in range(1, len(verdict.decomposition)):
-        capped = decompose_sos(alpha, max_terms=cap, node_budget=node_budget)
-        nodes += capped.nodes
-        if capped.kind is not VerdictKind.EXHAUSTED_NONE:
-            verdict = capped
-            break
-    return replace(verdict, nodes=nodes)
+    return _search(alpha, None, node_budget, shortest=True)
 
 
 def pythagoras_length(alpha: QuadInt, *, node_budget: int = DEFAULT_NODE_BUDGET) -> int | None:

@@ -142,7 +142,7 @@ def s_obstruction(xi: SElement) -> ObstructionCert | None:
     ramified = ctx.dyadic is DyadicClass.RAMIFIED
     residue = residue_mod_two(xi.numerator)
     if m_odd and ramified and not is_square_mod_two(xi.numerator):
-        cert = ObstructionCert(
+        return ObstructionCert(
             ctx,
             m_odd,
             ramified,
@@ -154,8 +154,6 @@ def s_obstruction(xi: SElement) -> ObstructionCert | None:
                 "in a square class"
             ),
         )
-        assert cert.is_valid()
-        return cert
     return None
 
 

@@ -1,10 +1,11 @@
 """Command-line interface: grammar, verdicts, formats, exit codes."""
 
 import json
+import time
 
 import pytest
 
-from soslab import BasisMismatch, ParseError, RingContext, decompose_sos
+from soslab import BasisMismatch, ParseError, RingContext
 from soslab.cli import _parse_d_spec, format_element, main, parse_element
 
 # ---------------------------------------------------------------------------
@@ -118,17 +119,16 @@ def test_decompose_shortest(capsys):
 
 
 def test_decompose_shortest_counts_every_search(capsys):
-    # The unbounded search finds four terms; capped searches at one and two
-    # terms miss, and the one at three terms finds the shortest.
-    ctx = RingContext(2)
-    alpha = parse_element(ctx, "6+2sqrt2")
-    searches = [decompose_sos(alpha, max_terms=k) for k in (None, 1, 2, 3)]
+    # One branch-and-bound search: the root and four nodes reach a
+    # four-term hit; the cap drops to three terms, a lookup finds the
+    # three-term decomposition, and two more nodes rule out two terms.
     code, out = run_cli(
         capsys, "decompose", "--D", "2", "--elem", "6+2sqrt2", "--shortest", "--format", "json"
     )
     assert code == 0
     record = json.loads(out)
-    assert record["nodes"] == sum(v.nodes for v in searches) == 22
+    assert record["terms"] == ["1+sqrt2", "1", "sqrt2"]
+    assert record["nodes"] == 7
 
 
 def test_capped_exhaustion_is_not_a_refutation(capsys):
@@ -186,6 +186,36 @@ def test_peters_interval_report(capsys):
     record = json.loads(out)
     assert record["verdict"] == "no_interval_hit"
     assert record["certificate"]["kind"] == "odd_sqrt_coefficient"
+
+
+@pytest.mark.parametrize("elem", ["100000000000", "1" + "0" * 30])
+def test_peters_on_a_huge_norm_reports_the_range(capsys, elem):
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "peters", "--D", "2", "--elem", elem, "--format", "json")
+    assert time.perf_counter() - start < 0.5
+    assert code == 0
+    record = json.loads(out)
+    assert record["verdict"] == "interval_hit"
+    n = int(elem)
+    # scale 4, center n, radicand n^2: every n in 0 .. n/2.
+    assert record["certificate"]["admissible_range"] == {
+        "first": 0, "last": n // 2, "step": 1, "count": n // 2 + 1,
+    }
+    assert "admissible_n" not in record["certificate"]
+    code, out = run_cli(capsys, "peters", "--D", "2", "--elem", elem)
+    assert code == 0 and f"({n // 2 + 1} integers)" in out
+
+
+def test_peters_lists_up_to_the_limit(capsys):
+    # 1000+w in D = 5: scale 5, parity 1, 400 admissible integers.
+    code, out = run_cli(capsys, "peters", "--D", "5", "--elem", "1000+w", "--format", "json")
+    assert code == 0
+    certificate = json.loads(out)["certificate"]
+    assert certificate["admissible_range"]["count"] == 400
+    code, out = run_cli(capsys, "peters", "--D", "5", "--elem", "40+w", "--format", "json")
+    certificate = json.loads(out)["certificate"]
+    assert certificate["admissible_n"] == list(range(1, 33, 2))
+    assert "admissible_range" not in certificate
 
 
 def test_witness_kinds(capsys):

@@ -20,6 +20,7 @@ from soslab import (
     large_multiplier_guaranteed,
     odd_multiple_witness,
     peters_five_squares,
+    peters_guaranteed,
     peters_interval,
     ramified_obstruction_witness,
     scan_totally_positive,
@@ -92,6 +93,46 @@ def test_admissible_points_match_a_scan():
                 for parity in (None, 0, 1):
                     args = (scale, center, radicand, parity)
                     assert _admissible(*args) == _admissible_by_scan(*args), args
+
+
+GUARANTEE_DS = (2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 21)
+
+
+@pytest.mark.parametrize("d", GUARANTEE_DS)
+def test_norm_guarantee_implies_an_admissible_integer(d):
+    ctx = RingContext(d)
+    guaranteed = 0
+    for alpha in scan_totally_positive(ctx, 200):
+        if not peters_guaranteed(alpha):
+            continue
+        guaranteed += 1
+        iv = peters_interval(alpha)
+        assert iv is not None, str(alpha)
+        assert _admissible(iv.scale, iv.center, iv.radicand, iv.parity_required), str(alpha)
+    assert guaranteed > 0
+
+
+@pytest.mark.parametrize("d", GUARANTEE_DS)
+def test_norm_guarantee_is_the_large_multiplier_bound(d):
+    ctx = RingContext(d)
+    for m in range(1, 2 * d + 2):
+        assert large_multiplier_guaranteed(ctx, m) is (2 * m >= d)
+
+
+def test_norm_guarantee_refuses_odd_coefficients_and_nonpositive_elements(ctx6):
+    assert not peters_guaranteed(ctx6.element(1000, 1))
+    assert peters_guaranteed(ctx6.element(1000, 2))
+    with pytest.raises(NotTotallyPositive):
+        peters_guaranteed(ctx6.element(-1, 0))
+
+
+def test_huge_interval_is_decided_without_listing_it(ctx5):
+    alpha = ctx5.from_int(10**30)
+    iv = peters_interval(alpha)
+    assert peters_five_squares(alpha)
+    # Even n in [(2N - 2N)/5, (2N + 2N)/5] for N = 10^30.
+    points = iv.admissible
+    assert (points[0], points[-1], points.step) == (0, 8 * 10**29, 2)
 
 
 def test_interval_bounds_are_displayable(ctx5):

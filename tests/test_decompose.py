@@ -22,6 +22,7 @@ from soslab import (
     scan_totally_positive,
 )
 from soslab import _pysearch
+from soslab.decompose import DEFAULT_NODE_BUDGET, _shortest_verdict
 
 SMALL_DS = st.sampled_from([2, 3, 5, 6, 7, 13, 17, 21])
 
@@ -318,6 +319,90 @@ def test_length_is_minimal(alpha):
             decompose_sos(alpha, max_terms=n - 1, node_budget=10**6).kind
             is VerdictKind.EXHAUSTED_NONE
         )
+
+
+# ---------------------------------------------------------------------------
+# the branch-and-bound kernel against the sweep
+
+KERNEL_DS = (2, 3, 5, 6, 7, 10, 13, 17, 21, 29)
+KERNEL_TRACE = 60
+
+
+@pytest.fixture(scope="module")
+def kernel_box():
+    """(element, sweep length) for every totally positive element of the box."""
+    box = []
+    for d in KERNEL_DS:
+        ctx = RingContext(d)
+        sweep = Sweep(ctx, KERNEL_TRACE)
+        box.extend((alpha, sweep.length(alpha)) for alpha in scan_totally_positive(ctx, KERNEL_TRACE))
+    return box
+
+
+def test_kernel_box_size(kernel_box):
+    assert len(kernel_box) == 4732
+
+
+def test_shortest_search_matches_the_sweep(kernel_box):
+    for alpha, length in kernel_box:
+        assert pythagoras_length(alpha) == length, str(alpha)
+        verdict = _shortest_verdict(alpha, DEFAULT_NODE_BUDGET)
+        if length is None:
+            assert verdict.kind is VerdictKind.EXHAUSTED_NONE, str(alpha)
+        else:
+            assert len(verdict.decomposition) == length, str(alpha)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_capped_search_matches_the_sweep(kernel_box, k):
+    for alpha, length in kernel_box:
+        verdict = decompose_sos(alpha, max_terms=k)
+        if length is not None and length <= k:
+            assert verdict.kind is VerdictKind.FOUND, str(alpha)
+            assert len(verdict.decomposition) <= k, str(alpha)
+        else:
+            assert verdict.kind is VerdictKind.EXHAUSTED_NONE, str(alpha)
+
+
+@given(tp_elements(), st.data())
+@settings(max_examples=25, deadline=None)
+def test_shortest_length_ignores_candidate_order(alpha, data):
+    ctx = alpha.ctx
+    big_a, big_b = alpha.half_coords
+    cands = _pysearch.generate_candidates(ctx.D, ctx.kappa == 1, big_a, big_b)
+    shuffled = data.draw(st.permutations(cands))
+    runs = [
+        _pysearch.run_search(ctx.D, big_a, big_b, order, big_a // 2, 10**6, True)
+        for order in (cands, shuffled)
+    ]
+    assert [status for status, _, _ in runs] == [runs[0][0]] * 2
+    assert [len(terms or ()) for _, _, terms in runs] == [len(runs[0][2] or ())] * 2
+
+
+def test_budget_after_a_hit_claims_no_length(kernel_box):
+    # Elements whose first decomposition found is longer than the shortest.
+    overshooting = [
+        (alpha, length)
+        for alpha, length in kernel_box
+        if length is not None and len(decompose_sos(alpha).decomposition) > length
+    ]
+    assert len(overshooting) >= 50
+    for alpha, length in overshooting[::5]:
+        big_a, big_b = alpha.half_coords
+        ctx = alpha.ctx
+        cands = _pysearch.generate_candidates(ctx.D, ctx.kappa == 1, big_a, big_b)
+        full = _pysearch.run_search(ctx.D, big_a, big_b, cands, big_a // 2, 10**6, True)
+        first_hit = decompose_sos(alpha).nodes
+        # Every budget from the first hit up to the last node stops between
+        # a hit and the proof that nothing shorter exists.
+        for budget in range(first_hit, full[1]):
+            status, _, terms = _pysearch.run_search(
+                ctx.D, big_a, big_b, cands, big_a // 2, budget, True
+            )
+            assert (status, terms) == (_pysearch.STATUS_BUDGET, None), (str(alpha), budget)
+            with pytest.raises(BudgetExceeded):
+                pythagoras_length(alpha, node_budget=budget)
+        assert full[0] == _pysearch.STATUS_FOUND and len(full[2]) == length
 
 
 def test_decomposition_normalizes_and_verifies(ctx2):

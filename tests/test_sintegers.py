@@ -4,6 +4,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from soslab import (
     s_pythagoras_upper,
     scan_totally_positive,
 )
+from soslab.quadfield import square_factor
 
 # ---------------------------------------------------------------------------
 # construction and canonical form
@@ -103,6 +105,28 @@ def test_no_obstruction_when_two_is_unramified(ctx5):
 
 def test_no_obstruction_for_square_residue(ctx6):
     assert s_obstruction(s_element(ctx6.from_int(3), 0, 3)) is None
+
+
+def _one_per_residue(ctx):
+    """A totally positive u + v*sqrt(D) for each (u mod 2, v mod 2)."""
+    out = []
+    for v in (0, 1):
+        u = isqrt(ctx.D * v * v) + 1
+        out.extend(ctx.element(u + k, v) for k in (0, 1))
+    return out
+
+
+def test_obstruction_certificates_are_valid_in_every_ramified_ring():
+    rings = [RingContext(d) for d in range(2, 200) if d % 4 != 1 and square_factor(d) is None]
+    for ctx in rings:
+        elements = _one_per_residue(ctx) + [ramified_obstruction_witness(ctx)]
+        for m in range(3, 16, 2):
+            for gamma in elements:
+                cert = s_obstruction(s_element(gamma, 0, m))
+                if is_square_mod_two(gamma):
+                    assert cert is None, (ctx.D, str(gamma), m)
+                else:
+                    assert cert is not None and cert.is_valid(), (ctx.D, str(gamma), m)
 
 
 @given(st.sampled_from([2, 3, 6, 7, 11]), st.integers(-15, 15), st.integers(-15, 15), st.sampled_from([3, 5, 7, 9]))
