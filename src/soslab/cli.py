@@ -23,6 +23,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from typing import TextIO
 
 from .criteria import (
     doubling_witness,
@@ -45,7 +46,7 @@ from .errors import (
 )
 from .quadfield import QuadInt, RingContext, square_factor
 from .residues import is_square_mod_two
-from .sintegers import SKind, s_element, s_is_sum_of_squares
+from .sintegers import SElement, SKind, s_element, s_is_sum_of_squares
 from .sweep import Sweep
 from .verify import (
     CLAIM_NAMES,
@@ -119,10 +120,6 @@ def parse_element(ctx: RingContext, text: str) -> QuadInt:
     return ctx.from_sqrt_pair(rational, coeff)
 
 
-def format_element(alpha: QuadInt) -> str:
-    return str(alpha)
-
-
 # -- config and output ---------------------------------------------------------
 
 
@@ -135,26 +132,38 @@ class CliConfig:
     node_budget: int
     out: str | None
     args: argparse.Namespace
+    stream: TextIO | None = None
+
+    def write(self, text: str) -> None:
+        """Writes to stdout, or to --out, opened once on the first write:
+        verify's JSONL report replaces the file, everything else appends."""
+        if self.stream is None:
+            if self.out is None:
+                self.stream = sys.stdout
+            else:
+                overwrite = self.command == "verify" and self.fmt == "json"
+                self.stream = open(self.out, "w" if overwrite else "a")
+        self.stream.write(text)
+
+    def close(self) -> None:
+        if self.stream is not None and self.out is not None:
+            self.stream.close()
 
     def emit(self, record: dict, human: str) -> None:
-        stream = open(self.out, "a") if self.out else sys.stdout
-        try:
-            if self.fmt == "json":
-                print(json.dumps(record, sort_keys=True), file=stream)
-            elif self.fmt == "tsv":
-                fields = ("command", "D", "element", "verdict", "terms", "nodes", "elapsed_ms")
-                row = []
-                for key in fields:
-                    value = record.get(key)
-                    if isinstance(value, list):
-                        value = ";".join(str(x) for x in value)
-                    row.append("" if value is None else str(value))
-                print("\t".join(row), file=stream)
-            else:
-                print(human, file=stream)
-        finally:
-            if self.out:
-                stream.close()
+        if self.fmt == "json":
+            line = json.dumps(record, sort_keys=True)
+        elif self.fmt == "tsv":
+            fields = ("command", "D", "element", "verdict", "terms", "nodes", "elapsed_ms")
+            row = []
+            for key in fields:
+                value = record.get(key)
+                if isinstance(value, list):
+                    value = ";".join(str(x) for x in value)
+                row.append("" if value is None else str(value))
+            line = "\t".join(row)
+        else:
+            line = human
+        self.write(line + "\n")
 
 
 def _env_node_budget() -> int:
@@ -194,11 +203,6 @@ def _positive_int(text: str) -> int:
     return _int_at_least(text, 1, "positive")
 
 
-def _nonnegative_int(text: str) -> int:
-    """argparse type: an integer >= 0, anything else is a usage error."""
-    return _int_at_least(text, 0, "nonnegative")
-
-
 def _parse_m_range(spec: str) -> tuple[int, int]:
     if ".." in spec:
         lo, hi = spec.split("..", 1)
@@ -214,34 +218,51 @@ def _parse_m_range(spec: str) -> tuple[int, int]:
 PETERS_LISTED = 100
 
 
+def _record(
+    cfg: CliConfig,
+    element: QuadInt | SElement,
+    verdict: str,
+    certificate: dict | None,
+    terms: tuple[QuadInt, ...] | None = None,
+    nodes: int = 0,
+    elapsed_ms: int = 0,
+) -> dict:
+    """The JSON record every subcommand but scan and verify prints."""
+    return {
+        "command": cfg.command,
+        "D": element.ctx.D,
+        "element": str(element),
+        "verdict": verdict,
+        "certificate": certificate,
+        "terms": None if terms is None else [str(t) for t in terms],
+        "nodes": nodes,
+        "elapsed_ms": elapsed_ms,
+    }
+
+
+def _budget_certificate(cfg: CliConfig) -> dict:
+    return {"kind": "budget_exceeded", "budget": cfg.node_budget}
+
+
 def _search_record(
     cfg: CliConfig, alpha: QuadInt, verdict: SearchVerdict, elapsed_ms: int
 ) -> tuple[dict, int]:
     """The JSON record of one check/decompose verdict, and its exit code."""
-    record = {
-        "command": cfg.command,
-        "D": alpha.ctx.D,
-        "element": str(alpha),
-        "terms": None,
-        "nodes": verdict.nodes,
-        "elapsed_ms": elapsed_ms,
-    }
     decomposition = verdict.decomposition
     if decomposition is not None:
-        terms = [str(t) for t in decomposition.terms]
         if cfg.command == "check":
+            terms = [str(t) for t in decomposition.terms]
             certificate = {"kind": "decomposition", "terms": terms}
         else:
             certificate = {"kind": "decomposition", "length": len(decomposition)}
-        record.update(verdict="sum_of_squares", certificate=certificate, terms=terms)
-        return record, 0
-    if verdict.kind is VerdictKind.EXHAUSTED_NONE:
+        kind, terms, code = "sum_of_squares", decomposition.terms, 0
+    elif verdict.kind is VerdictKind.EXHAUSTED_NONE:
         certificate = {"kind": "exhaustion", "nodes": verdict.nodes}
-        record.update(verdict="not_sum_of_squares", certificate=certificate)
-        return record, 0
-    certificate = {"kind": "budget_exceeded", "budget": cfg.node_budget}
-    record.update(verdict="unknown", certificate=certificate)
-    return record, 3
+        kind, terms, code = "not_sum_of_squares", None, 0
+    else:
+        certificate = _budget_certificate(cfg)
+        kind, terms, code = "unknown", None, 3
+    return _record(cfg, alpha, kind, certificate, terms, verdict.nodes, elapsed_ms), code
 
 
 def _no_verdict(cfg: CliConfig, alpha: QuadInt) -> str:
@@ -339,16 +360,7 @@ def cmd_peters(cfg: CliConfig) -> int:
             human = f"{alpha} is a sum of five squares: n in {shown}"
         else:
             human = f"{alpha}: no admissible integer in the interval"
-    record = {
-        "command": "peters",
-        "D": ctx.D,
-        "element": str(alpha),
-        "verdict": "interval_hit" if points else "no_interval_hit",
-        "certificate": certificate,
-        "terms": None,
-        "nodes": 0,
-        "elapsed_ms": 0,
-    }
+    record = _record(cfg, alpha, "interval_hit" if points else "no_interval_hit", certificate)
     cfg.emit(record, human)
     return 0
 
@@ -365,17 +377,7 @@ def cmd_witness(cfg: CliConfig) -> int:
     else:
         element = odd_multiple_witness(ctx, cfg.args.m)
         human = f"odd multiple witness for D={ctx.D}, m={cfg.args.m}: {element}"
-    record = {
-        "command": "witness",
-        "D": ctx.D,
-        "element": str(element),
-        "verdict": kind,
-        "certificate": None,
-        "terms": None,
-        "nodes": 0,
-        "elapsed_ms": 0,
-    }
-    cfg.emit(record, human)
+    cfg.emit(_record(cfg, element, kind, None), human)
     return 0
 
 
@@ -384,54 +386,35 @@ def cmd_sint(cfg: CliConfig) -> int:
     gamma = parse_element(ctx, cfg.args.elem)
     xi = s_element(gamma, cfg.args.j, cfg.args.m)
     start = time.perf_counter()
-    verdict = s_is_sum_of_squares(
-        xi, cfg.args.j_budget, node_budget=cfg.node_budget
-    )
+    verdict = s_is_sum_of_squares(xi, node_budget=cfg.node_budget)
     elapsed_ms = int(1000 * (time.perf_counter() - start))
-    base = {
-        "command": "sint",
-        "D": ctx.D,
-        "element": str(xi),
-        "m": xi.m,
-        "nodes": verdict.nodes,
-        "elapsed_ms": elapsed_ms,
-    }
+
+    def record(kind: str, certificate: dict, terms: tuple[QuadInt, ...] | None = None) -> dict:
+        return {**_record(cfg, xi, kind, certificate, terms, verdict.nodes, elapsed_ms), "m": xi.m}
+
     # SVerdict.__post_init__ guarantees terms and j_used on a representable
     # verdict and a certificate on an obstructed one.
     if verdict.kind is SKind.REPRESENTABLE:
-        record = {
-            **base,
-            "verdict": "representable",
-            "certificate": {"kind": "decomposition", "j_used": verdict.j_used},
-            "terms": [str(t) for t in verdict.terms],
-        }
+        certificate = {"kind": "decomposition", "j_used": verdict.j_used}
         denom = f"/{xi.m}^{verdict.j_used}" if verdict.j_used else ""
         squares = " + ".join(f"(({t}){denom})^2" for t in verdict.terms)
-        cfg.emit(record, f"{xi} = {squares}")
+        cfg.emit(record("representable", certificate, verdict.terms), f"{xi} = {squares}")
         return 0
     if verdict.kind is SKind.OBSTRUCTED:
-        record = {
-            **base,
-            "verdict": "obstructed",
-            "certificate": {
-                "kind": "local_obstruction",
-                "residue": list(verdict.certificate.residue),
-                "reason": verdict.certificate.reason,
-            },
-            "terms": None,
+        cert = verdict.certificate
+        certificate = {
+            "kind": "local_obstruction",
+            "residue": list(cert.residue),
+            "reason": cert.reason,
         }
-        cfg.emit(record, f"{xi} is not a sum of squares in O[1/{xi.m}]: {verdict.certificate.reason}")
+        cfg.emit(
+            record("obstructed", certificate),
+            f"{xi} is not a sum of squares in O[1/{xi.m}]: {cert.reason}",
+        )
         return 0
-    record = {
-        **base,
-        "verdict": "unknown",
-        "certificate": {"kind": "escalation_exhausted", "gave_up_at_j": verdict.gave_up_at_j},
-        "terms": None,
-    }
     cfg.emit(
-        record,
-        f"no verdict for {xi}: escalation searched up to denominator "
-        f"exponent {verdict.gave_up_at_j}",
+        {**record("unknown", _budget_certificate(cfg)), "gave_up_at_j": verdict.gave_up_at_j},
+        f"{_no_verdict(cfg, xi)} at denominator exponent {verdict.gave_up_at_j}",
     )
     return 3
 
@@ -478,28 +461,17 @@ def cmd_verify(cfg: CliConfig) -> int:
     claims = list(CLAIM_NAMES) if cfg.args.claim == "all" else [cfg.args.claim]
     reports = run_claims(spec, claims)
     if cfg.fmt == "human":
-        stream = open(cfg.out, "a") if cfg.out else sys.stdout
-        try:
-            for report in reports:
-                status = "PASS" if report.passed else "FAIL"
-                print(
-                    f"{report.claim_id}: {status} "
-                    f"({report.instances_checked} checked, "
-                    f"{len(report.failures)} failures, {report.elapsed:.2f}s)",
-                    file=stream,
-                )
-                for failure in report.failures:
-                    print(f"  failure: {failure}", file=stream)
-        finally:
-            if cfg.out:
-                stream.close()
+        for report in reports:
+            status = "PASS" if report.passed else "FAIL"
+            cfg.write(
+                f"{report.claim_id}: {status} "
+                f"({report.instances_checked} checked, "
+                f"{len(report.failures)} failures, {report.elapsed:.2f}s)\n"
+            )
+            for failure in report.failures:
+                cfg.write(f"  failure: {failure}\n")
     else:
-        text = reports_to_jsonl(reports)
-        if cfg.out:
-            with open(cfg.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        cfg.write(reports_to_jsonl(reports))
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -547,9 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--j", type=int, default=0, help="denominator exponent of the input")
-    p.add_argument(
-        "--j-budget", type=_nonnegative_int, default=4, help="extra escalation levels to try"
-    )
 
     p = sub.add_parser("scan", help="stream totally positive elements")
     common(p, elem=False)
@@ -594,11 +563,14 @@ def main(argv: list[str] | None = None) -> int:
             out=args.out,
             args=args,
         )
-        return HANDLERS[args.command](cfg)
+        try:
+            return HANDLERS[args.command](cfg)
+        finally:
+            cfg.close()
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (SoslabError, ValueError) as exc:
+    except (SoslabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

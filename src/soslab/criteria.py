@@ -57,19 +57,6 @@ class PetersInterval:
         """The admissible integers in closed form, at no cost however many."""
         return _admissible_points(self.scale, self.center, self.radicand, self.parity_required)
 
-    @property
-    def admissible_n(self) -> tuple[int, ...]:
-        """Every admissible integer, materialized: mind `admissible` first."""
-        return _admissible(self.scale, self.center, self.radicand, self.parity_required)
-
-    @property
-    def lo(self) -> float:
-        return (self.center - self.radicand**0.5) / self.scale
-
-    @property
-    def hi(self) -> float:
-        return (self.center + self.radicand**0.5) / self.scale
-
 
 def _admissible_points(scale: int, center: int, radicand: int, parity: int | None) -> range:
     # (scale*n - center)^2 <= radicand exactly when |scale*n - center| <=
@@ -81,10 +68,6 @@ def _admissible_points(scale: int, center: int, radicand: int, parity: int | Non
     if parity is None:
         return range(lo, hi + 1)
     return range(lo + (lo - parity) % 2, hi + 1, 2)
-
-
-def _admissible(scale: int, center: int, radicand: int, parity: int | None) -> tuple[int, ...]:
-    return tuple(_admissible_points(scale, center, radicand, parity))
 
 
 def peters_interval(alpha: QuadInt) -> PetersInterval | None:
@@ -145,9 +128,11 @@ def doubling_witness(ctx: RingContext) -> QuadInt:
     Doubling this element produces the critical test case for whether all
     of 2*O+ consists of sums of squares; that holds only for D in {2,3,5}.
     """
+    root = isqrt(ctx.D)
     if ctx.kappa == 1:
-        return ctx.element(ctx.floor_omega, 1)
-    return ctx.element(ctx.isqrt_d + 1, 1)
+        # k + (1 - sqrt(D))/2 > 0 first holds at k = floor((1 + sqrt(D))/2).
+        return ctx.element((1 + root) // 2, 1)
+    return ctx.element(root + 1, 1)
 
 
 def ramified_obstruction_witness(ctx: RingContext) -> QuadInt:

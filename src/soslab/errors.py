@@ -44,10 +44,6 @@ class NotOdd(SoslabError):
     """Multiplier must be odd."""
 
 
-class RTooSmall(SoslabError):
-    """Local representability test only valid for five or more squares."""
-
-
 class BadModulus(SoslabError):
     """S-integer modulus must be an integer greater than 1."""
 

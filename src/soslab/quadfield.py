@@ -24,13 +24,6 @@ from .errors import ContextMismatch, NotSquarefree, TooSmall
 Rational = Union[int, Fraction]
 
 
-class OmegaKind(enum.Enum):
-    """Shape of the integral basis generator w."""
-
-    SQRT_D = "sqrt_d"
-    HALF_ONE_PLUS_SQRT_D = "half_one_plus_sqrt_d"
-
-
 class DyadicClass(enum.Enum):
     """Splitting behaviour of the rational prime 2 in the ring."""
 
@@ -70,11 +63,7 @@ class RingContext:
     """
 
     D: int
-    d_mod4: int = field(init=False)
     kappa: int = field(init=False)
-    omega_kind: OmegaKind = field(init=False)
-    isqrt_d: int = field(init=False)
-    floor_omega: int = field(init=False)
     dyadic: DyadicClass = field(init=False)
 
     def __post_init__(self) -> None:
@@ -85,18 +74,7 @@ class RingContext:
         if p is not None:
             raise NotSquarefree(d, p)
         mod4 = d % 4
-        object.__setattr__(self, "d_mod4", mod4)
         object.__setattr__(self, "kappa", 1 if mod4 == 1 else 2)
-        object.__setattr__(
-            self,
-            "omega_kind",
-            OmegaKind.HALF_ONE_PLUS_SQRT_D if mod4 == 1 else OmegaKind.SQRT_D,
-        )
-        root = isqrt(d)
-        object.__setattr__(self, "isqrt_d", root)
-        object.__setattr__(
-            self, "floor_omega", (1 + root) // 2 if mod4 == 1 else root
-        )
         if mod4 != 1:
             dyadic = DyadicClass.RAMIFIED
         elif d % 8 == 1:
@@ -222,10 +200,6 @@ class QuadInt:
         return QuadInt(self.ctx, self.u, -self.v)
 
     # -- embeddings ----------------------------------------------------------
-
-    def sign_embedding(self, second: bool = False) -> int:
-        big_a, big_b = self.half_coords
-        return real_sign(self.ctx, big_a, -big_b if second else big_b)
 
     def is_totally_positive(self) -> bool:
         big_a, big_b = self.half_coords

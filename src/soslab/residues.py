@@ -18,7 +18,7 @@ import enum
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import NotRamified, RTooSmall, ZeroElement
+from .errors import NotRamified, ZeroElement
 from .quadfield import DyadicClass, QuadInt, RingContext
 
 
@@ -69,23 +69,6 @@ def _maximal_ideal_residues(ctx: RingContext) -> frozenset[Residue2]:
 
 def is_square_mod_two(alpha: QuadInt) -> bool:
     return residue_mod_two(alpha) in squares_mod_two(alpha.ctx)
-
-
-def local_sos_test(alpha: QuadInt, r: int) -> bool:
-    """Whether alpha is a sum of r squares in every completion at even primes.
-
-    Only answers for r >= 5; below that the mod-2*O collapse gives no
-    licence and the test would be unsound.
-    """
-    if r < 5:
-        raise RTooSmall(f"local test requires r >= 5 squares, got r={r}")
-    return is_square_mod_two(alpha)
-
-
-def everywhere_local_test(alpha: QuadInt) -> bool:
-    """Sum-of-five-squares test at all places: totally positive and a square
-    mod 2*O.  Necessary for being a sum of squares; not sufficient."""
-    return alpha.is_totally_positive() and is_square_mod_two(alpha)
 
 
 def dyadic_valuation(alpha: QuadInt) -> int:

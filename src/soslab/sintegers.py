@@ -10,20 +10,23 @@ when m^(2(j'-j)) * gamma is a sum of squares in O.
 For odd m with 2 ramified, the mod-2*O square class of the numerator is
 invariant under escalation (m^2 is an odd unit mod 2*O), so a numerator
 that is not a square mod 2*O is permanently obstructed: that is a
-certificate, not a search outcome.  Otherwise the decision procedure
-climbs a finite ladder of escalation levels, with one search per level
-capped at the five-square bound of `s_pythagoras_upper`, and returns
-Unknown when the ladder runs out -- representability at some higher level
-is never ruled out by a failed finite search.  The cap therefore bears on
-completeness only: a capped miss moves up the ladder, it never refutes.
+certificate, not a search outcome.  Every other numerator is decided by
+climbing the escalation ladder with one search per level, capped at
+`PYTHAGORAS_CAP` squares.  The ladder ends by itself: the norm grows by
+m^4 per level, and once it passes Peters' bound (`peters_guaranteed`) the
+level is a sum of five squares, so the capped search there must succeed.
+A capped miss below that level only moves up the ladder, it never
+refutes; a miss at or above it contradicts Peters and raises.  Only a
+node budget can leave a verdict Unknown.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import count
 
+from .criteria import peters_guaranteed
 from .decompose import (
     DEFAULT_NODE_BUDGET,
     VerdictKind,
@@ -32,6 +35,13 @@ from .decompose import (
 from .errors import BadModulus, NotTotallyPositive
 from .quadfield import DyadicClass, QuadInt, RingContext
 from .residues import Residue2, is_square_mod_two, residue_mod_two, squares_mod_two
+
+# Any sum of squares in the ring of integers of a real quadratic field is a
+# sum of five (classical, not computed here); denominators of exponent j
+# clear by scaling with m^(2j), preserving the count.  Each escalation
+# search is capped here, and the `pythagoras` claim checks the same bound;
+# nothing refutes with it.
+PYTHAGORAS_CAP = 5
 
 
 @dataclass(frozen=True)
@@ -101,7 +111,7 @@ class SVerdict:
     Representable carries numerators of the representing squares (each to
     be read over denominator m^j_used) and is re-verified on construction;
     Obstructed carries a certificate; Unknown records the level where the
-    escalation ladder was abandoned.
+    node budget ran out.
     """
 
     kind: SKind
@@ -158,15 +168,19 @@ def s_obstruction(xi: SElement) -> ObstructionCert | None:
 
 
 def s_is_sum_of_squares(
-    xi: SElement, j_budget: int = 4, *, node_budget: int = DEFAULT_NODE_BUDGET
+    xi: SElement, *, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> SVerdict:
-    """Three-way decision for xi = gamma / m^(2j) in O[1/m].
+    """Decision for xi = gamma / m^(2j) in O[1/m].
 
-    Tries escalation levels j' = j .. j + j_budget with one search per
-    level, capped at `s_pythagoras_upper` (five squares suffice whenever
-    any number does).  A capped miss only moves up the ladder, so the cap
-    can cost completeness, never soundness.  Unknown means the ladder (or a
-    node budget) ran out: it is never evidence of non-representability.
+    Climbs the levels j' = j, j+1, ... with one search per level, capped at
+    `PYTHAGORAS_CAP` squares.  After a capped miss, a level that passes
+    `peters_guaranteed` is a sum of five squares, so the miss is a bug and
+    raises RuntimeError; any other level moves up.  The ladder ends: an
+    obstructed numerator never reaches it, every other numerator has an
+    even sqrt(D)-coefficient from level j+1 on when 2 ramifies, and the
+    norm grows by m^4 per level.  The node budget bounds the whole ladder;
+    Unknown means only that it ran out, and is never evidence of
+    non-representability.
     """
     if not xi.numerator.is_totally_positive():
         raise NotTotallyPositive(
@@ -175,12 +189,13 @@ def s_is_sum_of_squares(
     cert = s_obstruction(xi)
     if cert is not None:
         return SVerdict(SKind.OBSTRUCTED, xi, certificate=cert)
-    cap = s_pythagoras_upper(xi.ctx, xi.m).value
     nodes = 0
     m2 = xi.m * xi.m
     target = xi.numerator
-    for level in range(xi.j, xi.j + j_budget + 1):
-        verdict = decompose_sos(target, max_terms=cap, node_budget=node_budget)
+    for level in count(xi.j):
+        verdict = decompose_sos(
+            target, max_terms=PYTHAGORAS_CAP, node_budget=node_budget - nodes
+        )
         nodes += verdict.nodes
         if verdict.decomposition is not None:
             return SVerdict(
@@ -192,31 +207,9 @@ def s_is_sum_of_squares(
             )
         if verdict.kind is VerdictKind.BUDGET_EXCEEDED:
             return SVerdict(SKind.UNKNOWN, xi, gave_up_at_j=level, nodes=nodes)
+        if peters_guaranteed(target):
+            raise RuntimeError(
+                f"no sum of {PYTHAGORAS_CAP} squares found for {xi} at level "
+                f"{level}, where Peters' criterion guarantees one"
+            )
         target = target * m2
-    return SVerdict(SKind.UNKNOWN, xi, gave_up_at_j=xi.j + j_budget, nodes=nodes)
-
-
-class PythagorasBound(NamedTuple):
-    """An upper bound together with where it comes from."""
-
-    value: int
-    note: str
-
-
-def s_pythagoras_upper(ctx: RingContext, m: int) -> PythagorasBound:
-    """Trusted upper bound for the Pythagoras number of O[1/m].
-
-    Classical background, not computed here: any sum of squares in a real
-    quadratic ring of integers is a sum of five, and clearing denominators
-    transports that bound to every O[1/m].  `s_is_sum_of_squares` caps
-    each escalation search with it, and the `pythagoras` claim checks the
-    same bound on every scanned element; nothing refutes with it.
-    """
-    if not isinstance(m, int) or m <= 1:
-        raise BadModulus(f"modulus must be an integer > 1, got {m!r}")
-    return PythagorasBound(
-        5,
-        "five squares suffice in the ring of integers of any real quadratic "
-        "field (classical); denominators of exponent j clear by scaling "
-        "with m^(2j), preserving the count",
-    )

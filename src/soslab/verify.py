@@ -38,7 +38,7 @@ from .decompose import DEFAULT_NODE_BUDGET, VerdictKind, decompose_sos
 from .errors import WrongField
 from .quadfield import DyadicClass, QuadInt, RingContext
 from .residues import is_square_mod_two
-from .sintegers import s_pythagoras_upper
+from .sintegers import PYTHAGORAS_CAP
 from .sweep import Sweep
 
 SCHEMA_VERSION = 1
@@ -466,7 +466,7 @@ def verify_multiplier_thresholds(
                             }
                         )
             details["cases"].append(case)
-        details["pythagoras_cap"] = s_pythagoras_upper(ctx, 2).value
+        details["pythagoras_cap"] = PYTHAGORAS_CAP
         return instances, failures, witnesses, details
 
     lo, hi = m_range

@@ -239,7 +239,7 @@ def _c09_s_integers(pool: list) -> dict:
         for beta in islice(scan_totally_positive(ctx, 20), 10):
             xi = s_element(beta, 0, 2)
             checked += 1
-            verdict = s_is_sum_of_squares(xi, j_budget=4, node_budget=BUDGET)
+            verdict = s_is_sum_of_squares(xi, node_budget=BUDGET)
             if verdict.kind is not SKind.REPRESENTABLE:
                 failures.append(f"D={d}, m=2: {xi} -> {verdict.kind.name}")
                 continue

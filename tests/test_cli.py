@@ -6,7 +6,7 @@ import time
 import pytest
 
 from soslab import BasisMismatch, ParseError, RingContext
-from soslab.cli import _parse_d_spec, format_element, main, parse_element
+from soslab.cli import _parse_d_spec, main, parse_element
 
 # ---------------------------------------------------------------------------
 # element grammar
@@ -66,7 +66,7 @@ def test_parse_error_carries_position():
 def test_format_parse_round_trip(d, coords):
     ctx = RingContext(d)
     alpha = ctx.element(*coords)
-    assert parse_element(ctx, format_element(alpha)) == alpha
+    assert parse_element(ctx, str(alpha)) == alpha
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +248,26 @@ def test_sint_obstructed(capsys):
 
 def test_sint_unknown_exits_3(capsys):
     code, out = run_cli(
-        capsys, "sint", "--D", "6", "--elem", "3+sqrt6", "--m", "2", "--j-budget", "0"
+        capsys, "sint", "--D", "6", "--elem", "3+sqrt6", "--m", "2", "--node-budget", "2",
+        "--format", "json",
     )
     assert code == 3
+    record = json.loads(out)
+    assert record["verdict"] == "unknown"
+    assert record["certificate"] == {"kind": "budget_exceeded", "budget": 2}
+    assert record["gave_up_at_j"] == 1
+
+
+@pytest.mark.parametrize("d,elem", [(8002, "90+sqrt8002"), (8005, "45+w")])
+def test_sint_climbs_as_far_as_peters_needs(capsys, d, elem):
+    # Both need five escalation levels above the input.
+    code, out = run_cli(
+        capsys, "sint", "--D", str(d), "--elem", elem, "--m", "2", "--format", "json"
+    )
+    assert code == 0
+    record = json.loads(out)
+    assert record["verdict"] == "representable"
+    assert record["certificate"]["j_used"] == 5
 
 
 def test_scan_lists_elements(capsys):
@@ -273,6 +290,35 @@ def test_scan_with_oracle(capsys):
     by_elem = {r["element"]: r for r in rows}
     assert by_elem["3+sqrt6"]["length"] is None
     assert by_elem["2"]["length"] == 2
+
+
+def test_out_appends_exactly_what_stdout_prints(tmp_path, capsys):
+    argv = ["scan", "--D", "6", "--trace-bound", "40", "--format", "json"]
+    code, printed = run_cli(capsys, *argv)
+    assert code == 0 and printed.count("\n") > 100
+    out_path = tmp_path / "scan.jsonl"
+    out_path.write_text("earlier\n")
+    code, stdout = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == 0 and stdout == ""
+    assert out_path.read_text() == "earlier\n" + printed
+
+
+def test_verify_out_replaces_the_file(tmp_path, capsys):
+    argv = ["verify", "doubling", "--D", "2..5", "--trace-bound", "8"]
+    code, printed = run_cli(capsys, *argv)
+    out_path = tmp_path / "rep.jsonl"
+    out_path.write_text("stale\n")
+    for _ in range(2):
+        assert run_cli(capsys, *argv, "--out", str(out_path)) == (0, "")
+    assert out_path.read_text() == printed
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir" / "scan.jsonl"
+    code = main(["scan", "--D", "6", "--trace-bound", "6", "--out", str(missing)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "error:" in captured.err and "no-such-dir" in captured.err
 
 
 def test_verify_single_claim(capsys):

@@ -26,7 +26,7 @@ from soslab import (
     scan_totally_positive,
     small_multiplier_obstructed,
 )
-from soslab.criteria import _admissible
+from soslab.criteria import _admissible_points
 from soslab.quadfield import square_factor
 
 # ---------------------------------------------------------------------------
@@ -38,7 +38,7 @@ def test_interval_worked_example_d5(ctx5):
     iv = peters_interval(alpha)
     assert (iv.scale, iv.center, iv.radicand) == (5, 6, 16)
     assert iv.parity_required == 0  # n must be even, like v = 2
-    assert iv.admissible_n == (2,)
+    assert tuple(iv.admissible) == (2,)
     assert iv.contains(2) and not iv.contains(1) and not iv.contains(3)
     assert peters_five_squares(alpha)
 
@@ -47,7 +47,7 @@ def test_interval_worked_example_d3(ctx3):
     alpha = ctx3.from_sqrt_pair(4, 2)
     iv = peters_interval(alpha)
     assert (iv.scale, iv.center, iv.radicand) == (6, 4, 4)
-    assert iv.admissible_n == (1,)
+    assert tuple(iv.admissible) == (1,)
     assert peters_five_squares(alpha)
 
 
@@ -69,7 +69,7 @@ def test_interval_empty_means_no_claim(ctx6):
     alpha = ctx6.from_sqrt_pair(6, 2)
     iv = peters_interval(alpha)
     assert iv is not None
-    assert iv.admissible_n == ()
+    assert tuple(iv.admissible) == ()
     assert not peters_five_squares(alpha)
 
 
@@ -92,7 +92,7 @@ def test_admissible_points_match_a_scan():
             for radicand in range(101):
                 for parity in (None, 0, 1):
                     args = (scale, center, radicand, parity)
-                    assert _admissible(*args) == _admissible_by_scan(*args), args
+                    assert tuple(_admissible_points(*args)) == _admissible_by_scan(*args), args
 
 
 GUARANTEE_DS = (2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 21)
@@ -108,7 +108,7 @@ def test_norm_guarantee_implies_an_admissible_integer(d):
         guaranteed += 1
         iv = peters_interval(alpha)
         assert iv is not None, str(alpha)
-        assert _admissible(iv.scale, iv.center, iv.radicand, iv.parity_required), str(alpha)
+        assert iv.admissible, str(alpha)
     assert guaranteed > 0
 
 
@@ -135,11 +135,11 @@ def test_huge_interval_is_decided_without_listing_it(ctx5):
     assert (points[0], points[-1], points.step) == (0, 8 * 10**29, 2)
 
 
-def test_interval_bounds_are_displayable(ctx5):
+def test_interval_endpoints_are_closed(ctx5):
+    # [(6 - 4)/5, (6 + 4)/5]: n = 2 sits on the upper endpoint and counts.
     iv = peters_interval(ctx5.from_sqrt_pair(3, 1))
-    assert iv.lo <= 2 <= iv.hi
-    assert iv.lo == pytest.approx((6 - 4) / 5)
-    assert iv.hi == pytest.approx((6 + 4) / 5)
+    assert (iv.scale * 2 - iv.center) ** 2 == iv.radicand
+    assert iv.contains(2)
 
 
 @given(st.sampled_from([5, 13, 17, 21, 29]), st.integers(1, 60))

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from soslab import (
     ContextMismatch,
     NotSquarefree,
-    OmegaKind,
     QuadInt,
     RingContext,
     TooSmall,
+    doubling_witness,
     real_sign,
 )
 from soslab.quadfield import square_factor
@@ -33,18 +33,15 @@ def test_context_basics():
     ctx = RingContext(6)
     assert ctx.D == 6
     assert ctx.kappa == 2
-    assert ctx.omega_kind is OmegaKind.SQRT_D
-    assert ctx.isqrt_d == 2
-    assert ctx.floor_omega == 2
+    assert str(doubling_witness(ctx)) == "3+sqrt6"  # floor(sqrt 6) + 1 = 3
 
     ctx = RingContext(5)
     assert ctx.kappa == 1
-    assert ctx.omega_kind is OmegaKind.HALF_ONE_PLUS_SQRT_D
-    # omega = (1 + sqrt 5)/2 = 1.618..., so floor is 1
-    assert ctx.floor_omega == 1
+    # omega = (1 + sqrt 5)/2 = 1.618..., so 1 + conj(omega) = 0.38... > 0
+    assert str(doubling_witness(ctx)) == "1+w"
 
     ctx = RingContext(13)
-    assert ctx.floor_omega == 2  # (1 + 3.605...)/2 = 2.302...
+    assert str(doubling_witness(ctx)) == "2+w"  # (1 + 3.605...)/2 = 2.302...
 
 
 @pytest.mark.parametrize("bad", [1, 0, -5])

@@ -7,16 +7,13 @@ from hypothesis import strategies as st
 from soslab import (
     DyadicClass,
     NotRamified,
-    RTooSmall,
     Residue2,
     RingContext,
     ValuationClass,
     ZeroElement,
     dyadic_valuation,
     dyadic_valuation_class,
-    everywhere_local_test,
     is_square_mod_two,
-    local_sos_test,
     residue_mod_two,
     squares_mod_two,
 )
@@ -156,22 +153,20 @@ def test_valuation_classes(ctx6):
 # the mod-2*O local test
 
 
-def test_local_test_needs_five_residues(ctx6):
-    for r in (0, 1, 4):
-        with pytest.raises(RTooSmall):
-            local_sos_test(ctx6.one, r)
-    assert local_sos_test(ctx6.one, 5)
-    assert local_sos_test(ctx6.one, 9)
+def _everywhere_local(alpha):
+    """A sum of five squares at every place: the real places ask for total
+    positivity, the even ones for a square mod 2*O."""
+    return alpha.is_totally_positive() and is_square_mod_two(alpha)
 
 
 def test_everywhere_local_examples(ctx6):
     # 6 + 2 sqrt6 passes locally everywhere yet is not a sum of squares.
-    assert everywhere_local_test(ctx6.from_sqrt_pair(6, 2))
+    assert _everywhere_local(ctx6.from_sqrt_pair(6, 2))
     # 3 + sqrt6 is totally positive but fails mod 2*O.
-    assert not everywhere_local_test(ctx6.element(3, 1))
+    assert not _everywhere_local(ctx6.element(3, 1))
     # 4 + 2 sqrt6 has a negative conjugate, so it fails at an infinite place.
-    assert not everywhere_local_test(ctx6.from_sqrt_pair(4, 2))
-    assert not everywhere_local_test(ctx6.zero - ctx6.one)
+    assert not _everywhere_local(ctx6.from_sqrt_pair(4, 2))
+    assert not _everywhere_local(ctx6.zero - ctx6.one)
 
 
 @given(SQUAREFREE_DS, COORDS, COORDS)
@@ -180,4 +175,4 @@ def test_everywhere_local_is_necessary_for_squares(d, u, v):
     alpha = ctx.element(u, v)
     sq = alpha.square() + alpha.square()  # clearly a sum of two squares
     if sq.is_totally_positive():
-        assert everywhere_local_test(sq) or not is_square_mod_two(sq)
+        assert _everywhere_local(sq)

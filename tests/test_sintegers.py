@@ -22,11 +22,14 @@ from soslab import (
     ramified_obstruction_witness,
     s_element,
     s_is_sum_of_squares,
+    peters_guaranteed,
     s_obstruction,
-    s_pythagoras_upper,
     scan_totally_positive,
 )
+from soslab import _pysearch
+from soslab.decompose import SearchVerdict, VerdictKind
 from soslab.quadfield import square_factor
+from soslab.sintegers import PYTHAGORAS_CAP
 
 # ---------------------------------------------------------------------------
 # construction and canonical form
@@ -178,21 +181,18 @@ def test_certificate_short_circuits_the_ladder(ctx6):
     # 3 + sqrt6 with m = 5: odd modulus fixes the residue (1, 1) at every
     # level, so the certificate settles it without searching at all.
     xi = s_element(ctx6.element(3, 1), 0, 5)
-    verdict = s_is_sum_of_squares(xi, j_budget=1)
+    verdict = s_is_sum_of_squares(xi)
     assert verdict.kind is SKind.OBSTRUCTED
     assert verdict.nodes == 0
 
 
-def test_unknown_after_exhausting_ladder(ctx6):
-    # 3 + sqrt6 with m = 2: no certificate applies (the modulus is even),
-    # and with a zero-level budget the single refuted level proves nothing
-    # about higher levels, so the honest answer is UNKNOWN.
-    xi = s_element(ctx6.element(3, 1), 0, 2)
-    verdict = s_is_sum_of_squares(xi, j_budget=0)
-    assert verdict.kind is SKind.UNKNOWN
-    assert verdict.gave_up_at_j == 0
-    # One more level finds 4(3 + sqrt6) = (2 + sqrt6)^2 + 1 + 1.
-    verdict = s_is_sum_of_squares(xi, j_budget=1)
+def test_refuted_level_moves_up_the_ladder(ctx6):
+    # 3 + sqrt6 with m = 2: no certificate applies (the modulus is even).
+    # Level 0 is refuted (odd sqrt6-coefficient), which proves nothing
+    # about higher levels; level 1 finds 4(3 + sqrt6) = (2 + sqrt6)^2 + 1 + 1.
+    gamma = ctx6.element(3, 1)
+    assert soslab.decompose_sos(gamma).kind is VerdictKind.EXHAUSTED_NONE
+    verdict = s_is_sum_of_squares(s_element(gamma, 0, 2))
     assert verdict.kind is SKind.REPRESENTABLE
     assert verdict.j_used == 1
     assert [str(t) for t in verdict.terms] == ["2+sqrt6", "1", "1"]
@@ -207,22 +207,118 @@ def test_one_capped_search_per_level(ctx6, monkeypatch):
         return search(alpha, max_terms=max_terms, **kwargs)
 
     monkeypatch.setattr(soslab.sintegers, "decompose_sos", counting)
-    verdict = s_is_sum_of_squares(s_element(ctx6.element(3, 1), 0, 2), j_budget=0)
+    verdict = s_is_sum_of_squares(s_element(ctx6.element(3, 1), 0, 2))
+    assert verdict.kind is SKind.REPRESENTABLE
+    assert calls == [PYTHAGORAS_CAP, PYTHAGORAS_CAP]
+
+
+def test_node_budget_bounds_the_whole_ladder(ctx6, monkeypatch):
+    # 6 + 2 sqrt6 is not a sum of squares in O: level 0 exhausts after
+    # some nodes, and level 1 may spend only what is left.
+    budgets, spent = [], []
+    search = soslab.sintegers.decompose_sos
+
+    def recording(alpha, max_terms=None, *, node_budget):
+        budgets.append(node_budget)
+        verdict = search(alpha, max_terms=max_terms, node_budget=node_budget)
+        spent.append(verdict.nodes)
+        return verdict
+
+    monkeypatch.setattr(soslab.sintegers, "decompose_sos", recording)
+    xi = s_element(ctx6.from_sqrt_pair(6, 2), 0, 2)
+    verdict = s_is_sum_of_squares(xi, node_budget=1000)
+    assert verdict.kind is SKind.REPRESENTABLE and verdict.j_used == 1
+    assert spent[0] > 0
+    assert budgets == [1000, 1000 - spent[0]]
+    assert verdict.nodes == sum(spent)
+
+    # Candidate generation at level 1 needs a budget of `guard`; level 0
+    # has already spent some of it, so the ladder stops there.
+    guard = _pysearch.candidate_work_bound(6, (xi.numerator * 4).trace)
+    verdict = s_is_sum_of_squares(xi, node_budget=guard)
     assert verdict.kind is SKind.UNKNOWN
-    assert calls == [s_pythagoras_upper(ctx6, 2).value]
+    assert verdict.gave_up_at_j == 1
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 13])
 def test_level_zero_agrees_with_the_sweep(d):
-    """With no escalation, O[1/2] finds exactly the sums of squares in O."""
+    """O[1/2] stops at level 0 exactly for the sums of squares in O."""
     ctx = RingContext(d)
     lengths = Sweep(ctx, 24)
     for beta in scan_totally_positive(ctx, 24):
-        verdict = s_is_sum_of_squares(s_element(beta, 0, 2), j_budget=0)
-        expected = SKind.REPRESENTABLE if lengths.is_sum_of_squares(beta) else SKind.UNKNOWN
-        assert verdict.kind is expected, str(beta)
-        if verdict.terms is not None:
-            assert len(verdict.terms) <= 5, str(beta)
+        verdict = s_is_sum_of_squares(s_element(beta, 0, 2))
+        assert verdict.kind is SKind.REPRESENTABLE, str(beta)
+        assert (verdict.j_used == 0) is lengths.is_sum_of_squares(beta), str(beta)
+        assert len(verdict.terms) <= PYTHAGORAS_CAP, str(beta)
+
+
+def _first_guaranteed_level(gamma, m):
+    level = 0
+    while not peters_guaranteed(gamma * m ** (2 * level)):
+        level += 1
+    return level
+
+
+def test_the_ladder_decides_every_element():
+    """The paper's characterisation, as the procedure answers it.
+
+    gamma in O+ is a sum of squares in O[1/m] unless m is odd, 2 ramifies
+    and gamma is not a square mod 2*O; the ladder stops no later than the
+    first level that Peters' bound covers, and never answers Unknown.
+    """
+    triples = 0
+    for d in range(2, 50):
+        if square_factor(d) is not None:
+            continue
+        ctx = RingContext(d)
+        for gamma in scan_totally_positive(ctx, 16):
+            for m in range(2, 8):
+                triples += 1
+                verdict = s_is_sum_of_squares(s_element(gamma, 0, m))
+                where = (d, str(gamma), m)
+                obstructed = m % 2 == 1 and ctx.kappa == 2 and not is_square_mod_two(gamma)
+                if obstructed:
+                    assert verdict.kind is SKind.OBSTRUCTED, where
+                else:
+                    assert verdict.kind is SKind.REPRESENTABLE, where
+                    assert verdict.j_used <= _first_guaranteed_level(gamma, m), where
+    assert triples == 4056
+
+
+def test_a_miss_where_peters_guarantees_five_squares_raises(ctx6, monkeypatch):
+    levels = []
+
+    def never_found(alpha, max_terms=None, **kwargs):
+        levels.append(alpha)
+        if len(levels) > 50:
+            pytest.fail("the ladder climbed past the level Peters guarantees")
+        return SearchVerdict(VerdictKind.EXHAUSTED_NONE, None, 0)
+
+    monkeypatch.setattr(soslab.sintegers, "decompose_sos", never_found)
+    gamma = ctx6.element(3, 1)
+    level = _first_guaranteed_level(gamma, 2)
+    with pytest.raises(RuntimeError, match=rf"3\+sqrt6 at level {level},"):
+        s_is_sum_of_squares(s_element(gamma, 0, 2))
+
+
+def test_a_miss_where_peters_guarantees_five_squares_raises_under_optimize_flag():
+    script = (
+        "import soslab.sintegers as s\n"
+        "from soslab import RingContext\n"
+        "from soslab.decompose import SearchVerdict, VerdictKind\n"
+        "s.decompose_sos = lambda *a, **k: SearchVerdict(VerdictKind.EXHAUSTED_NONE, None, 0)\n"
+        "assert False, 'asserts are live'\n"
+        "try:\n"
+        "    s.s_is_sum_of_squares(s.s_element(RingContext(5).element(2, 1), 0, 2))\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(soslab.__file__))}
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert "2+w at level" in result.stdout
 
 
 def test_verdict_reverifies_terms(ctx6):
@@ -245,7 +341,7 @@ def test_integral_sums_stay_representable(d, idx):
     from soslab import is_sum_of_squares
 
     if is_sum_of_squares(alpha, node_budget=10**7):
-        verdict = s_is_sum_of_squares(s_element(alpha, 0, 2), j_budget=2)
+        verdict = s_is_sum_of_squares(s_element(alpha, 0, 2))
         assert verdict.kind is SKind.REPRESENTABLE
 
 
@@ -301,9 +397,5 @@ def test_verdict_invariants_hold_under_optimize_flag():
 # the uniform bound
 
 
-def test_pythagoras_upper_bound(ctx6):
-    bound = s_pythagoras_upper(ctx6, 2)
-    assert bound.value == 5
-    assert "five" in bound.note or "5" in bound.note
-    with pytest.raises(BadModulus):
-        s_pythagoras_upper(ctx6, 1)
+def test_pythagoras_upper_bound():
+    assert PYTHAGORAS_CAP == 5

@@ -1,5 +1,6 @@
 """Claim-scan harness: reports, JSONL reproducibility, the dispatch table."""
 
+import hashlib
 import json
 
 import pytest
@@ -22,6 +23,7 @@ from soslab import (
     write_reports_jsonl,
 )
 from soslab import verify
+from soslab.cli import main as cli_main
 from soslab.verify import CLAIM_ALIASES, CLAIM_NAMES
 
 BUDGET = 10**7
@@ -240,3 +242,12 @@ def test_jsonl_round_trip_via_file(tmp_path, ctx2):
     write_reports_jsonl(reports, out)
     assert out.read_text() == reports_to_jsonl(reports)
 
+
+
+def test_acceptance_report_bytes_are_pinned(capsys):
+    # The canonical JSONL of the acceptance box; any change to a verdict,
+    # witness or detail of any claim changes these bytes.
+    code = cli_main(["verify", "all", "--D", "2..50", "--trace-bound", "40", "--format", "json"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert code == 0
+    assert digest == "d321ec42bd923325c23a293f5fda89ede9d86c074cc7026bd11769f03011ca3b"
