@@ -26,6 +26,7 @@ from .decompose import (
     decompose_sos,
     is_sum_of_squares,
     pythagoras_length,
+    shortest_decomposition,
 )
 from .errors import (
     BadModulus,
@@ -66,18 +67,9 @@ from .sweep import Sweep
 from .verify import (
     Report,
     ScanSpec,
-    estimate_stable_multiplier,
     reports_to_jsonl,
     run_claims,
     scan_totally_positive,
-    verify_doubling,
-    verify_local_necessity,
-    verify_maass_three_squares,
-    verify_multiplier_thresholds,
-    verify_peters_equivalence,
-    verify_pythagoras,
-    verify_scharlau,
-    write_reports_jsonl,
 )
 
 __version__ = "0.1.0"
@@ -119,7 +111,6 @@ __all__ = [
     "doubling_witness",
     "dyadic_valuation",
     "dyadic_valuation_class",
-    "estimate_stable_multiplier",
     "is_square_mod_two",
     "is_sum_of_squares",
     "large_multiplier_guaranteed",
@@ -137,14 +128,7 @@ __all__ = [
     "s_is_sum_of_squares",
     "s_obstruction",
     "scan_totally_positive",
+    "shortest_decomposition",
     "small_multiplier_obstructed",
     "squares_mod_two",
-    "verify_doubling",
-    "verify_local_necessity",
-    "verify_maass_three_squares",
-    "verify_multiplier_thresholds",
-    "verify_peters_equivalence",
-    "verify_pythagoras",
-    "verify_scharlau",
-    "write_reports_jsonl",
 ]

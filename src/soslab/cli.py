@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -35,8 +34,8 @@ from .decompose import (
     DEFAULT_NODE_BUDGET,
     SearchVerdict,
     VerdictKind,
-    _shortest_verdict,
     decompose_sos,
+    shortest_decomposition,
 )
 from .errors import (
     BasisMismatch,
@@ -149,7 +148,9 @@ class CliConfig:
         if self.stream is not None and self.out is not None:
             self.stream.close()
 
-    def emit(self, record: dict, human: str) -> None:
+    def emit(self, record: dict, human: str, denom: str = "") -> None:
+        """Writes one record; a TSV row writes each term over `denom`
+        (sint's "/m^j"), as the human line does."""
         if self.fmt == "json":
             line = json.dumps(record, sort_keys=True)
         elif self.fmt == "tsv":
@@ -158,25 +159,12 @@ class CliConfig:
             for key in fields:
                 value = record.get(key)
                 if isinstance(value, list):
-                    value = ";".join(str(x) for x in value)
+                    value = ";".join(f"({x}){denom}" if denom else str(x) for x in value)
                 row.append("" if value is None else str(value))
             line = "\t".join(row)
         else:
             line = human
         self.write(line + "\n")
-
-
-def _env_node_budget() -> int:
-    raw = os.environ.get("SOSLAB_NODE_BUDGET")
-    if raw is None:
-        return DEFAULT_NODE_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise SoslabError(f"SOSLAB_NODE_BUDGET must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise SoslabError("SOSLAB_NODE_BUDGET must be positive")
-    return value
 
 
 def _parse_d_spec(spec: str) -> tuple[int, ...]:
@@ -276,7 +264,7 @@ def cmd_decompose(cfg: CliConfig) -> int:
     max_terms = None if shortest else cfg.args.max_terms
     start = time.perf_counter()
     if shortest:
-        verdict = _shortest_verdict(alpha, cfg.node_budget)
+        verdict = shortest_decomposition(alpha, node_budget=cfg.node_budget)
     else:
         verdict = decompose_sos(alpha, max_terms=max_terms, node_budget=cfg.node_budget)
     elapsed_ms = int(1000 * (time.perf_counter() - start))
@@ -398,7 +386,7 @@ def cmd_sint(cfg: CliConfig) -> int:
         certificate = {"kind": "decomposition", "j_used": verdict.j_used}
         denom = f"/{xi.m}^{verdict.j_used}" if verdict.j_used else ""
         squares = " + ".join(f"(({t}){denom})^2" for t in verdict.terms)
-        cfg.emit(record("representable", certificate, verdict.terms), f"{xi} = {squares}")
+        cfg.emit(record("representable", certificate, verdict.terms), f"{xi} = {squares}", denom)
         return 0
     if verdict.kind is SKind.OBSTRUCTED:
         cert = verdict.certificate
@@ -492,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--format", choices=("human", "json", "tsv"), default="human", dest="fmt"
         )
-        p.add_argument("--node-budget", type=_positive_int, default=None)
+        p.add_argument("--node-budget", type=_positive_int, default=DEFAULT_NODE_BUDGET)
         p.add_argument("--out", default=None, help="append output to this file")
 
     p = sub.add_parser("decompose", help="find an explicit sum-of-squares decomposition")
@@ -534,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-bound", type=int, required=True)
     p.add_argument("--m-range", default=None, help="multiplier range, e.g. '1..5'")
     p.add_argument("--format", choices=("human", "json"), default="json", dest="fmt")
-    p.add_argument("--node-budget", type=_positive_int, default=None)
+    p.add_argument("--node-budget", type=_positive_int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--out", default=None, help="write the JSONL report here")
 
     return parser
@@ -555,11 +543,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        node_budget = args.node_budget if args.node_budget is not None else _env_node_budget()
         cfg = CliConfig(
             command=args.command,
             fmt=args.fmt,
-            node_budget=node_budget,
+            node_budget=args.node_budget,
             out=args.out,
             args=args,
         )

@@ -15,10 +15,10 @@ exhaust.  The search returns that exhausted verdict with 0 nodes.
 
 The traversal itself is `_pysearch.run_search`, in arbitrary-precision
 Python integers; `sweep.Sweep` is the independent breadth-first engine the
-tests compare it with.  Shortest lengths (`pythagoras_length`, and
-`decompose --shortest` through `_shortest_verdict`) come from one run of
-the same traversal as branch and bound: candidates are generated once, and
-each hit lowers the term cap below its own length.  `nodes` counts the
+tests compare it with.  Shortest decompositions (`shortest_decomposition`,
+which `decompose --shortest` prints, and its length `pythagoras_length`)
+come from one run of the same traversal as branch and bound: candidates
+are generated once, and each hit lowers the term cap below its own length.  `nodes` counts the
 nodes of that one traversal, and the node budget bounds them; a budget
 overrun after a hit, before shorter sums are ruled out, is a budget
 verdict, never a length that might not be minimal.
@@ -175,7 +175,9 @@ def is_sum_of_squares(alpha: QuadInt, *, node_budget: int = DEFAULT_NODE_BUDGET)
     return verdict.found
 
 
-def _shortest_verdict(alpha: QuadInt, node_budget: int) -> SearchVerdict:
+def shortest_decomposition(
+    alpha: QuadInt, *, node_budget: int = DEFAULT_NODE_BUDGET
+) -> SearchVerdict:
     """The verdict for a shortest decomposition of alpha, from one
     branch-and-bound traversal.
 
@@ -192,7 +194,7 @@ def pythagoras_length(alpha: QuadInt, *, node_budget: int = DEFAULT_NODE_BUDGET)
     None is a proven negative (exhausted search), never a shrug; running
     out of node budget raises instead.
     """
-    verdict = _shortest_verdict(alpha, node_budget)
+    verdict = shortest_decomposition(alpha, node_budget=node_budget)
     if verdict.kind is VerdictKind.BUDGET_EXCEEDED:
         raise BudgetExceeded(verdict.nodes, node_budget)
     return None if verdict.decomposition is None else len(verdict.decomposition)

@@ -1,12 +1,14 @@
 """Scan harness: finite verifications of the package's headline claims.
 
-Each verifier walks an exactly-enumerated stream of totally positive
+Each claim walks an exactly-enumerated stream of totally positive
 elements (ordered by (trace, a, b)), applies a claim-specific check, and
 returns a Report: instances checked, failures (element, expected, got),
-standalone-checkable witnesses, and claim-specific scalars.
-Representability and shortest lengths over the box are read from one
-`Sweep` per ring, which `run_claims` shares across the claims, and so
-are the refutations of the odd multiple witnesses; the doubling and
+standalone-checkable witnesses, and claim-specific scalars.  Every claim
+is a function `verify_*(ctx, spec, lengths)` of the ring, the `ScanSpec`
+and the ring's `Sweep`, and `run_claims` is the one entry point: it builds
+at most one sweep per ring, which every claim that reads representability
+or shortest lengths shares (the odd multiple witnesses of `thresholds`
+are refuted from it too), and it times each claim.  The doubling and
 small-multiplier witness refutations run the search oracle.  Reports
 serialize to JSONL with a schema header; serialization is canonical
 (sorted keys, no timestamps), so a rerun with the same parameters
@@ -24,8 +26,7 @@ import json
 import time
 from dataclasses import dataclass
 from math import isqrt
-from pathlib import Path
-from typing import IO, Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .criteria import (
     doubling_witness,
@@ -86,7 +87,8 @@ class Report:
     failures: list[dict]
     witnesses: list[str]
     details: dict
-    elapsed: float
+    # Wall-clock seconds of the claim alone, set by run_claims.
+    elapsed: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -114,14 +116,6 @@ def reports_to_jsonl(reports: list[Report]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_reports_jsonl(reports: list[Report], dest: IO[str] | str | Path) -> None:
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(reports_to_jsonl(reports))
-    else:
-        dest.write(reports_to_jsonl(reports))
-
-
 def scan_totally_positive(ctx: RingContext, trace_bound: int) -> Iterator[QuadInt]:
     """Every totally positive element with trace <= trace_bound, exactly once,
     in (trace, a, b) lexicographic order.
@@ -145,184 +139,108 @@ def scan_totally_positive(ctx: RingContext, trace_bound: int) -> Iterator[QuadIn
                 yield ctx.element(u, v)
 
 
-# -- claims read lengths from a sweep ----------------------------------------
-
-
-def _covering_sweep(
-    ctx: RingContext, trace_bound: int, node_budget: int, sweep: Sweep | None
-) -> Sweep:
-    """`sweep` after checking that it covers the box, or a new sweep of it."""
-    if sweep is None:
-        return Sweep(ctx, trace_bound, node_budget=node_budget)
-    if sweep.ctx.D != ctx.D or sweep.trace_bound < trace_bound:
-        raise ValueError(
-            f"a sweep of D={sweep.ctx.D} up to trace {sweep.trace_bound} does "
-            f"not cover D={ctx.D} up to trace {trace_bound}"
-        )
-    return sweep
-
-
-def _timed_report(
-    claim_id: str,
-    build: Callable[[], tuple[int, list[dict], list[str], dict]],
-) -> Report:
-    start = time.perf_counter()
-    instances, failures, witnesses, details = build()
-    return Report(
-        claim_id, instances, failures, witnesses, details, time.perf_counter() - start
-    )
-
-
 # -- individual claims --------------------------------------------------------
 
 
-def verify_doubling(
-    ctx: RingContext,
-    trace_bound: int,
-    *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    sweep: Sweep | None = None,
-) -> Report:
+def _failure(element: object, expected: str, got: str) -> dict:
+    return {"element": str(element), "expected": expected, "got": got}
+
+
+def _refute_by_search(
+    target: QuadInt, spec: ScanSpec, witnesses: list[str], failures: list[dict]
+) -> int | None:
+    """The node count of an exhaustive refutation of target, which joins
+    the witnesses; None, with a failure recorded, if the search did not
+    exhaust."""
+    verdict = decompose_sos(target, node_budget=spec.node_budget)
+    if verdict.kind is VerdictKind.EXHAUSTED_NONE:
+        witnesses.append(str(target))
+        return verdict.nodes
+    failures.append(_failure(target, "exhausted_none", verdict.kind.value))
+    return None
+
+
+def verify_doubling(ctx: RingContext, spec: ScanSpec, lengths: Sweep | None) -> Report:
     """Doubled totally positive elements: all sums of squares for D in
-    {2, 3, 5}, read from a sweep up to 2*trace_bound; for other D the
-    doubled witness is refuted by exhaustion."""
-
-    def build() -> tuple[int, list[dict], list[str], dict]:
-        if ctx.D in (2, 3, 5):
-            lengths = _covering_sweep(ctx, 2 * trace_bound, node_budget, sweep)
-            elements = list(scan_totally_positive(ctx, trace_bound))
-            failures = [
-                {"element": str(alpha), "expected": "2*alpha sum of squares", "got": "refuted"}
-                for alpha in elements
-                if not lengths.is_sum_of_squares(2 * alpha)
-            ]
-            return len(elements), failures, [], {"branch": "all_doubles_representable"}
-        witness = 2 * doubling_witness(ctx)
-        verdict = decompose_sos(witness, node_budget=node_budget)
-        if verdict.kind is VerdictKind.EXHAUSTED_NONE:
-            return 1, [], [str(witness)], {"branch": "witness_refuted", "nodes": verdict.nodes}
-        failures = [
-            {
-                "element": str(witness),
-                "expected": "exhausted_none",
-                "got": verdict.kind.value,
-            }
+    {2, 3, 5}, read from a sweep up to 2*trace_bound (run_claims passes one
+    exactly there); for other D the doubled witness is refuted by
+    exhaustion."""
+    claim_id = f"doubling/D={ctx.D}"
+    failures: list[dict] = []
+    if lengths is not None:
+        elements = list(scan_totally_positive(ctx, spec.trace_bound))
+        failures += [
+            _failure(alpha, "2*alpha sum of squares", "refuted")
+            for alpha in elements
+            if not lengths.is_sum_of_squares(2 * alpha)
         ]
-        return 1, failures, [], {"branch": "witness_refuted"}
+        branch = {"branch": "all_doubles_representable"}
+        return Report(claim_id, len(elements), failures, [], branch)
+    witnesses: list[str] = []
+    details: dict[str, object] = {"branch": "witness_refuted"}
+    nodes = _refute_by_search(2 * doubling_witness(ctx), spec, witnesses, failures)
+    if nodes is not None:
+        details["nodes"] = nodes
+    return Report(claim_id, 1, failures, witnesses, details)
 
-    return _timed_report(f"doubling/D={ctx.D}", build)
 
-
-def verify_scharlau(
-    ctx: RingContext,
-    trace_bound: int,
-    *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    sweep: Sweep | None = None,
-) -> Report:
+def verify_scharlau(ctx: RingContext, spec: ScanSpec, lengths: Sweep) -> Report:
     """For D in {2, 3}: totally positive and square mod 2*O implies sum of
     squares (the everywhere-local test is exact in these two rings)."""
     if ctx.D not in (2, 3):
         raise WrongField(f"claim is specific to D in {{2, 3}}, got D={ctx.D}")
-
-    def build() -> tuple[int, list[dict], list[str], dict]:
-        lengths = _covering_sweep(ctx, trace_bound, node_budget, sweep)
-        elements = list(scan_totally_positive(ctx, trace_bound))
-        squares = [alpha for alpha in elements if is_square_mod_two(alpha)]
-        failures = [
-            {"element": str(alpha), "expected": "sum of squares", "got": "refuted"}
-            for alpha in squares
-            if not lengths.is_sum_of_squares(alpha)
-        ]
-        return len(squares), failures, [], {"scanned": len(elements)}
-
-    return _timed_report(f"scharlau/D={ctx.D}", build)
+    elements = list(scan_totally_positive(ctx, spec.trace_bound))
+    squares = [alpha for alpha in elements if is_square_mod_two(alpha)]
+    failures = [
+        _failure(alpha, "sum of squares", "refuted")
+        for alpha in squares
+        if not lengths.is_sum_of_squares(alpha)
+    ]
+    return Report(f"scharlau/D={ctx.D}", len(squares), failures, [], {"scanned": len(elements)})
 
 
-def verify_maass_three_squares(
-    trace_bound: int,
-    *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    sweep: Sweep | None = None,
-) -> Report:
+def verify_maass_three_squares(ctx: RingContext, spec: ScanSpec, lengths: Sweep) -> Report:
     """For D = 5: every totally positive element is a sum of three squares."""
-    ctx = RingContext(5)
-
-    def build() -> tuple[int, list[dict], list[str], dict]:
-        shortest = _covering_sweep(ctx, trace_bound, node_budget, sweep)
-        rows = [
-            (alpha, shortest.length(alpha))
-            for alpha in scan_totally_positive(ctx, trace_bound)
-        ]
-        failures = [
-            {
-                "element": str(alpha),
-                "expected": "length <= 3",
-                "got": "not a sum of squares" if n is None else f"length {n}",
-            }
-            for alpha, n in rows
-            if n is None or n > 3
-        ]
-        lengths = [n for _, n in rows if n is not None]
-        return len(rows), failures, [], {"max_length": max(lengths, default=0)}
-
-    return _timed_report("maass/D=5", build)
+    if ctx.D != 5:
+        raise WrongField(f"claim is specific to D = 5, got D={ctx.D}")
+    scanned = scan_totally_positive(ctx, spec.trace_bound)
+    rows = [(alpha, lengths.length(alpha)) for alpha in scanned]
+    failures = [
+        _failure(alpha, "length <= 3", "not a sum of squares" if n is None else f"length {n}")
+        for alpha, n in rows
+        if n is None or n > 3
+    ]
+    found = [n for _, n in rows if n is not None]
+    return Report("maass/D=5", len(rows), failures, [], {"max_length": max(found, default=0)})
 
 
-def verify_pythagoras(
-    ctx: RingContext,
-    trace_bound: int,
-    *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    sweep: Sweep | None = None,
-) -> Report:
+def verify_pythagoras(ctx: RingContext, spec: ScanSpec, lengths: Sweep) -> Report:
     """Shortest representations never need more than five squares; for
     D in {2, 3, 5} never more than three, and three really occurs."""
-
-    def build() -> tuple[int, list[dict], list[str], dict]:
-        cap = 3 if ctx.D in (2, 3, 5) else 5
-        shortest = _covering_sweep(ctx, trace_bound, node_budget, sweep)
-        rows = [
-            (alpha, shortest.length(alpha))
-            for alpha in scan_totally_positive(ctx, trace_bound)
-        ]
-        lengths = [n for _, n in rows if n is not None]
-        failures = [
-            {
-                "element": str(alpha),
-                "expected": f"length <= {cap}",
-                "got": f"length {n}",
-            }
-            for alpha, n in rows
-            if n is not None and n > cap
-        ]
-        details = {
-            "cap": cap,
-            "max_length": max(lengths, default=0),
-            "sums_of_squares": len(lengths),
-        }
-        if cap == 3 and trace_bound >= LENGTH3_ATTAINED_TRACE:
-            details["length3_attained"] = 3 in lengths
-            if not details["length3_attained"]:
-                failures.append(
-                    {
-                        "element": f"scan(trace<={trace_bound})",
-                        "expected": "some element of length exactly 3",
-                        "got": f"max length {max(lengths, default=0)}",
-                    }
+    cap = 3 if ctx.D in (2, 3, 5) else 5
+    scanned = scan_totally_positive(ctx, spec.trace_bound)
+    rows = [(alpha, lengths.length(alpha)) for alpha in scanned]
+    found = [n for _, n in rows if n is not None]
+    failures = [
+        _failure(alpha, f"length <= {cap}", f"length {n}")
+        for alpha, n in rows
+        if n is not None and n > cap
+    ]
+    details = {"cap": cap, "max_length": max(found, default=0), "sums_of_squares": len(found)}
+    if cap == 3 and spec.trace_bound >= LENGTH3_ATTAINED_TRACE:
+        details["length3_attained"] = 3 in found
+        if not details["length3_attained"]:
+            failures.append(
+                _failure(
+                    f"scan(trace<={spec.trace_bound})",
+                    "some element of length exactly 3",
+                    f"max length {max(found, default=0)}",
                 )
-        return len(rows), failures, [], details
+            )
+    return Report(f"pythagoras/D={ctx.D}", len(rows), failures, [], details)
 
-    return _timed_report(f"pythagoras/D={ctx.D}", build)
 
-
-def verify_peters_equivalence(
-    ctx: RingContext,
-    trace_bound: int,
-    *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    sweep: Sweep | None = None,
-) -> Report:
+def verify_peters_equivalence(ctx: RingContext, spec: ScanSpec, lengths: Sweep) -> Report:
     """Interval test vs. the sweep on every scanned totally positive element.
 
     A hit that the sweep refutes breaks the criterion's stated
@@ -331,217 +249,135 @@ def verify_peters_equivalence(
     (D = 1 mod 4); for D = 2, 3 (mod 4) it would be a new phenomenon, so it
     is recorded under details["findings"] instead.
     """
-
-    def build() -> tuple[int, list[dict], list[str], dict]:
-        lengths = _covering_sweep(ctx, trace_bound, node_budget, sweep)
-        elements = list(scan_totally_positive(ctx, trace_bound))
-        failures = []
-        findings = []
-        for alpha in elements:
-            peters = peters_five_squares(alpha)
-            sos = lengths.is_sum_of_squares(alpha)
-            if peters and not sos:
-                failures.append(
-                    {
-                        "element": str(alpha),
-                        "expected": "sum of five squares (interval hit)",
-                        "got": "refuted by exhaustion",
-                    }
-                )
-            elif sos and not peters:
-                record = {
-                    "element": str(alpha),
-                    "expected": "interval hit (element is a sum of squares)",
-                    "got": "empty interval",
-                }
-                if ctx.kappa == 1:
-                    failures.append(record)
-                else:
-                    findings.append(record)
-        return len(elements), failures, [], {"findings": findings}
-
-    return _timed_report(f"peters-oracle/D={ctx.D}", build)
+    elements = list(scan_totally_positive(ctx, spec.trace_bound))
+    failures = []
+    findings = []
+    for alpha in elements:
+        peters = peters_five_squares(alpha)
+        sos = lengths.is_sum_of_squares(alpha)
+        if peters and not sos:
+            failures.append(
+                _failure(alpha, "sum of five squares (interval hit)", "refuted by exhaustion")
+            )
+        elif sos and not peters:
+            record = _failure(
+                alpha, "interval hit (element is a sum of squares)", "empty interval"
+            )
+            (failures if ctx.kappa == 1 else findings).append(record)
+    return Report(f"peters-oracle/D={ctx.D}", len(elements), failures, [], {"findings": findings})
 
 
-def verify_multiplier_thresholds(
-    ctx: RingContext,
-    m_range: tuple[int, int],
-    trace_bound: int,
-    *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    sweep: Sweep | None = None,
-) -> Report:
-    """Multiplier thresholds, for each m in m_range.
+def verify_multiplier_thresholds(ctx: RingContext, spec: ScanSpec, lengths: Sweep) -> Report:
+    """Multiplier thresholds, for each m in the spec's m_range (by default
+    1 up to max(4, ceil(D/2))).
 
     Small m (16m^2 < kappa^2*D): the m-fold doubling witness is refuted by
     exhaustion.  Large m (2m >= D): the interval test accepts kappa*m*beta
-    for every scanned beta, confirmed by a sweep up to trace_bound whenever
-    the scaled trace still fits under it.  Odd m with 2 ramified:
-    the odd multiple witness is never a square mod 2*O -- already a proof
-    of non-representability by local necessity -- and, whenever its trace
-    is at most trace_bound, the sweep refutes it independently (the sweep
-    has no parity rule; the search oracle settles odd coefficients by
-    parity, so it would not be independent).  Which witnesses are refuted
+    for every scanned beta, confirmed by the sweep whenever the scaled
+    trace still fits under trace_bound.  Odd m with 2 ramified: the odd
+    multiple witness is never a square mod 2*O -- already a proof of
+    non-representability by local necessity -- and, whenever its trace is
+    at most trace_bound, the sweep refutes it independently (the sweep has
+    no parity rule; the search oracle settles odd coefficients by parity,
+    so it would not be independent).  Which witnesses are refuted
     therefore follows trace_bound.
     """
-
-    def build() -> tuple[int, list[dict], list[str], dict]:
-        instances = 0
-        failures: list[dict] = []
-        witnesses: list[str] = []
-        details: dict = {"m_range": list(m_range), "cases": []}
-        betas = list(scan_totally_positive(ctx, trace_bound))
-        lengths = None
-        for m in range(m_range[0], m_range[1] + 1):
-            case: dict = {"m": m}
-            if small_multiplier_obstructed(ctx, m):
-                target = m * doubling_witness(ctx)
-                verdict = decompose_sos(target, node_budget=node_budget)
+    lo, hi = spec.m_range or (1, max(4, -(-ctx.D // 2)))
+    instances = 0
+    failures: list[dict] = []
+    witnesses: list[str] = []
+    cases: list[dict] = []
+    betas = list(scan_totally_positive(ctx, spec.trace_bound))
+    for m in range(lo, hi + 1):
+        case: dict = {"m": m}
+        if small_multiplier_obstructed(ctx, m):
+            instances += 1
+            nodes = _refute_by_search(m * doubling_witness(ctx), spec, witnesses, failures)
+            case["small_multiplier_refuted"] = nodes is not None
+        if large_multiplier_guaranteed(ctx, m):
+            scale = ctx.kappa * m
+            confirmed = 0
+            for beta in betas:
+                target = scale * beta
                 instances += 1
-                case["small_multiplier_refuted"] = (
-                    verdict.kind is VerdictKind.EXHAUSTED_NONE
-                )
-                if verdict.kind is VerdictKind.EXHAUSTED_NONE:
+                if not peters_five_squares(target):
+                    failures.append(_failure(target, "interval hit", "empty interval"))
+                if target.trace <= spec.trace_bound:
+                    confirmed += 1
+                    if not lengths.is_sum_of_squares(target):
+                        failures.append(
+                            _failure(target, "sum of squares", "refuted by exhaustion")
+                        )
+            case["large_multiplier_checked"] = len(betas)
+            case["oracle_confirmed"] = confirmed
+        if m % 2 == 1 and ctx.dyadic is DyadicClass.RAMIFIED:
+            target = odd_multiple_witness(ctx, m)
+            instances += 1
+            if is_square_mod_two(target):
+                failures.append(_failure(target, "not a square mod 2*O", "square class"))
+            if target.trace <= spec.trace_bound:
+                refuted = not lengths.is_sum_of_squares(target)
+                case["odd_multiple_refuted"] = refuted
+                if refuted:
                     witnesses.append(str(target))
                 else:
-                    failures.append(
-                        {
-                            "element": str(target),
-                            "expected": "exhausted_none",
-                            "got": verdict.kind.value,
-                        }
-                    )
-            if large_multiplier_guaranteed(ctx, m):
-                if lengths is None:
-                    lengths = _covering_sweep(ctx, trace_bound, node_budget, sweep)
-                scale = ctx.kappa * m
-                confirmed = 0
-                for beta in betas:
-                    target = scale * beta
-                    instances += 1
-                    if not peters_five_squares(target):
-                        failures.append(
-                            {
-                                "element": str(target),
-                                "expected": "interval hit",
-                                "got": "empty interval",
-                            }
-                        )
-                    if target.trace <= trace_bound:
-                        confirmed += 1
-                        if not lengths.is_sum_of_squares(target):
-                            failures.append(
-                                {
-                                    "element": str(target),
-                                    "expected": "sum of squares",
-                                    "got": "refuted by exhaustion",
-                                }
-                            )
-                case["large_multiplier_checked"] = len(betas)
-                case["oracle_confirmed"] = confirmed
-            if m % 2 == 1 and ctx.dyadic is DyadicClass.RAMIFIED:
-                target = odd_multiple_witness(ctx, m)
-                instances += 1
-                if is_square_mod_two(target):
-                    failures.append(
-                        {
-                            "element": str(target),
-                            "expected": "not a square mod 2*O",
-                            "got": "square class",
-                        }
-                    )
-                if target.trace <= trace_bound:
-                    if lengths is None:
-                        lengths = _covering_sweep(ctx, trace_bound, node_budget, sweep)
-                    refuted = not lengths.is_sum_of_squares(target)
-                    case["odd_multiple_refuted"] = refuted
-                    if refuted:
-                        witnesses.append(str(target))
-                    else:
-                        failures.append(
-                            {
-                                "element": str(target),
-                                "expected": "refuted by exhaustion",
-                                "got": "sum of squares",
-                            }
-                        )
-            details["cases"].append(case)
-        details["pythagoras_cap"] = PYTHAGORAS_CAP
-        return instances, failures, witnesses, details
-
-    lo, hi = m_range
-    return _timed_report(f"thresholds/D={ctx.D}/m={lo}..{hi}", build)
+                    failures.append(_failure(target, "refuted by exhaustion", "sum of squares"))
+        cases.append(case)
+    details = {"m_range": [lo, hi], "cases": cases, "pythagoras_cap": PYTHAGORAS_CAP}
+    return Report(f"thresholds/D={ctx.D}/m={lo}..{hi}", instances, failures, witnesses, details)
 
 
-def estimate_stable_multiplier(
-    ctx: RingContext,
-    m_max: int,
-    trace_bound: int,
-) -> Report:
+def estimate_stable_multiplier(ctx: RingContext, spec: ScanSpec, lengths: None) -> Report:
     """Smallest m* such that the interval test accepts 2*m*beta for every
-    scanned totally positive beta and every m in [m*, m_max].
+    scanned totally positive beta and every m in [m*, m_max], where m_max
+    is the top of the spec's m_range (by default ceil(D/2) + 1).
 
     An empirical estimate of the stabilization threshold: some such m
     exists (any m >= D/2 qualifies), and the report records the largest
     multiplier below m* that still fails, with a failing element.
     """
-    def build() -> tuple[int, list[dict], list[str], dict]:
-        betas = list(scan_totally_positive(ctx, trace_bound))
-        first_bad: dict[int, str] = {}
-        instances = 0
-        for m in range(1, m_max + 1):
-            for beta in betas:
-                instances += 1
-                if not peters_five_squares(2 * m * beta):
-                    first_bad[m] = str(beta)
-                    break
-        m_star = None
-        for m in range(m_max, 0, -1):
-            if m in first_bad:
+    m_max = spec.m_range[1] if spec.m_range else -(-ctx.D // 2) + 1
+    betas = list(scan_totally_positive(ctx, spec.trace_bound))
+    first_bad: dict[int, str] = {}
+    instances = 0
+    for m in range(1, m_max + 1):
+        for beta in betas:
+            instances += 1
+            if not peters_five_squares(2 * m * beta):
+                first_bad[m] = str(beta)
                 break
-            m_star = m
-        largest_failing = max(first_bad, default=None)
-        details = {
-            "m_max": m_max,
-            "m_star": m_star,
-            "largest_failing_m": largest_failing,
-            "failing_example": (
-                {"m": largest_failing, "beta": first_bad[largest_failing]}
-                if largest_failing is not None
-                else None
-            ),
-        }
-        return instances, [], [], details
+    m_star = None
+    for m in range(m_max, 0, -1):
+        if m in first_bad:
+            break
+        m_star = m
+    largest_failing = max(first_bad, default=None)
+    details = {
+        "m_max": m_max,
+        "m_star": m_star,
+        "largest_failing_m": largest_failing,
+        "failing_example": (
+            {"m": largest_failing, "beta": first_bad[largest_failing]}
+            if largest_failing is not None
+            else None
+        ),
+    }
+    return Report(f"stable-multiplier/D={ctx.D}/m_max={m_max}", instances, [], [], details)
 
-    return _timed_report(f"stable-multiplier/D={ctx.D}/m_max={m_max}", build)
 
-
-def verify_local_necessity(
-    ctx: RingContext,
-    trace_bound: int,
-    *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    sweep: Sweep | None = None,
-) -> Report:
+def verify_local_necessity(ctx: RingContext, spec: ScanSpec, lengths: Sweep) -> Report:
     """Every scanned sum of squares is a square mod 2*O (the local test is
     necessary; its failure is a genuine obstruction)."""
-
-    def build() -> tuple[int, list[dict], list[str], dict]:
-        lengths = _covering_sweep(ctx, trace_bound, node_budget, sweep)
-        elements = list(scan_totally_positive(ctx, trace_bound))
-        sums = [alpha for alpha in elements if lengths.is_sum_of_squares(alpha)]
-        failures = [
-            {
-                "element": str(alpha),
-                "expected": "square mod 2*O",
-                "got": "non-square class",
-            }
-            for alpha in sums
-            if not is_square_mod_two(alpha)
-        ]
-        return len(elements), failures, [], {"sums_of_squares": len(sums)}
-
-    return _timed_report(f"local-necessity/D={ctx.D}", build)
+    elements = list(scan_totally_positive(ctx, spec.trace_bound))
+    sums = [alpha for alpha in elements if lengths.is_sum_of_squares(alpha)]
+    failures = [
+        _failure(alpha, "square mod 2*O", "non-square class")
+        for alpha in sums
+        if not is_square_mod_two(alpha)
+    ]
+    return Report(
+        f"local-necessity/D={ctx.D}", len(elements), failures, [], {"sums_of_squares": len(sums)}
+    )
 
 
 # -- claim registry ------------------------------------------------------------
@@ -555,143 +391,67 @@ CLAIM_ALIASES = {
 }
 
 
-def _every_d(d: int) -> bool:
-    return True
-
-
-def _trace_box(ctx: RingContext, spec: ScanSpec) -> int:
-    return spec.trace_bound
-
-
-def _thresholds_m_range(spec: ScanSpec, d: int) -> tuple[int, int]:
-    return spec.m_range or (1, max(4, -(-d // 2)))
-
-
-def _thresholds_box(ctx: RingContext, spec: ScanSpec) -> int:
-    # The sweep confirms the large multipliers and refutes the odd
-    # multiple witnesses of trace <= trace_bound.
-    lo, hi = _thresholds_m_range(spec, ctx.D)
-    witness_fits = (
-        ctx.dyadic is DyadicClass.RAMIFIED
-        and (lo | 1) <= hi
-        and (lo | 1) * doubling_witness(ctx).trace <= spec.trace_bound
-    )
-    if large_multiplier_guaranteed(ctx, hi) or witness_fits:
-        return spec.trace_bound
-    return 0
-
-
 class _Claim(NamedTuple):
-    """How run_claims runs one claim on one ring."""
-
-    applies: Callable[[int], bool]
-    # Trace bound of the sweep the claim reads on this ring; 0 reads none.
-    box: Callable[[RingContext, ScanSpec], int]
-    run: Callable[[RingContext, ScanSpec, Sweep | None], Report]
+    # Name of the claim's function in this module, looked up when called,
+    # so that wrappers put on the module's attributes (as perfbench's
+    # tracer does) see every call.
+    function: str
+    # The D the claim applies to, and the D on which it reads the ring's
+    # sweep; None is every D.
+    rings: tuple[int, ...] | None
+    reads_sweep: tuple[int, ...] | None
 
 
 # In report order: run_claims walks claims outer, D inner, and the JSONL
-# output keeps that order.  The runners look the verify_* functions up by
-# name when called, so wrappers put on this module's attributes (as
-# perfbench's tracer does) see every call.
+# output keeps that order.
 _CLAIMS: dict[str, _Claim] = {
-    "doubling": _Claim(
-        _every_d,
-        lambda ctx, spec: 2 * spec.trace_bound if ctx.D in (2, 3, 5) else 0,
-        lambda ctx, spec, sweep: verify_doubling(
-            ctx, spec.trace_bound, node_budget=spec.node_budget, sweep=sweep
-        ),
-    ),
-    "scharlau": _Claim(
-        lambda d: d in (2, 3),
-        _trace_box,
-        lambda ctx, spec, sweep: verify_scharlau(
-            ctx, spec.trace_bound, node_budget=spec.node_budget, sweep=sweep
-        ),
-    ),
-    "maass": _Claim(
-        lambda d: d == 5,
-        _trace_box,
-        lambda ctx, spec, sweep: verify_maass_three_squares(
-            spec.trace_bound, node_budget=spec.node_budget, sweep=sweep
-        ),
-    ),
-    "pythagoras": _Claim(
-        _every_d,
-        _trace_box,
-        lambda ctx, spec, sweep: verify_pythagoras(
-            ctx, spec.trace_bound, node_budget=spec.node_budget, sweep=sweep
-        ),
-    ),
-    "peters-oracle": _Claim(
-        _every_d,
-        _trace_box,
-        lambda ctx, spec, sweep: verify_peters_equivalence(
-            ctx, spec.trace_bound, node_budget=spec.node_budget, sweep=sweep
-        ),
-    ),
-    "thresholds": _Claim(
-        _every_d,
-        _thresholds_box,
-        lambda ctx, spec, sweep: verify_multiplier_thresholds(
-            ctx,
-            _thresholds_m_range(spec, ctx.D),
-            spec.trace_bound,
-            node_budget=spec.node_budget,
-            sweep=sweep,
-        ),
-    ),
-    "stable-multiplier": _Claim(
-        _every_d,
-        lambda ctx, spec: 0,
-        lambda ctx, spec, sweep: estimate_stable_multiplier(
-            ctx,
-            spec.m_range[1] if spec.m_range else -(-ctx.D // 2) + 1,
-            spec.trace_bound,
-        ),
-    ),
-    "local-necessity": _Claim(
-        _every_d,
-        _trace_box,
-        lambda ctx, spec, sweep: verify_local_necessity(
-            ctx, spec.trace_bound, node_budget=spec.node_budget, sweep=sweep
-        ),
-    ),
+    "doubling": _Claim("verify_doubling", None, (2, 3, 5)),
+    "scharlau": _Claim("verify_scharlau", (2, 3), None),
+    "maass": _Claim("verify_maass_three_squares", (5,), None),
+    "pythagoras": _Claim("verify_pythagoras", None, None),
+    "peters-oracle": _Claim("verify_peters_equivalence", None, None),
+    "thresholds": _Claim("verify_multiplier_thresholds", None, None),
+    "stable-multiplier": _Claim("estimate_stable_multiplier", None, ()),
+    "local-necessity": _Claim("verify_local_necessity", None, None),
 }
 
 CLAIM_NAMES = tuple(_CLAIMS)
 
 
+def _covers(rings: tuple[int, ...] | None, d: int) -> bool:
+    return rings is None or d in rings
+
+
 def run_claims(spec: ScanSpec, claims: list[str]) -> list[Report]:
     """Run named claims over every applicable D in the spec, in order.
 
-    Each ring gets at most one sweep per call, as large as the largest box
-    any requested claim reads on it, built when a claim first needs it.
+    Each ring gets at most one sweep, built when a claim first reads it and
+    before that claim's clock starts, so `Report.elapsed` times the claim
+    alone.  The sweep reaches 2*trace_bound when `doubling` reads it (it
+    checks doubled elements) and trace_bound otherwise.
     """
     names = [CLAIM_ALIASES.get(name, name) for name in claims]
     for name, claim in zip(claims, names):
         if claim not in _CLAIMS:
             raise ValueError(f"unknown claim {name!r}")
     contexts = {d: RingContext(d) for d in spec.d_list}
-    boxes = {
-        d: max(
-            (_CLAIMS[c].box(ctx, spec) for c in names if _CLAIMS[c].applies(d)),
-            default=0,
-        )
-        for d, ctx in contexts.items()
-    }
     sweeps: dict[int, Sweep] = {}
     reports: list[Report] = []
     for claim in names:
         entry = _CLAIMS[claim]
         for d in spec.d_list:
-            if not entry.applies(d):
+            if not _covers(entry.rings, d):
                 continue
             ctx = contexts[d]
-            sweep = None
-            if entry.box(ctx, spec):
+            lengths = None
+            if _covers(entry.reads_sweep, d):
                 if d not in sweeps:
-                    sweeps[d] = Sweep(ctx, boxes[d], node_budget=spec.node_budget)
-                sweep = sweeps[d]
-            reports.append(entry.run(ctx, spec, sweep))
+                    doubled = "doubling" in names and _covers(_CLAIMS["doubling"].reads_sweep, d)
+                    trace = 2 * spec.trace_bound if doubled else spec.trace_bound
+                    sweeps[d] = Sweep(ctx, trace, node_budget=spec.node_budget)
+                lengths = sweeps[d]
+            start = time.perf_counter()
+            report = globals()[entry.function](ctx, spec, lengths)
+            report.elapsed = time.perf_counter() - start
+            reports.append(report)
     return reports

@@ -24,7 +24,6 @@ from soslab import (
     VerdictKind,
     decompose_sos,
     doubling_witness,
-    estimate_stable_multiplier,
     is_square_mod_two,
     odd_multiple_witness,
     peters_five_squares,
@@ -265,9 +264,9 @@ def _c11_stable_multiplier() -> dict:
     failures = []
     checked = 0
     for d in STABLE_MULTIPLIER_DS:
-        ctx = RingContext(d)
         cap = (d + 1) // 2
-        report = estimate_stable_multiplier(ctx, cap + 1, 16)
+        spec = ScanSpec((d,), 16, m_range=(1, cap + 1))
+        (report,) = run_claims(spec, ["stable-multiplier"])
         checked += 1
         m_star = report.details.get("m_star")
         if m_star is None or m_star > cap:

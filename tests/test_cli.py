@@ -238,6 +238,23 @@ def test_sint_representable(capsys):
     assert "(2+sqrt6)/2^1" in out
 
 
+def test_sint_tsv_writes_terms_over_their_denominator(capsys):
+    # 4+sqrt6 = ((2+sqrt6)/2)^2 + (2/2)^2 + (1/2)^2 + (1/2)^2 in O[1/2]; the
+    # bare numerators would square to 4*(4+sqrt6).
+    code, out = run_cli(
+        capsys, "sint", "--D", "6", "--elem", "4+sqrt6", "--m", "2", "--format", "tsv"
+    )
+    assert code == 0
+    fields = out.strip().split("\t")
+    assert fields[3] == "representable"
+    assert fields[4] == "(2+sqrt6)/2^1;(2)/2^1;(1)/2^1;(1)/2^1"
+    code, out = run_cli(
+        capsys, "sint", "--D", "2", "--elem", "4+2sqrt2", "--m", "3", "--format", "tsv"
+    )
+    assert code == 0
+    assert out.strip().split("\t")[4] == "1+sqrt2;1"  # j_used = 0: no denominator
+
+
 def test_sint_obstructed(capsys):
     code, out = run_cli(capsys, "sint", "--D", "6", "--elem", "3+sqrt6", "--m", "3", "--format", "json")
     assert code == 0
@@ -366,7 +383,7 @@ def test_verify_human_summary(capsys):
 
 
 # ---------------------------------------------------------------------------
-# exit codes and environment
+# exit codes
 
 
 def test_usage_error_exits_2(capsys):
@@ -397,18 +414,6 @@ def test_nonpositive_node_budget_is_a_usage_error(capsys, argv, budget):
         main([*argv, "--node-budget", budget])
     assert exc.value.code == 2
     assert "--node-budget" in capsys.readouterr().err
-
-
-def test_env_budget_is_honored(capsys, monkeypatch):
-    monkeypatch.setenv("SOSLAB_NODE_BUDGET", "2")
-    code, _ = run_cli(capsys, "decompose", "--D", "13", "--elem", "20+2w")
-    assert code == 3
-    # explicit flag wins over environment
-    monkeypatch.setenv("SOSLAB_NODE_BUDGET", "2")
-    code, _ = run_cli(
-        capsys, "decompose", "--D", "13", "--elem", "20+2w", "--node-budget", "100000"
-    )
-    assert code == 0
 
 
 def test_tsv_format(capsys):

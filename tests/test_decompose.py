@@ -20,9 +20,9 @@ from soslab import (
     s_element,
     s_is_sum_of_squares,
     scan_totally_positive,
+    shortest_decomposition,
 )
 from soslab import _pysearch
-from soslab.decompose import DEFAULT_NODE_BUDGET, _shortest_verdict
 
 SMALL_DS = st.sampled_from([2, 3, 5, 6, 7, 13, 17, 21])
 
@@ -346,7 +346,7 @@ def test_kernel_box_size(kernel_box):
 def test_shortest_search_matches_the_sweep(kernel_box):
     for alpha, length in kernel_box:
         assert pythagoras_length(alpha) == length, str(alpha)
-        verdict = _shortest_verdict(alpha, DEFAULT_NODE_BUDGET)
+        verdict = shortest_decomposition(alpha)
         if length is None:
             assert verdict.kind is VerdictKind.EXHAUSTED_NONE, str(alpha)
         else:

@@ -8,25 +8,24 @@ import pytest
 from soslab import (
     RingContext,
     ScanSpec,
+    Sweep,
     WrongField,
-    estimate_stable_multiplier,
     reports_to_jsonl,
     run_claims,
     scan_totally_positive,
-    verify_doubling,
-    verify_local_necessity,
-    verify_maass_three_squares,
-    verify_multiplier_thresholds,
-    verify_peters_equivalence,
-    verify_pythagoras,
-    verify_scharlau,
-    write_reports_jsonl,
 )
 from soslab import verify
 from soslab.cli import main as cli_main
 from soslab.verify import CLAIM_ALIASES, CLAIM_NAMES
 
 BUDGET = 10**7
+
+
+def claim(name, d, trace_bound, m_range=None):
+    """The one report of claim `name` on the ring D = d."""
+    spec = ScanSpec((d,), trace_bound, m_range=m_range, node_budget=BUDGET)
+    (report,) = run_claims(spec, [name])
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -81,54 +80,59 @@ def test_scan_counts_grow_with_bound(ctx3):
 # individual claims
 
 
-def test_doubling_small_d(ctx5):
-    rep = verify_doubling(ctx5, 12, node_budget=BUDGET)
+def test_doubling_small_d():
+    rep = claim("doubling", 5, 12)
     assert rep.passed
     assert rep.claim_id == "doubling/D=5"
     assert rep.instances_checked > 0
     assert rep.elapsed >= 0.0
 
 
-def test_doubling_large_d(ctx6):
-    rep = verify_doubling(ctx6, 12, node_budget=BUDGET)
+def test_doubling_large_d():
+    rep = claim("doubling", 6, 12)
     assert rep.passed
     assert rep.witnesses == ["6+2sqrt6"]
     assert rep.details["branch"] == "witness_refuted"
 
 
-def test_scharlau(ctx2, ctx3):
-    assert verify_scharlau(ctx2, 16, node_budget=BUDGET).passed
-    assert verify_scharlau(ctx3, 16, node_budget=BUDGET).passed
+def test_scharlau():
+    assert claim("scharlau", 2, 16).passed
+    assert claim("scharlau", 3, 16).passed
+    assert run_claims(ScanSpec((6,), 10), ["scharlau"]) == []
+    ctx = RingContext(6)
     with pytest.raises(WrongField):
-        verify_scharlau(RingContext(6), 10, node_budget=BUDGET)
+        verify.verify_scharlau(ctx, ScanSpec((6,), 10), Sweep(ctx, 10))
 
 
 def test_maass():
-    rep = verify_maass_three_squares(14, node_budget=BUDGET)
+    rep = claim("maass", 5, 14)
     assert rep.passed
     assert rep.details["max_length"] == 3
+    ctx = RingContext(13)
+    with pytest.raises(WrongField):
+        verify.verify_maass_three_squares(ctx, ScanSpec((13,), 10), Sweep(ctx, 10))
 
 
-def test_pythagoras(ctx2, ctx6):
-    rep = verify_pythagoras(ctx2, 14, node_budget=BUDGET)
+def test_pythagoras():
+    rep = claim("pythagoras", 2, 14)
     assert rep.passed
     assert rep.details["cap"] == 3
     assert rep.details["length3_attained"]
-    rep = verify_pythagoras(ctx6, 14, node_budget=BUDGET)
+    rep = claim("pythagoras", 6, 14)
     assert rep.passed
     assert rep.details["cap"] == 5
 
 
-def test_peters_equivalence(ctx5, ctx6):
-    rep = verify_peters_equivalence(ctx5, 14, node_budget=BUDGET)
+def test_peters_equivalence():
+    rep = claim("peters-oracle", 5, 14)
     assert rep.passed
-    rep = verify_peters_equivalence(ctx6, 14, node_budget=BUDGET)
+    rep = claim("peters-oracle", 6, 14)
     assert rep.passed  # converse gaps are findings, not failures
     assert "findings" in rep.details
 
 
-def test_thresholds(ctx6):
-    rep = verify_multiplier_thresholds(ctx6, (1, 3), 10, node_budget=BUDGET)
+def test_thresholds():
+    rep = claim("thresholds", 6, 10, m_range=(1, 3))
     assert rep.passed
     ms = [case["m"] for case in rep.details["cases"]]
     assert ms == [1, 2, 3]
@@ -138,10 +142,10 @@ def test_thresholds(ctx6):
 def test_thresholds_refute_odd_multiples_from_the_sweep(monkeypatch):
     # The search settles odd coefficients by parity, so the odd multiple
     # witnesses must be refuted by the sweep, not by the search.
-    ctx = RingContext(19)  # witness 5+sqrt19, trace 10
+    # The witness for D = 19 is 5+sqrt19, of trace 10.
     monkeypatch.setattr(verify, "decompose_sos", None)
     # m = 5..7 are neither small nor large multipliers for D = 19.
-    rep = verify_multiplier_thresholds(ctx, (5, 7), 50, node_budget=BUDGET)
+    rep = claim("thresholds", 19, 50, m_range=(5, 7))
     assert rep.passed
     cases = rep.details["cases"]
     # 5*(5+sqrt19) has trace 50 and is refuted; 7*(5+sqrt19) has trace 70.
@@ -166,19 +170,28 @@ def test_thresholds_share_the_sweep_for_odd_multiples(monkeypatch):
     assert all(r.passed for r in reports)
     assert reports[1].details["cases"][0]["odd_multiple_refuted"] is True
     assert len(built) == 1
+    # Every claim at once: still one sweep per ring, doubled in the rings
+    # where doubling reads it.
+    built.clear()
+    reports = run_claims(ScanSpec(d_list=(2, 5, 6, 19), trace_bound=20), list(CLAIM_NAMES))
+    assert all(r.passed for r in reports)
+    assert sorted((ctx.D, trace) for ctx, trace in built) == [(2, 40), (5, 40), (6, 20), (19, 20)]
+    built.clear()
+    run_claims(ScanSpec(d_list=(2, 5, 6, 19), trace_bound=20), ["stable-multiplier"])
+    assert built == []
 
 
-def test_local_necessity(ctx6):
-    rep = verify_local_necessity(ctx6, 12, node_budget=BUDGET)
+def test_local_necessity():
+    rep = claim("local-necessity", 6, 12)
     assert rep.passed
     assert rep.instances_checked > 0
 
 
-def test_stable_multiplier_estimates(ctx2, ctx6):
-    rep = estimate_stable_multiplier(ctx6, 4, 12)
+def test_stable_multiplier_estimates():
+    rep = claim("stable-multiplier", 6, 12, m_range=(1, 4))
     assert rep.details["m_star"] == 2
     assert rep.details["largest_failing_m"] == 1
-    rep = estimate_stable_multiplier(ctx2, 3, 12)
+    rep = claim("stable-multiplier", 2, 12, m_range=(1, 3))
     assert rep.details["m_star"] == 1
 
 
@@ -223,8 +236,8 @@ def test_run_claims_rejects_unknown_claim():
 # JSONL output
 
 
-def test_jsonl_shape_and_reproducibility(ctx6):
-    reports = [verify_doubling(ctx6, 10, node_budget=BUDGET)]
+def test_jsonl_shape_and_reproducibility():
+    reports = [claim("doubling", 6, 10)]
     text = reports_to_jsonl(reports)
     lines = text.strip().split("\n")
     assert json.loads(lines[0]) == {"schema": 1}
@@ -232,16 +245,8 @@ def test_jsonl_shape_and_reproducibility(ctx6):
     assert record["claim_id"] == "doubling/D=6"
     assert "elapsed" not in record  # timing never leaks into the artifact
 
-    again = reports_to_jsonl([verify_doubling(ctx6, 10, node_budget=BUDGET)])
+    again = reports_to_jsonl([claim("doubling", 6, 10)])
     assert text == again  # bit-identical across runs
-
-
-def test_jsonl_round_trip_via_file(tmp_path, ctx2):
-    reports = [verify_doubling(ctx2, 10, node_budget=BUDGET)]
-    out = tmp_path / "reports.jsonl"
-    write_reports_jsonl(reports, out)
-    assert out.read_text() == reports_to_jsonl(reports)
-
 
 
 def test_acceptance_report_bytes_are_pinned(capsys):
