@@ -21,7 +21,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from typing import TextIO
 
 from .criteria import (
@@ -122,16 +121,18 @@ def parse_element(ctx: RingContext, text: str) -> QuadInt:
 # -- config and output ---------------------------------------------------------
 
 
-@dataclass
 class CliConfig:
     """Everything a subcommand handler needs, already validated."""
 
-    command: str
-    fmt: str
-    node_budget: int
-    out: str | None
-    args: argparse.Namespace
-    stream: TextIO | None = None
+    def __init__(
+        self, command: str, fmt: str, node_budget: int, out: str | None, args: argparse.Namespace
+    ) -> None:
+        self.command = command
+        self.fmt = fmt
+        self.node_budget = node_budget
+        self.out = out
+        self.args = args
+        self.stream: TextIO | None = None
 
     def write(self, text: str) -> None:
         """Writes to stdout, or to --out, opened once on the first write:

@@ -13,6 +13,9 @@ Interval membership is decided exactly: "n is in [(c - sqrt(R))/s,
 admissible integers are read off in closed form as a `range`, so deciding
 a hit costs the same for an element of any norm; `peters_guaranteed` is
 the norm bound above which the interval always holds one.
+`first_even_multiple_miss` decides the test for every even multiple
+k*beta of a list of betas from two integers per beta, their center
+coordinate and norm, without building k*beta.
 
 The witness constructions pick concrete elements that certify negative
 results: the doubling witness k + sqrt(D) (minimal k making it totally
@@ -24,15 +27,14 @@ which obstructs sums of squares in S-integer rings with odd denominators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
+from ._record import Record
 from .errors import NotOdd, NotRamified, NotTotallyPositive
 from .quadfield import DyadicClass, QuadInt, RingContext
 
 
-@dataclass(frozen=True)
-class PetersInterval:
+class PetersInterval(Record):
     """Exact record of one interval test.
 
     The admissible integers are the n with (scale*n - center)^2 <= radicand
@@ -41,10 +43,19 @@ class PetersInterval:
     recoverable from the fields, closed endpoints included.
     """
 
+    __slots__ = ("scale", "center", "radicand", "parity_required")
     scale: int
     center: int
     radicand: int
     parity_required: int | None
+
+    def __init__(
+        self, scale: int, center: int, radicand: int, parity_required: int | None
+    ) -> None:
+        self._set("scale", scale)
+        self._set("center", center)
+        self._set("radicand", radicand)
+        self._set("parity_required", parity_required)
 
     def contains(self, n: int) -> bool:
         if self.parity_required is not None and n % 2 != self.parity_required:
@@ -120,6 +131,41 @@ def peters_guaranteed(alpha: QuadInt) -> bool:
     if ctx.kappa == 1:
         return 4 * alpha.norm >= ctx.D * ctx.D
     return alpha.v % 2 == 0 and alpha.norm >= ctx.D * ctx.D
+
+
+def multiple_keys(beta: QuadInt) -> tuple[int, int]:
+    """The two integers of beta that decide the interval test of every even
+    multiple k*beta (`first_even_multiple_miss`): the interval's center
+    coordinate (the trace when D = 1 mod 4, u otherwise) and the norm."""
+    return (beta.trace if beta.ctx.kappa == 1 else beta.u), beta.norm
+
+
+def first_even_multiple_miss(
+    ctx: RingContext, keys: list[tuple[int, int]], k: int
+) -> int | None:
+    """Index of the first beta, given by its `multiple_keys`, whose multiple
+    k*beta the interval test rejects, or None when the test accepts them all.
+
+    For even k >= 2 and totally positive beta, k*beta has an even
+    sqrt(D)-coefficient, so the interval always applies: for D = 1 (mod 4)
+    scale D, center k*tr(beta), radicand 4*k^2*N(beta) and even n;
+    otherwise scale 2D, center k*u, radicand k^2*N(beta).  A beta whose
+    radicand reaches D^2 meets `peters_guaranteed`'s bound and is skipped.
+    """
+    if k < 2 or k % 2:
+        raise ValueError(f"multiplier must be even and >= 2, got {k}")
+    if ctx.kappa == 1:
+        scale, factor, parity = ctx.D, 4 * k * k, 0
+    else:
+        scale, factor, parity = 2 * ctx.D, k * k, None
+    # radicand = factor*N >= D^2 exactly when N >= ceil(D^2 / factor).
+    guaranteed = -(-ctx.D * ctx.D // factor)
+    for i, (center, norm) in enumerate(keys):
+        if norm < guaranteed and not _admissible_points(
+            scale, k * center, factor * norm, parity
+        ):
+            return i
+    return None
 
 
 def doubling_witness(ctx: RingContext) -> QuadInt:

@@ -27,9 +27,9 @@ verdict, never a length that might not be minimal.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from . import _pysearch
+from ._record import Record
 from .errors import BudgetExceeded, NotTotallyNonneg
 from .quadfield import QuadInt
 
@@ -46,8 +46,7 @@ class VerdictKind(enum.Enum):
     BUDGET_EXCEEDED = "budget_exceeded"
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """A verified equation target = sum(term^2 for term in terms).
 
     Terms are canonical sign representatives (a > 0, or a = 0 and b > 0),
@@ -55,31 +54,33 @@ class Decomposition:
     construction, so holding an instance is holding a proof.
     """
 
+    __slots__ = ("target", "terms")
     target: QuadInt
     terms: tuple[QuadInt, ...]
 
-    def __post_init__(self) -> None:
-        ctx = self.target.ctx
+    def __init__(self, target: QuadInt, terms: tuple[QuadInt, ...]) -> None:
+        ctx = target.ctx
         normalized = tuple(
             sorted(
-                (t.canonical() for t in self.terms if t),
+                (t.canonical() for t in terms if t),
                 key=lambda t: t.half_coords,
                 reverse=True,
             )
         )
-        object.__setattr__(self, "terms", normalized)
         total = ctx.zero
         for term in normalized:
             if term.ctx != ctx:
                 raise ValueError("terms and target live in different rings")
             total = total + term.square()
-        if total != self.target:
+        if total != target:
             raise ValueError(
                 f"decomposition does not verify: sum of squares is {total}, "
-                f"target is {self.target}"
+                f"target is {target}"
             )
-        if len(normalized) > max(self.target.trace, 0) // 2:
+        if len(normalized) > max(target.trace, 0) // 2:
             raise ValueError("more terms than the trace of the target allows")
+        self._set("target", target)
+        self._set("terms", normalized)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -91,13 +92,20 @@ class Decomposition:
         return f"{self.target} = {squares}"
 
 
-@dataclass(frozen=True)
-class SearchVerdict:
+class SearchVerdict(Record):
     """Outcome of one exhaustive search, with the node count that backs it."""
 
+    __slots__ = ("kind", "decomposition", "nodes")
     kind: VerdictKind
     decomposition: Decomposition | None
     nodes: int
+
+    def __init__(
+        self, kind: VerdictKind, decomposition: Decomposition | None, nodes: int
+    ) -> None:
+        self._set("kind", kind)
+        self._set("decomposition", decomposition)
+        self._set("nodes", nodes)
 
     @property
     def found(self) -> bool:

@@ -55,11 +55,13 @@ class WrongField(SoslabError):
 class BudgetExceeded(SoslabError):
     """Search node budget ran out before a definite verdict was reached."""
 
-    def __init__(self, nodes: int, budget: int) -> None:
+    def __init__(self, nodes: int, budget: int, scope: str | None = None) -> None:
         self.nodes = nodes
         self.budget = budget
+        # scope names what ran out of budget, when the message should say.
+        where = f" for {scope}" if scope else ""
         super().__init__(
-            f"no verdict within the node budget of {budget} ({nodes} nodes searched)"
+            f"no verdict{where} within the node budget of {budget} ({nodes} nodes searched)"
         )
 
 

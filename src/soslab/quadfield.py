@@ -14,11 +14,11 @@ floating point is used anywhere.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 from typing import Union
 
+from ._record import Record
 from .errors import ContextMismatch, NotSquarefree, TooSmall
 
 Rational = Union[int, Fraction]
@@ -54,19 +54,26 @@ def square_factor(d: int) -> int | None:
     return root if root > 1 and root * root == n else None
 
 
-@dataclass(frozen=True)
-class RingContext:
+class RingContext(Record):
     """Validated container for everything derived from a squarefree D >= 2.
 
     Construction checks that D is squarefree (see `square_factor`), so
-    holding a context is proof the parameters are coherent.
+    holding a context is proof the parameters are coherent.  `kappa` and
+    `dyadic` follow from D, so two contexts are equal when their D are.
     """
 
+    __slots__ = ("D", "kappa", "dyadic")
     D: int
-    kappa: int = field(init=False)
-    dyadic: DyadicClass = field(init=False)
+    kappa: int
+    dyadic: DyadicClass
+
+    def __init__(self, D: int) -> None:
+        self._set("D", D)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        # Validates D and derives the other fields; a hook of its own, so
+        # that a caller can count the contexts built (perfbench does).
         d = self.D
         if not isinstance(d, int) or d < 2:
             raise TooSmall(f"D must be an integer >= 2, got {d!r}")
@@ -74,14 +81,22 @@ class RingContext:
         if p is not None:
             raise NotSquarefree(d, p)
         mod4 = d % 4
-        object.__setattr__(self, "kappa", 1 if mod4 == 1 else 2)
         if mod4 != 1:
             dyadic = DyadicClass.RAMIFIED
         elif d % 8 == 1:
             dyadic = DyadicClass.SPLIT
         else:
             dyadic = DyadicClass.INERT
-        object.__setattr__(self, "dyadic", dyadic)
+        self._set("kappa", 1 if mod4 == 1 else 2)
+        self._set("dyadic", dyadic)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is RingContext:
+            return self.D == other.D  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.D)
 
     # -- element constructors ------------------------------------------------
 
@@ -161,13 +176,18 @@ def real_sign(ctx: RingContext, p: Rational, q: Rational) -> int:
     return t if p > 0 else -t
 
 
-@dataclass(frozen=True, slots=True)
-class QuadInt:
+class QuadInt(Record):
     """Immutable element u + v*w of the ring of integers of Q(sqrt(D))."""
 
+    __slots__ = ("ctx", "u", "v")
     ctx: RingContext
     u: int
     v: int
+
+    def __init__(self, ctx: RingContext, u: int, v: int) -> None:
+        self._set("ctx", ctx)
+        self._set("u", u)
+        self._set("v", v)
 
     # -- coordinate views ----------------------------------------------------
 

@@ -23,9 +23,9 @@ node budget can leave a verdict Unknown.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import count
 
+from ._record import Record
 from .criteria import peters_guaranteed
 from .decompose import (
     DEFAULT_NODE_BUDGET,
@@ -44,25 +44,26 @@ from .residues import Residue2, is_square_mod_two, residue_mod_two, squares_mod_
 PYTHAGORAS_CAP = 5
 
 
-@dataclass(frozen=True)
-class SElement:
+class SElement(Record):
     """gamma / m^(2j) in canonical form (j minimal for this numerator)."""
 
+    __slots__ = ("numerator", "j", "m")
     numerator: QuadInt
     j: int
     m: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or self.m <= 1:
-            raise BadModulus(f"modulus must be an integer > 1, got {self.m!r}")
-        if self.j < 0:
-            raise ValueError(f"denominator exponent must be >= 0, got {self.j}")
-        gamma, j, m2 = self.numerator, self.j, self.m * self.m
+    def __init__(self, numerator: QuadInt, j: int, m: int) -> None:
+        if not isinstance(m, int) or m <= 1:
+            raise BadModulus(f"modulus must be an integer > 1, got {m!r}")
+        if j < 0:
+            raise ValueError(f"denominator exponent must be >= 0, got {j}")
+        gamma, m2 = numerator, m * m
         while j > 0 and gamma.u % m2 == 0 and gamma.v % m2 == 0:
             gamma = gamma.ctx.element(gamma.u // m2, gamma.v // m2)
             j -= 1
-        object.__setattr__(self, "numerator", gamma)
-        object.__setattr__(self, "j", j)
+        self._set("numerator", gamma)
+        self._set("j", j)
+        self._set("m", m)
 
     @property
     def ctx(self) -> RingContext:
@@ -74,8 +75,7 @@ class SElement:
         return f"({self.numerator})/{self.m}^{2 * self.j}"
 
 
-@dataclass(frozen=True)
-class ObstructionCert:
+class ObstructionCert(Record):
     """Why gamma / m^(2j) can never be a sum of squares in O[1/m].
 
     Valid exactly when all three ingredients hold: m odd, 2 ramified, and
@@ -84,11 +84,21 @@ class ObstructionCert:
     squares would have to land in a square class.
     """
 
+    __slots__ = ("ctx", "m_odd", "ramified", "residue", "reason")
     ctx: RingContext
     m_odd: bool
     ramified: bool
     residue: Residue2
     reason: str
+
+    def __init__(
+        self, ctx: RingContext, m_odd: bool, ramified: bool, residue: Residue2, reason: str
+    ) -> None:
+        self._set("ctx", ctx)
+        self._set("m_odd", m_odd)
+        self._set("ramified", ramified)
+        self._set("residue", residue)
+        self._set("reason", reason)
 
     def is_valid(self) -> bool:
         return (
@@ -104,8 +114,7 @@ class SKind(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class SVerdict:
+class SVerdict(Record):
     """Decision for one S-integer element.
 
     Representable carries numerators of the representing squares (each to
@@ -114,15 +123,32 @@ class SVerdict:
     node budget ran out.
     """
 
+    __slots__ = ("kind", "element", "terms", "j_used", "certificate", "gave_up_at_j", "nodes")
     kind: SKind
     element: SElement
-    terms: tuple[QuadInt, ...] | None = None
-    j_used: int | None = None
-    certificate: ObstructionCert | None = None
-    gave_up_at_j: int | None = None
-    nodes: int = 0
+    terms: tuple[QuadInt, ...] | None
+    j_used: int | None
+    certificate: ObstructionCert | None
+    gave_up_at_j: int | None
+    nodes: int
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        kind: SKind,
+        element: SElement,
+        terms: tuple[QuadInt, ...] | None = None,
+        j_used: int | None = None,
+        certificate: ObstructionCert | None = None,
+        gave_up_at_j: int | None = None,
+        nodes: int = 0,
+    ) -> None:
+        self._set("kind", kind)
+        self._set("element", element)
+        self._set("terms", terms)
+        self._set("j_used", j_used)
+        self._set("certificate", certificate)
+        self._set("gave_up_at_j", gave_up_at_j)
+        self._set("nodes", nodes)
         if self.kind is SKind.REPRESENTABLE:
             if self.terms is None or self.j_used is None:
                 raise ValueError("a representable verdict needs terms and j_used")

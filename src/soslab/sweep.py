@@ -65,7 +65,8 @@ class Sweep:
 
     Construction does all the work.  Before it starts, the work bound (box
     size times the number of squares) is checked against `node_budget`,
-    and BudgetExceeded, with 0 nodes searched, is raised above it.
+    and BudgetExceeded, with 0 nodes searched and naming D and the trace
+    bound, is raised above it.
     """
 
     def __init__(
@@ -79,13 +80,14 @@ class Sweep:
             raise ValueError(f"trace bound must be nonnegative, got {trace_bound}")
         # A lower bound on the work, from the rational integers of the box
         # and the rational squares alone, keeps the counting below bounded.
+        scope = f"the sweep of D={ctx.D} to trace {trace_bound}"
         floor = (trace_bound // 2 + 1) * isqrt(trace_bound // 2)
         if floor > node_budget:
-            raise BudgetExceeded(0, node_budget)
+            raise BudgetExceeded(0, node_budget, scope)
         roots = _roots(ctx, trace_bound)
         work = _box_size(ctx, trace_bound) * len(roots)
         if work > node_budget:
-            raise BudgetExceeded(0, node_budget)
+            raise BudgetExceeded(0, node_budget, scope)
         self.ctx = ctx
         self.trace_bound = trace_bound
         self._roots = roots

@@ -5,11 +5,14 @@ elements (ordered by (trace, a, b)), applies a claim-specific check, and
 returns a Report: instances checked, failures (element, expected, got),
 standalone-checkable witnesses, and claim-specific scalars.  Every claim
 is a function `verify_*(ctx, spec, lengths)` of the ring, the `ScanSpec`
-and the ring's `Sweep`, and `run_claims` is the one entry point: it builds
-at most one sweep per ring, which every claim that reads representability
-or shortest lengths shares (the odd multiple witnesses of `thresholds`
-are refuted from it too), and it times each claim.  The doubling and
-small-multiplier witness refutations run the search oracle.  Reports
+and the ring's `Sweep`, and `run_claims` is the one entry point: it walks
+ring by ring and builds at most one sweep per ring, which every claim that
+reads representability or shortest lengths shares (the odd multiple
+witnesses of `thresholds` are refuted from it too) and which it drops
+before the next ring's; it times each claim, and returns the reports
+claims outer, D inner.  The doubling and small-multiplier witness
+refutations run the search oracle; `stable-multiplier` decides the
+interval test in integers from each beta's trace and norm.  Reports
 serialize to JSONL with a schema header; serialization is canonical
 (sorted keys, no timestamps), so a rerun with the same parameters
 produces byte-identical output.
@@ -24,13 +27,15 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator, NamedTuple
 
+from ._record import Record
 from .criteria import (
     doubling_witness,
+    first_even_multiple_miss,
     large_multiplier_guaranteed,
+    multiple_keys,
     odd_multiple_witness,
     peters_five_squares,
     small_multiplier_obstructed,
@@ -50,8 +55,7 @@ SCHEMA_VERSION = 1
 LENGTH3_ATTAINED_TRACE = 12
 
 
-@dataclass(frozen=True)
-class ScanSpec:
+class ScanSpec(Record):
     """Validated parameters for a batch of verifications.
 
     `workers` has no effect: the claims read one sweep per ring in this
@@ -59,36 +63,58 @@ class ScanSpec:
     existing callers keep working.
     """
 
+    __slots__ = ("d_list", "trace_bound", "m_range", "node_budget", "workers")
     d_list: tuple[int, ...]
     trace_bound: int
-    m_range: tuple[int, int] | None = None
-    node_budget: int = DEFAULT_NODE_BUDGET
-    workers: int = 1
+    m_range: tuple[int, int] | None
+    node_budget: int
+    workers: int
 
-    def __post_init__(self) -> None:
-        if self.trace_bound < 2:
+    def __init__(
+        self,
+        d_list: tuple[int, ...],
+        trace_bound: int,
+        m_range: tuple[int, int] | None = None,
+        node_budget: int = DEFAULT_NODE_BUDGET,
+        workers: int = 1,
+    ) -> None:
+        if trace_bound < 2:
             raise ValueError("trace bound below 2 scans nothing")
-        if self.m_range is not None and not 1 <= self.m_range[0] <= self.m_range[1]:
-            raise ValueError(f"bad multiplier range {self.m_range}")
-        if self.node_budget < 1:
+        if m_range is not None and not 1 <= m_range[0] <= m_range[1]:
+            raise ValueError(f"bad multiplier range {m_range}")
+        if node_budget < 1:
             raise ValueError("node budget must be positive")
-        if self.workers < 1:
+        if workers < 1:
             raise ValueError("workers must be at least 1")
-        for d in self.d_list:
+        for d in d_list:
             RingContext(d)  # raises unless squarefree and >= 2
+        self._set("d_list", d_list)
+        self._set("trace_bound", trace_bound)
+        self._set("m_range", m_range)
+        self._set("node_budget", node_budget)
+        self._set("workers", workers)
 
 
-@dataclass
 class Report:
     """Outcome of one verification claim over one scan."""
 
-    claim_id: str
-    instances_checked: int
-    failures: list[dict]
-    witnesses: list[str]
-    details: dict
-    # Wall-clock seconds of the claim alone, set by run_claims.
-    elapsed: float = 0.0
+    __slots__ = ("claim_id", "instances_checked", "failures", "witnesses", "details", "elapsed")
+
+    def __init__(
+        self,
+        claim_id: str,
+        instances_checked: int,
+        failures: list[dict],
+        witnesses: list[str],
+        details: dict,
+    ) -> None:
+        self.claim_id = claim_id
+        self.instances_checked = instances_checked
+        self.failures = failures
+        self.witnesses = witnesses
+        self.details = details
+        # Wall-clock seconds of the claim alone, set by run_claims.
+        self.elapsed = 0.0
 
     @property
     def passed(self) -> bool:
@@ -338,14 +364,16 @@ def estimate_stable_multiplier(ctx: RingContext, spec: ScanSpec, lengths: None) 
     """
     m_max = spec.m_range[1] if spec.m_range else -(-ctx.D // 2) + 1
     betas = list(scan_totally_positive(ctx, spec.trace_bound))
+    keys = [multiple_keys(beta) for beta in betas]
     first_bad: dict[int, str] = {}
     instances = 0
     for m in range(1, m_max + 1):
-        for beta in betas:
-            instances += 1
-            if not peters_five_squares(2 * m * beta):
-                first_bad[m] = str(beta)
-                break
+        miss = first_even_multiple_miss(ctx, keys, 2 * m)
+        if miss is None:
+            instances += len(betas)
+        else:
+            instances += miss + 1
+            first_bad[m] = str(betas[miss])
     m_star = None
     for m in range(m_max, 0, -1):
         if m in first_bad:
@@ -402,8 +430,8 @@ class _Claim(NamedTuple):
     reads_sweep: tuple[int, ...] | None
 
 
-# In report order: run_claims walks claims outer, D inner, and the JSONL
-# output keeps that order.
+# In report order: run_claims walks D outer, but its reports, and so the
+# JSONL output, keep the order claims outer, D inner.
 _CLAIMS: dict[str, _Claim] = {
     "doubling": _Claim("verify_doubling", None, (2, 3, 5)),
     "scharlau": _Claim("verify_scharlau", (2, 3), None),
@@ -423,35 +451,35 @@ def _covers(rings: tuple[int, ...] | None, d: int) -> bool:
 
 
 def run_claims(spec: ScanSpec, claims: list[str]) -> list[Report]:
-    """Run named claims over every applicable D in the spec, in order.
+    """Run named claims over every applicable D in the spec.
 
-    Each ring gets at most one sweep, built when a claim first reads it and
-    before that claim's clock starts, so `Report.elapsed` times the claim
-    alone.  The sweep reaches 2*trace_bound when `doubling` reads it (it
-    checks doubled elements) and trace_bound otherwise.
+    The walk goes ring by ring.  Each ring gets at most one sweep, built
+    when a claim first reads it and before that claim's clock starts, so
+    `Report.elapsed` times the claim alone, and dropped before the next
+    ring's.  The sweep reaches 2*trace_bound when `doubling` reads it (it
+    checks doubled elements) and trace_bound otherwise.  The reports come
+    back claims outer, D inner, in the order the claims were named.
     """
     names = [CLAIM_ALIASES.get(name, name) for name in claims]
     for name, claim in zip(claims, names):
         if claim not in _CLAIMS:
             raise ValueError(f"unknown claim {name!r}")
-    contexts = {d: RingContext(d) for d in spec.d_list}
-    sweeps: dict[int, Sweep] = {}
-    reports: list[Report] = []
-    for claim in names:
-        entry = _CLAIMS[claim]
-        for d in spec.d_list:
+    runs: list[tuple[int, Report]] = []
+    for d in spec.d_list:
+        ctx = RingContext(d)
+        lengths = None  # drops the previous ring's sweep
+        for position, claim in enumerate(names):
+            entry = _CLAIMS[claim]
             if not _covers(entry.rings, d):
                 continue
-            ctx = contexts[d]
-            lengths = None
-            if _covers(entry.reads_sweep, d):
-                if d not in sweeps:
-                    doubled = "doubling" in names and _covers(_CLAIMS["doubling"].reads_sweep, d)
-                    trace = 2 * spec.trace_bound if doubled else spec.trace_bound
-                    sweeps[d] = Sweep(ctx, trace, node_budget=spec.node_budget)
-                lengths = sweeps[d]
+            reads = _covers(entry.reads_sweep, d)
+            if reads and lengths is None:
+                doubled = "doubling" in names and _covers(_CLAIMS["doubling"].reads_sweep, d)
+                trace = 2 * spec.trace_bound if doubled else spec.trace_bound
+                lengths = Sweep(ctx, trace, node_budget=spec.node_budget)
             start = time.perf_counter()
-            report = globals()[entry.function](ctx, spec, lengths)
+            report = globals()[entry.function](ctx, spec, lengths if reads else None)
             report.elapsed = time.perf_counter() - start
-            reports.append(report)
-    return reports
+            runs.append((position, report))
+    runs.sort(key=lambda run: run[0])
+    return [report for _, report in runs]

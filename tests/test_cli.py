@@ -400,6 +400,29 @@ def test_budget_exhaustion_exits_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv,ring",
+    [
+        (
+            ["thresholds", "--D", "2..50", "--trace-bound", "60", "--m-range", "7..7"],
+            "D=2 to trace 60",
+        ),
+        # D = 19's sweep fits the budget; the next ring's does not.
+        (
+            ["thresholds", "--D", "19,2", "--trace-bound", "20", "--m-range", "7..7"],
+            "D=2 to trace 20",
+        ),
+        # doubling reads a sweep to twice the trace bound.
+        (["all", "--D", "5", "--trace-bound", "20"], "D=5 to trace 40"),
+    ],
+)
+def test_verify_budget_error_names_the_sweep(capsys, argv, ring):
+    code = main(["verify", *argv, "--node-budget", "500"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"the sweep of {ring} within the node budget of 500" in err
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 @pytest.mark.parametrize(
     "argv",

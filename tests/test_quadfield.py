@@ -1,17 +1,24 @@
 """Ring contexts and exact arithmetic in Z[omega_D]."""
 
 import math
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import soslab
 from soslab import (
     ContextMismatch,
     NotSquarefree,
     QuadInt,
     RingContext,
+    ScanSpec,
     TooSmall,
+    decompose_sos,
     doubling_witness,
     real_sign,
 )
@@ -289,3 +296,59 @@ def test_str_canonical_forms():
 @given(elements())
 def test_repr_names_all_coordinates(alpha):
     assert repr(alpha) == f"QuadInt(D={alpha.ctx.D}, u={alpha.u}, v={alpha.v})"
+
+
+# ---------------------------------------------------------------------------
+# value semantics of the package's records
+
+
+def test_records_are_immutable_values(ctx6):
+    alpha = ctx6.element(3, 1)
+    records = [
+        ctx6,
+        alpha,
+        decompose_sos(ctx6.element(7, 2)).decomposition,  # (1+sqrt6)^2
+        ScanSpec((2, 6), 10, m_range=(1, 3)),
+    ]
+    for record in records:
+        field = record.__slots__[0]
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and hash(copy) == hash(record)
+    assert RingContext(6) == ctx6 != RingContext(7)
+    assert ScanSpec((2,), 10) != ScanSpec((2,), 11)
+    assert repr(ScanSpec((2,), 10)) == (
+        "ScanSpec(d_list=(2,), trace_bound=10, m_range=None, node_budget=100000000, workers=1)"
+    )
+
+
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    # They would cost about 1 MB of resident memory and 10 ms of start-up.
+    script = "import sys, soslab; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(soslab.__file__))}
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
+def test_every_context_runs_its_post_init_hook(monkeypatch):
+    # perfbench's tracer counts the contexts built by wrapping this hook.
+    built = []
+    hook = RingContext.__post_init__
+
+    def counting_hook(self):
+        built.append(self.D)
+        hook(self)
+
+    monkeypatch.setattr(RingContext, "__post_init__", counting_hook)
+    RingContext(6)
+    ScanSpec((2, 3), 10)
+    assert built == [6, 2, 3]
+    with pytest.raises(NotSquarefree):
+        RingContext(12)
+    assert built == [6, 2, 3, 12]

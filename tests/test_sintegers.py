@@ -1,6 +1,5 @@
 """Sums of squares in O[1/m]: escalation, obstruction certificates."""
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -29,7 +28,7 @@ from soslab import (
 from soslab import _pysearch
 from soslab.decompose import SearchVerdict, VerdictKind
 from soslab.quadfield import square_factor
-from soslab.sintegers import PYTHAGORAS_CAP
+from soslab.sintegers import PYTHAGORAS_CAP, ObstructionCert
 
 # ---------------------------------------------------------------------------
 # construction and canonical form
@@ -357,7 +356,8 @@ def test_obstructed_verdict_needs_a_certificate(ctx6):
 
 def test_obstructed_verdict_rejects_an_invalid_certificate(ctx6):
     xi = s_element(ctx6.element(3, 1), 0, 5)
-    bogus = dataclasses.replace(s_obstruction(xi), m_odd=False)
+    cert = s_obstruction(xi)
+    bogus = ObstructionCert(cert.ctx, False, cert.ramified, cert.residue, cert.reason)
     with pytest.raises(ValueError):
         SVerdict(SKind.OBSTRUCTED, xi, certificate=bogus)
 

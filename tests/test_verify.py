@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import weakref
 
 import pytest
 
@@ -181,6 +182,40 @@ def test_thresholds_share_the_sweep_for_odd_multiples(monkeypatch):
     assert built == []
 
 
+def test_run_claims_keeps_one_sweep_alive_at_a_time(monkeypatch):
+    alive = []
+    peak = []
+
+    class CountingSweep(verify.Sweep):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            alive.append(self.ctx.D)
+            peak.append(len(alive))
+            weakref.finalize(self, alive.remove, self.ctx.D)
+
+    monkeypatch.setattr(verify, "Sweep", CountingSweep)
+    reports = run_claims(ScanSpec(d_list=(2, 5, 6, 19), trace_bound=20), list(CLAIM_NAMES))
+    assert all(r.passed for r in reports)
+    assert len(peak) == 4
+    assert max(peak) == 1
+
+
+def test_run_claims_reports_claims_outer_in_the_named_order():
+    spec = ScanSpec(d_list=(6, 2, 5), trace_bound=12)
+    reports = run_claims(spec, ["lemma1", "thm3", "m0"])
+    assert [r.claim_id for r in reports] == [
+        "local-necessity/D=6",
+        "local-necessity/D=2",
+        "local-necessity/D=5",
+        "doubling/D=6",
+        "doubling/D=2",
+        "doubling/D=5",
+        "stable-multiplier/D=6/m_max=4",
+        "stable-multiplier/D=2/m_max=2",
+        "stable-multiplier/D=5/m_max=4",
+    ]
+
+
 def test_local_necessity():
     rep = claim("local-necessity", 6, 12)
     assert rep.passed
@@ -247,6 +282,28 @@ def test_jsonl_shape_and_reproducibility():
 
     again = reports_to_jsonl([claim("doubling", 6, 10)])
     assert text == again  # bit-identical across runs
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (
+            ["--D", "2..300", "--trace-bound", "60"],
+            "8d0cc92a57b44188e2c6c7c5fea25b0c92e918efe434b6fdac89ca9619ce7eb8",
+        ),
+        (
+            ["--D", "2..200", "--trace-bound", "50", "--m-range", "1..60"],
+            "0c18a910356465ca94d65ff029284696a5379ddfa02698661070801906ceb8c1",
+        ),
+    ],
+)
+def test_wide_stable_multiplier_bytes_are_pinned(capsys, argv, expected):
+    # stable-multiplier well beyond the acceptance box, with the default and
+    # an explicit multiplier range.
+    code = cli_main(["verify", "m0", *argv, "--format", "json"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert code == 0
+    assert digest == expected
 
 
 def test_acceptance_report_bytes_are_pinned(capsys):
