@@ -4,131 +4,106 @@ Exact decision procedures with certificates: an exhaustive search oracle
 (`decompose_sos`), local tests modulo 2*O, the five-square interval
 criterion, explicit witness elements, S-integer escalation, and a scan
 harness producing reproducible JSONL reports.  All arithmetic is exact.
+
+Importing the package imports none of its modules.  Each name below is
+imported from its module on first use (PEP 562), so `python -m soslab.cli
+check` loads only what `check` calls; `soslab.verify` and the other
+module names resolve the same way.
 """
 
-from .criteria import (
-    PetersInterval,
-    doubling_witness,
-    large_multiplier_guaranteed,
-    odd_multiple_witness,
-    peters_five_squares,
-    peters_guaranteed,
-    peters_interval,
-    ramified_obstruction_witness,
-    small_multiplier_obstructed,
-)
-from .decompose import (
-    DEFAULT_NODE_BUDGET,
-    Decomposition,
-    SearchVerdict,
-    VerdictKind,
-    candidate_roots,
-    decompose_sos,
-    is_sum_of_squares,
-    pythagoras_length,
-    shortest_decomposition,
-)
-from .errors import (
-    BadModulus,
-    BasisMismatch,
-    BudgetExceeded,
-    ContextMismatch,
-    NotOdd,
-    NotRamified,
-    NotSquarefree,
-    NotTotallyNonneg,
-    NotTotallyPositive,
-    ParseError,
-    SoslabError,
-    TooSmall,
-    WrongField,
-    ZeroElement,
-)
-from .quadfield import DyadicClass, QuadInt, RingContext, real_sign
-from .residues import (
-    Residue2,
-    ValuationClass,
-    dyadic_valuation,
-    dyadic_valuation_class,
-    is_square_mod_two,
-    residue_mod_two,
-    squares_mod_two,
-)
-from .sintegers import (
-    ObstructionCert,
-    SElement,
-    SKind,
-    SVerdict,
-    s_element,
-    s_is_sum_of_squares,
-    s_obstruction,
-)
-from .sweep import Sweep
-from .verify import (
-    Report,
-    ScanSpec,
-    reports_to_jsonl,
-    run_claims,
-    scan_totally_positive,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadModulus",
-    "BasisMismatch",
-    "BudgetExceeded",
-    "ContextMismatch",
-    "DEFAULT_NODE_BUDGET",
-    "Decomposition",
-    "DyadicClass",
-    "NotOdd",
-    "NotRamified",
-    "NotSquarefree",
-    "NotTotallyNonneg",
-    "NotTotallyPositive",
-    "ObstructionCert",
-    "ParseError",
-    "PetersInterval",
-    "QuadInt",
-    "Report",
-    "Residue2",
-    "RingContext",
-    "SElement",
-    "SKind",
-    "SVerdict",
-    "ScanSpec",
-    "SearchVerdict",
-    "SoslabError",
-    "Sweep",
-    "TooSmall",
-    "ValuationClass",
-    "VerdictKind",
-    "WrongField",
-    "ZeroElement",
-    "candidate_roots",
-    "decompose_sos",
-    "doubling_witness",
-    "dyadic_valuation",
-    "dyadic_valuation_class",
-    "is_square_mod_two",
-    "is_sum_of_squares",
-    "large_multiplier_guaranteed",
-    "odd_multiple_witness",
-    "peters_five_squares",
-    "peters_guaranteed",
-    "peters_interval",
-    "pythagoras_length",
-    "ramified_obstruction_witness",
-    "real_sign",
-    "reports_to_jsonl",
-    "residue_mod_two",
-    "run_claims",
-    "s_element",
-    "s_is_sum_of_squares",
-    "s_obstruction",
-    "scan_totally_positive",
-    "shortest_decomposition",
-    "small_multiplier_obstructed",
-    "squares_mod_two",
-]
+# Public name -> the module that defines it.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "criteria": (
+            "PetersInterval",
+            "doubling_witness",
+            "large_multiplier_guaranteed",
+            "odd_multiple_witness",
+            "peters_five_squares",
+            "peters_guaranteed",
+            "peters_interval",
+            "ramified_obstruction_witness",
+            "small_multiplier_obstructed",
+        ),
+        "decompose": (
+            "DEFAULT_NODE_BUDGET",
+            "Decomposition",
+            "SearchVerdict",
+            "VerdictKind",
+            "candidate_roots",
+            "decompose_sos",
+            "is_sum_of_squares",
+            "pythagoras_length",
+            "shortest_decomposition",
+        ),
+        "errors": (
+            "BadModulus",
+            "BasisMismatch",
+            "BudgetExceeded",
+            "ContextMismatch",
+            "NotOdd",
+            "NotRamified",
+            "NotSquarefree",
+            "NotTotallyNonneg",
+            "NotTotallyPositive",
+            "ParseError",
+            "SoslabError",
+            "TooSmall",
+            "WrongField",
+            "ZeroElement",
+        ),
+        "quadfield": ("DyadicClass", "QuadInt", "RingContext", "real_sign"),
+        "residues": (
+            "Residue2",
+            "ValuationClass",
+            "dyadic_valuation",
+            "dyadic_valuation_class",
+            "is_square_mod_two",
+            "residue_mod_two",
+            "squares_mod_two",
+        ),
+        "sintegers": (
+            "ObstructionCert",
+            "SElement",
+            "SKind",
+            "SVerdict",
+            "s_element",
+            "s_is_sum_of_squares",
+            "s_obstruction",
+        ),
+        "sweep": ("Sweep",),
+        "verify": (
+            "Report",
+            "ScanSpec",
+            "reports_to_jsonl",
+            "run_claims",
+            "scan_totally_positive",
+        ),
+    }.items()
+    for name in names
+}
+
+_MODULES = frozenset({"_pysearch", "_record", "cli", *_EXPORTS.values()})
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _MODULES:
+        # Importing a submodule binds it on the package.
+        return import_module(f"{__name__}.{name}")
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -36,6 +36,8 @@ from __future__ import annotations
 
 from math import isqrt
 
+from .errors import BudgetExceeded
+
 STATUS_EXHAUSTED = 0
 STATUS_FOUND = 1
 STATUS_BUDGET = 2
@@ -45,19 +47,19 @@ STATUS_BUDGET = 2
 Candidate = tuple[int, int, int, int]
 
 
-def candidate_work_bound(d: int, trace: int) -> int:
-    """Upper bound on (A, B) pairs examined when generating candidates."""
-    if trace <= 0:
-        return 1
-    return (2 * isqrt(2 * trace // d) + 2) * (isqrt(2 * trace) + 2)
-
-
-def generate_candidates(d: int, half_allowed: bool, big_a: int, big_b: int) -> list[Candidate]:
+def generate_candidates(
+    d: int, half_allowed: bool, big_a: int, big_b: int, budget: int
+) -> list[Candidate]:
     """All canonical roots whose square fits under (A, B) in both embeddings.
 
     Canonical means a > 0, or a = 0 and b > 0.  The target must be totally
     nonnegative.  Output is sorted descending by (A, B), the order the
     search consumes.
+
+    The scan is charged against `budget`: one unit per row b, plus the
+    number of a the row tries, counted before the row runs.  Once that
+    work exceeds the budget it raises BudgetExceeded with 0 nodes, so a
+    large target with a small budget stops at once.
     """
     trace = big_a
     out: list[Candidate] = []
@@ -68,7 +70,9 @@ def generate_candidates(d: int, half_allowed: bool, big_a: int, big_b: int) -> l
     # Integrality fixes the parity of A: A = B (mod 2) in the half basis,
     # A and B both even otherwise.
     b_max = isqrt(2 * trace // d)
+    work = 0
     for b in range(-b_max, b_max + 1):
+        work += 1
         if not half_allowed and b % 2:
             continue
         bbd = b * b * d
@@ -77,7 +81,13 @@ def generate_candidates(d: int, half_allowed: bool, big_a: int, big_b: int) -> l
             continue
         a_lo = 1 if b <= 0 else 0
         a_lo += (a_lo - b) % 2 if half_allowed else a_lo % 2
-        for a in range(a_lo, isqrt(rest) + 1, 2):
+        a_hi = isqrt(rest)
+        # The a in range(a_lo, a_hi + 1, 2), counted in integers: len() of
+        # a range fails beyond sys.maxsize.  Never negative, as a_lo <= 2.
+        work += (a_hi - a_lo) // 2 + 1
+        if work > budget:
+            raise BudgetExceeded(0, budget)
+        for a in range(a_lo, a_hi + 1, 2):
             sa, sb = (a * a + bbd) // 2, a * b
             da, db = big_a - sa, big_b - sb
             if da >= 0 and da * da >= d * db * db:

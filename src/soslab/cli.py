@@ -21,14 +21,8 @@ import argparse
 import json
 import sys
 import time
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
-from .criteria import (
-    doubling_witness,
-    odd_multiple_witness,
-    peters_interval,
-    ramified_obstruction_witness,
-)
 from .decompose import (
     DEFAULT_NODE_BUDGET,
     SearchVerdict,
@@ -43,16 +37,13 @@ from .errors import (
     SoslabError,
 )
 from .quadfield import QuadInt, RingContext, square_factor
-from .residues import is_square_mod_two
-from .sintegers import SElement, SKind, s_element, s_is_sum_of_squares
-from .sweep import Sweep
-from .verify import (
-    CLAIM_NAMES,
-    ScanSpec,
-    reports_to_jsonl,
-    run_claims,
-    scan_totally_positive,
-)
+
+if TYPE_CHECKING:
+    from .sintegers import SElement
+
+# Each handler imports the modules that only it calls: interpreter start
+# and import are most of the time of a single `check` or `decompose`, so
+# loading `verify` or `sweep` for it would cost more than its search.
 
 # -- element grammar -----------------------------------------------------------
 
@@ -296,6 +287,8 @@ def cmd_decompose(cfg: CliConfig) -> int:
 
 
 def cmd_check(cfg: CliConfig) -> int:
+    from .residues import is_square_mod_two
+
     ctx = RingContext(cfg.args.D)
     alpha = parse_element(ctx, cfg.args.elem)
     start = time.perf_counter()
@@ -315,6 +308,8 @@ def cmd_check(cfg: CliConfig) -> int:
 
 
 def cmd_peters(cfg: CliConfig) -> int:
+    from .criteria import peters_interval
+
     ctx = RingContext(cfg.args.D)
     alpha = parse_element(ctx, cfg.args.elem)
     interval = peters_interval(alpha)
@@ -355,6 +350,8 @@ def cmd_peters(cfg: CliConfig) -> int:
 
 
 def cmd_witness(cfg: CliConfig) -> int:
+    from .criteria import doubling_witness, odd_multiple_witness, ramified_obstruction_witness
+
     ctx = RingContext(cfg.args.D)
     kind = cfg.args.kind
     if kind == "doubling":
@@ -371,6 +368,8 @@ def cmd_witness(cfg: CliConfig) -> int:
 
 
 def cmd_sint(cfg: CliConfig) -> int:
+    from .sintegers import SKind, s_element, s_is_sum_of_squares
+
     ctx = RingContext(cfg.args.D)
     gamma = parse_element(ctx, cfg.args.elem)
     xi = s_element(gamma, cfg.args.j, cfg.args.m)
@@ -409,6 +408,10 @@ def cmd_sint(cfg: CliConfig) -> int:
 
 
 def cmd_scan(cfg: CliConfig) -> int:
+    from .residues import is_square_mod_two
+    from .sweep import Sweep
+    from .verify import scan_totally_positive
+
     ctx = RingContext(cfg.args.D)
     if cfg.args.trace_bound < 2:
         raise ValueError("trace bound below 2 scans nothing")
@@ -441,6 +444,8 @@ def cmd_scan(cfg: CliConfig) -> int:
 
 
 def cmd_verify(cfg: CliConfig) -> int:
+    from .verify import CLAIM_NAMES, ScanSpec, reports_to_jsonl, run_claims
+
     spec = ScanSpec(
         d_list=_parse_d_spec(cfg.args.D),
         trace_bound=cfg.args.trace_bound,

@@ -116,13 +116,17 @@ def candidate_roots(gamma: QuadInt) -> list[QuadInt]:
     """All canonical beta != 0 with beta^2 <= gamma in both real embeddings.
 
     These are the only possible terms of any decomposition of gamma; the
-    list is returned in the descending order the search consumes.
+    list is returned in the descending order the search consumes.  Raises
+    BudgetExceeded when finding them is more work than the default node
+    budget.
     """
     if not gamma.is_totally_nonnegative():
         raise NotTotallyNonneg(f"{gamma} has a negative embedding")
     ctx = gamma.ctx
     big_a, big_b = gamma.half_coords
-    raw = _pysearch.generate_candidates(ctx.D, ctx.kappa == 1, big_a, big_b)
+    raw = _pysearch.generate_candidates(
+        ctx.D, ctx.kappa == 1, big_a, big_b, DEFAULT_NODE_BUDGET
+    )
     return [ctx.from_half_pair(a, b) for a, b, _, _ in raw]
 
 
@@ -143,10 +147,13 @@ def _search(
     depth_cap = big_a // 2
     if max_terms is not None:
         depth_cap = min(depth_cap, max(max_terms, 0))
-    if _pysearch.candidate_work_bound(ctx.D, big_a) > node_budget:
-        # Candidate generation alone would outrun the budget.
+    try:
+        cands = _pysearch.generate_candidates(
+            ctx.D, ctx.kappa == 1, big_a, big_b, node_budget
+        )
+    except BudgetExceeded:
+        # Candidate generation alone outran the budget.
         return SearchVerdict(VerdictKind.BUDGET_EXCEEDED, None, 0)
-    cands = _pysearch.generate_candidates(ctx.D, ctx.kappa == 1, big_a, big_b)
     status, nodes, raw_terms = _pysearch.run_search(
         ctx.D, big_a, big_b, cands, depth_cap, node_budget, shortest
     )

@@ -14,14 +14,17 @@ floating point is used anywhere.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 from math import isqrt
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from ._record import Record
 from .errors import ContextMismatch, NotSquarefree, TooSmall
 
-Rational = Union[int, Fraction]
+if TYPE_CHECKING:
+    # Annotations only: fractions imports decimal, which no caller needs.
+    from fractions import Fraction
+
+    Rational = Union[int, Fraction]
 
 
 class DyadicClass(enum.Enum):

@@ -393,6 +393,21 @@ def test_usage_error_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv,verdict,nodes",
+    [
+        # The refutation needs 8 units of candidate scan, then 2 nodes.
+        (["check", "--D", "6", "--elem", "6+2sqrt6"], "not_sum_of_squares", 2),
+        # Level 0 exhausts in 2 nodes; level 1 scans 23 units and hits in 4.
+        (["sint", "--D", "6", "--elem", "6+2sqrt6", "--m", "2"], "representable", 6),
+    ],
+)
+def test_small_budget_covers_the_candidate_work_actually_done(capsys, argv, verdict, nodes):
+    code, out = run_cli(capsys, *argv, "--node-budget", "35", "--format", "json")
+    record = json.loads(out)
+    assert (code, record["verdict"], record["nodes"]) == (0, verdict, nodes)
+
+
 def test_budget_exhaustion_exits_3(capsys):
     code, out = run_cli(
         capsys, "decompose", "--D", "13", "--elem", "20+2w", "--node-budget", "2"

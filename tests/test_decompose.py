@@ -1,5 +1,7 @@
 """The exhaustive sum-of-squares oracle: decompositions, refutations, lengths."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -161,6 +163,17 @@ def test_budget_verdict(ctx2):
         is_sum_of_squares(big, node_budget=3)
 
 
+@pytest.mark.parametrize("n", [10**20, 10**80])
+def test_candidate_scan_of_a_huge_target_stops_at_once(ctx2, n):
+    # About sqrt(n) rows of candidates; the scan charges each row before it
+    # runs, so a budget of 10 stops it after a handful.  At 10**80 a row
+    # holds more roots than sys.maxsize.
+    start = time.perf_counter()
+    v = decompose_sos(ctx2.from_int(n), node_budget=10)
+    assert (v.kind, v.nodes) == (VerdictKind.BUDGET_EXCEEDED, 0)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_budget_message_does_not_overstate_the_nodes():
     # The candidate-work guard stops before any node is searched.
     with pytest.raises(BudgetExceeded) as exc:
@@ -196,7 +209,7 @@ def test_odd_coefficient_is_refuted_at_the_root(d):
         # Neither independent engine has the rule, and both agree.
         assert not lengths.is_sum_of_squares(alpha), str(alpha)
         big_a, big_b = alpha.half_coords
-        cands = _pysearch.generate_candidates(ctx.D, False, big_a, big_b)
+        cands = _pysearch.generate_candidates(ctx.D, False, big_a, big_b, 10**7)
         status, _, _ = _pysearch.run_search(ctx.D, big_a, big_b, cands, big_a // 2, 10**7)
         assert status == _pysearch.STATUS_EXHAUSTED, str(alpha)
 
@@ -253,7 +266,7 @@ def test_verdict_kind_ignores_candidate_order(alpha, data):
     """FOUND/EXHAUSTED_NONE is a property of the element, not the list order."""
     ctx = alpha.ctx
     big_a, big_b = alpha.half_coords
-    cands = _pysearch.generate_candidates(ctx.D, ctx.kappa == 1, big_a, big_b)
+    cands = _pysearch.generate_candidates(ctx.D, ctx.kappa == 1, big_a, big_b, 10**6)
     shuffled = data.draw(st.permutations(cands))
     base_status, _, _ = _pysearch.run_search(
         ctx.D, big_a, big_b, cands, big_a // 2, 10**6
@@ -369,7 +382,7 @@ def test_capped_search_matches_the_sweep(kernel_box, k):
 def test_shortest_length_ignores_candidate_order(alpha, data):
     ctx = alpha.ctx
     big_a, big_b = alpha.half_coords
-    cands = _pysearch.generate_candidates(ctx.D, ctx.kappa == 1, big_a, big_b)
+    cands = _pysearch.generate_candidates(ctx.D, ctx.kappa == 1, big_a, big_b, 10**6)
     shuffled = data.draw(st.permutations(cands))
     runs = [
         _pysearch.run_search(ctx.D, big_a, big_b, order, big_a // 2, 10**6, True)
@@ -390,7 +403,7 @@ def test_budget_after_a_hit_claims_no_length(kernel_box):
     for alpha, length in overshooting[::5]:
         big_a, big_b = alpha.half_coords
         ctx = alpha.ctx
-        cands = _pysearch.generate_candidates(ctx.D, ctx.kappa == 1, big_a, big_b)
+        cands = _pysearch.generate_candidates(ctx.D, ctx.kappa == 1, big_a, big_b, 10**6)
         full = _pysearch.run_search(ctx.D, big_a, big_b, cands, big_a // 2, 10**6, True)
         first_hit = decompose_sos(alpha).nodes
         # Every budget from the first hit up to the last node stops between

@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -230,6 +231,17 @@ def test_real_sign_exact_cases():
     assert real_sign(ctx, -1, 1) > 0
     assert real_sign(ctx, 5, 0) > 0
     assert real_sign(ctx, 0, -4) < 0
+
+
+def test_real_sign_accepts_fractions():
+    ctx = RingContext(2)
+    # Convergents of sqrt2 on either side of it: 7/5 < sqrt2 < 17/12.
+    assert real_sign(ctx, Fraction(7, 5), -1) < 0
+    assert real_sign(ctx, Fraction(17, 12), Fraction(-1)) > 0
+    assert real_sign(ctx, Fraction(-17, 12), 1) < 0
+    assert real_sign(ctx, Fraction(1, 3), Fraction(1, 7)) > 0
+    assert real_sign(ctx, 0, Fraction(-1, 9)) < 0
+    assert real_sign(ctx, Fraction(0), Fraction(0)) == 0
 
 
 @given(SQUAREFREE_DS, SMALL_COORDS, SMALL_COORDS)

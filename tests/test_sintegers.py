@@ -25,7 +25,6 @@ from soslab import (
     s_obstruction,
     scan_totally_positive,
 )
-from soslab import _pysearch
 from soslab.decompose import SearchVerdict, VerdictKind
 from soslab.quadfield import square_factor
 from soslab.sintegers import PYTHAGORAS_CAP, ObstructionCert
@@ -231,12 +230,15 @@ def test_node_budget_bounds_the_whole_ladder(ctx6, monkeypatch):
     assert budgets == [1000, 1000 - spent[0]]
     assert verdict.nodes == sum(spent)
 
-    # Candidate generation at level 1 needs a budget of `guard`; level 0
-    # has already spent some of it, so the ladder stops there.
-    guard = _pysearch.candidate_work_bound(6, (xi.numerator * 4).trace)
-    verdict = s_is_sum_of_squares(xi, node_budget=guard)
+    # Level 1's candidate scan of 24 + 8 sqrt6 costs 23 units (9 rows, 14
+    # roots tried): one unit less than that after level 0 stops the ladder
+    # there, and exactly that much lets its 4-node hit through.
+    verdict = s_is_sum_of_squares(xi, node_budget=spent[0] + 22)
     assert verdict.kind is SKind.UNKNOWN
     assert verdict.gave_up_at_j == 1
+    verdict = s_is_sum_of_squares(xi, node_budget=spent[0] + 23)
+    assert verdict.kind is SKind.REPRESENTABLE
+    assert verdict.nodes == spent[0] + 4
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 13])
