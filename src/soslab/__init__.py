@@ -31,7 +31,6 @@ _EXPORTS = {
             "small_multiplier_obstructed",
         ),
         "decompose": (
-            "DEFAULT_NODE_BUDGET",
             "Decomposition",
             "SearchVerdict",
             "VerdictKind",
@@ -46,6 +45,7 @@ _EXPORTS = {
             "BasisMismatch",
             "BudgetExceeded",
             "ContextMismatch",
+            "DEFAULT_NODE_BUDGET",
             "NotOdd",
             "NotRamified",
             "NotSquarefree",

@@ -23,14 +23,8 @@ import sys
 import time
 from typing import TYPE_CHECKING, TextIO
 
-from .decompose import (
-    DEFAULT_NODE_BUDGET,
-    SearchVerdict,
-    VerdictKind,
-    decompose_sos,
-    shortest_decomposition,
-)
 from .errors import (
+    DEFAULT_NODE_BUDGET,
     BasisMismatch,
     BudgetExceeded,
     ParseError,
@@ -39,11 +33,12 @@ from .errors import (
 from .quadfield import QuadInt, RingContext, square_factor
 
 if TYPE_CHECKING:
+    from .decompose import SearchVerdict
     from .sintegers import SElement
 
-# Each handler imports the modules that only it calls: interpreter start
-# and import are most of the time of a single `check` or `decompose`, so
-# loading `verify` or `sweep` for it would cost more than its search.
+# Each handler imports the modules that only it calls (`peters` and
+# `witness` not even `decompose`): interpreter start and import are most of
+# the time of a single call, more than a `check` spends in its search.
 
 # -- element grammar -----------------------------------------------------------
 
@@ -228,6 +223,8 @@ def _search_record(
     cfg: CliConfig, alpha: QuadInt, verdict: SearchVerdict, elapsed_ms: int
 ) -> tuple[dict, int]:
     """The JSON record of one check/decompose verdict, and its exit code."""
+    from .decompose import VerdictKind
+
     decomposition = verdict.decomposition
     if decomposition is not None:
         if cfg.command == "check":
@@ -250,6 +247,8 @@ def _no_verdict(cfg: CliConfig, alpha: QuadInt) -> str:
 
 
 def cmd_decompose(cfg: CliConfig) -> int:
+    from .decompose import VerdictKind, decompose_sos, shortest_decomposition
+
     ctx = RingContext(cfg.args.D)
     alpha = parse_element(ctx, cfg.args.elem)
     shortest = cfg.args.shortest
@@ -287,6 +286,7 @@ def cmd_decompose(cfg: CliConfig) -> int:
 
 
 def cmd_check(cfg: CliConfig) -> int:
+    from .decompose import decompose_sos
     from .residues import is_square_mod_two
 
     ctx = RingContext(cfg.args.D)

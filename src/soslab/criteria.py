@@ -8,14 +8,13 @@ five squares), and it only speaks to elements whose sqrt(D)-coefficient is
 even -- an odd coefficient already fails the mod-2*O square test, so such
 elements are not sums of squares at all.
 
-Interval membership is decided exactly: "n is in [(c - sqrt(R))/s,
-(c + sqrt(R))/s]" is the integer inequality (s*n - c)^2 <= R.  The
-admissible integers are read off in closed form as a `range`, so deciding
-a hit costs the same for an element of any norm; `peters_guaranteed` is
-the norm bound above which the interval always holds one.
-`first_even_multiple_miss` decides the test for every even multiple
-k*beta of a list of betas from two integers per beta, their center
-coordinate and norm, without building k*beta.
+The interval's scale, center, radicand and parity are written once, in
+`_interval`, and every test here reads them.  "n is in [(c - sqrt(R))/s,
+(c + sqrt(R))/s]" is the integer inequality (s*n - c)^2 <= R, and the
+admissible n are read off in closed form as a `range`, so a hit costs the
+same at any norm; `peters_guaranteed` is the radicand bound above which
+there always is one.  `multiple_misses` decides the test for the
+multiples k*beta of many betas, from three integers per beta.
 
 The witness constructions pick concrete elements that certify negative
 results: the doubling witness k + sqrt(D) (minimal k making it totally
@@ -28,6 +27,7 @@ which obstructs sums of squares in S-integer rings with odd denominators.
 from __future__ import annotations
 
 from math import isqrt
+from typing import Iterator
 
 from ._record import Record
 from .errors import NotOdd, NotRamified, NotTotallyPositive
@@ -58,10 +58,7 @@ class PetersInterval(Record):
         self._set("parity_required", parity_required)
 
     def contains(self, n: int) -> bool:
-        if self.parity_required is not None and n % 2 != self.parity_required:
-            return False
-        t = self.scale * n - self.center
-        return t * t <= self.radicand
+        return n in self.admissible
 
     @property
     def admissible(self) -> range:
@@ -81,6 +78,24 @@ def _admissible_points(scale: int, center: int, radicand: int, parity: int | Non
     return range(lo + (lo - parity) % 2, hi + 1, 2)
 
 
+def _interval(alpha: QuadInt) -> tuple[int, int, int, int | None] | None:
+    """(scale, center, radicand, parity) of alpha's interval test, or None
+    where the test does not apply (D = 2, 3 mod 4 with odd
+    sqrt(D)-coefficient).  Requires alpha totally positive."""
+    if not alpha.is_totally_positive():
+        raise NotTotallyPositive(f"{alpha} is not totally positive")
+    ctx = alpha.ctx
+    if ctx.kappa == 1:
+        # alpha = a0 + a1*w: integer n with n = a1 (mod 2) in
+        # [(2*a0 + a1 - 2*sqrt(N))/D, (2*a0 + a1 + 2*sqrt(N))/D].
+        return ctx.D, alpha.trace, 4 * alpha.norm, alpha.v % 2
+    if alpha.v % 2:
+        return None
+    # alpha = a0 + 2*a1*sqrt(D): integer n in
+    # [(a0 - sqrt(N))/(2D), (a0 + sqrt(N))/(2D)].
+    return 2 * ctx.D, alpha.u, alpha.norm, None
+
+
 def peters_interval(alpha: QuadInt) -> PetersInterval | None:
     """The interval whose integer points certify "sum of five squares".
 
@@ -88,84 +103,61 @@ def peters_interval(alpha: QuadInt) -> PetersInterval | None:
     sqrt(D)-coefficient), where alpha is not a sum of squares anyway.
     Requires alpha totally positive.
     """
-    if not alpha.is_totally_positive():
-        raise NotTotallyPositive(f"{alpha} is not totally positive")
-    ctx = alpha.ctx
-    if ctx.kappa == 1:
-        # alpha = a0 + a1*w: integer n with n = a1 (mod 2) in
-        # [(2*a0 + a1 - 2*sqrt(N))/D, (2*a0 + a1 + 2*sqrt(N))/D].
-        scale, center = ctx.D, alpha.trace
-        radicand = 4 * alpha.norm
-        parity = alpha.v % 2
-    else:
-        if alpha.v % 2:
-            return None
-        # alpha = a0 + 2*a1*sqrt(D): integer n in
-        # [(a0 - sqrt(N))/(2D), (a0 + sqrt(N))/(2D)].
-        scale, center = 2 * ctx.D, alpha.u
-        radicand = alpha.norm
-        parity = None
-    return PetersInterval(scale, center, radicand, parity)
+    shape = _interval(alpha)
+    return None if shape is None else PetersInterval(*shape)
 
 
 def peters_five_squares(alpha: QuadInt) -> bool:
     """Interval test for "alpha is a sum of five squares in O"."""
-    interval = peters_interval(alpha)
-    return interval is not None and bool(interval.admissible)
+    shape = _interval(alpha)
+    return shape is not None and bool(_admissible_points(*shape))
 
 
 def peters_guaranteed(alpha: QuadInt) -> bool:
-    """Whether the norm of alpha alone guarantees an interval hit.
+    """Whether the norm of alpha alone guarantees an interval hit: the test
+    applies and its radicand is at least D^2.
 
-    The admissible n fill |scale*n - center| <= isqrt(radicand), a closed
-    interval of length 2*isqrt(radicand)/scale.  For D = 1 (mod 4) that is
-    2*isqrt(4N)/D with parity step 2, which holds a point of each parity
-    once isqrt(4N) >= D, i.e. 4*N(alpha) >= D^2.  Otherwise it is
-    isqrt(N)/D with no parity, which holds a point once N(alpha) >= D^2,
-    provided the interval applies at all (even sqrt(D)-coefficient).
-    Requires alpha totally positive.
+    The admissible n fill |scale*n - center| <= r = isqrt(radicand), a real
+    interval of length 2*r/scale, and r >= D exactly when radicand >= D^2.
+    For D = 1 (mod 4) the scale is D, so the length is then at least 2 and
+    holds an n of the required parity; here that reads 4*N(alpha) >= D^2.
+    Otherwise the scale is 2D with no parity, so the length is at least 1
+    and holds an integer; that reads N(alpha) >= D^2, with an even
+    sqrt(D)-coefficient.  Requires alpha totally positive.
     """
-    if not alpha.is_totally_positive():
-        raise NotTotallyPositive(f"{alpha} is not totally positive")
-    ctx = alpha.ctx
-    if ctx.kappa == 1:
-        return 4 * alpha.norm >= ctx.D * ctx.D
-    return alpha.v % 2 == 0 and alpha.norm >= ctx.D * ctx.D
+    shape = _interval(alpha)
+    return shape is not None and shape[2] >= alpha.ctx.D * alpha.ctx.D
 
 
-def multiple_keys(beta: QuadInt) -> tuple[int, int]:
-    """The two integers of beta that decide the interval test of every even
-    multiple k*beta (`first_even_multiple_miss`): the interval's center
-    coordinate (the trace when D = 1 mod 4, u otherwise) and the norm."""
-    return (beta.trace if beta.ctx.kappa == 1 else beta.u), beta.norm
+def multiple_keys(beta: QuadInt) -> tuple[int, int, int]:
+    """What `multiple_misses` reads of beta: its trace, the parity of its
+    second coordinate, and its norm."""
+    return beta.trace, beta.v % 2, beta.norm
 
 
-def first_even_multiple_miss(
-    ctx: RingContext, keys: list[tuple[int, int]], k: int
-) -> int | None:
-    """Index of the first beta, given by its `multiple_keys`, whose multiple
-    k*beta the interval test rejects, or None when the test accepts them all.
+def multiple_misses(
+    ctx: RingContext, keys: list[tuple[int, int, int]], k: int
+) -> Iterator[int]:
+    """The index, in order, of every beta, given by its `multiple_keys`,
+    whose multiple k*beta (k >= 1) the interval test rejects.
 
-    For even k >= 2 and totally positive beta, k*beta has an even
-    sqrt(D)-coefficient, so the interval always applies: for D = 1 (mod 4)
-    scale D, center k*tr(beta), radicand 4*k^2*N(beta) and even n;
-    otherwise scale 2D, center k*u, radicand k^2*N(beta).  A beta whose
-    radicand reaches D^2 meets `peters_guaranteed`'s bound and is skipped.
+    k*beta's interval has center c*tr(beta)/2 and radicand r*N(beta), c and
+    r being those of the integer k; whether it applies, and its parity,
+    follow k*v, so they are those of k (v even) or of k times the doubling
+    witness, whose v is 1 (v odd).  `_interval` is read on those two
+    elements once per k, and no k*beta is built.
     """
-    if k < 2 or k % 2:
-        raise ValueError(f"multiplier must be even and >= 2, got {k}")
-    if ctx.kappa == 1:
-        scale, factor, parity = ctx.D, 4 * k * k, 0
-    else:
-        scale, factor, parity = 2 * ctx.D, k * k, None
-    # radicand = factor*N >= D^2 exactly when N >= ceil(D^2 / factor).
-    guaranteed = -(-ctx.D * ctx.D // factor)
-    for i, (center, norm) in enumerate(keys):
-        if norm < guaranteed and not _admissible_points(
-            scale, k * center, factor * norm, parity
+    if k < 1:
+        raise ValueError(f"multiplier must be >= 1, got {k}")
+    unit = _interval(ctx.from_int(k))
+    by_v_parity = (unit, _interval(k * doubling_witness(ctx)))
+    scale, center, radicand, _ = unit
+    for i, (trace, v_parity, norm) in enumerate(keys):
+        shape = by_v_parity[v_parity]
+        if shape is None or not _admissible_points(
+            scale, center * trace // 2, radicand * norm, shape[3]
         ):
-            return i
-    return None
+            yield i
 
 
 def doubling_witness(ctx: RingContext) -> QuadInt:

@@ -30,14 +30,12 @@ import enum
 
 from . import _pysearch
 from ._record import Record
-from .errors import BudgetExceeded, NotTotallyNonneg
+from .errors import DEFAULT_NODE_BUDGET, BudgetExceeded, NotTotallyNonneg
 from .quadfield import QuadInt
 
 # No compiled kernel exists; perfbench still reads this attribute to report
 # which kernel ran.
 _compiled = None
-
-DEFAULT_NODE_BUDGET = 10**8
 
 
 class VerdictKind(enum.Enum):

@@ -52,6 +52,11 @@ class WrongField(SoslabError):
     """Verification claim is specific to other discriminants."""
 
 
+# Search nodes a verdict may cost unless the caller says otherwise; kept
+# here so that the CLI's parser reads it without importing the search.
+DEFAULT_NODE_BUDGET = 10**8
+
+
 class BudgetExceeded(SoslabError):
     """Search node budget ran out before a definite verdict was reached."""
 

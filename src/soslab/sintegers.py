@@ -119,7 +119,8 @@ class SVerdict(Record):
 
     Representable carries numerators of the representing squares (each to
     be read over denominator m^j_used) and is re-verified on construction;
-    Obstructed carries a certificate; Unknown records the level where the
+    Obstructed carries the element's own certificate (one of another
+    element proves nothing here); Unknown records the level where the
     node budget ran out.
     """
 
@@ -163,8 +164,8 @@ class SVerdict(Record):
             if total != self.element.numerator * scale:
                 raise ValueError("S-integer decomposition does not verify")
         elif self.kind is SKind.OBSTRUCTED:
-            if self.certificate is None or not self.certificate.is_valid():
-                raise ValueError("an obstructed verdict needs a valid certificate")
+            if self.certificate is None or self.certificate != s_obstruction(self.element):
+                raise ValueError("an obstructed verdict needs the element's own certificate")
 
 
 def s_element(gamma: QuadInt, j: int, m: int) -> SElement:

@@ -11,8 +11,9 @@ reads representability or shortest lengths shares (the odd multiple
 witnesses of `thresholds` are refuted from it too) and which it drops
 before the next ring's; it times each claim, and returns the reports
 claims outer, D inner.  The doubling and small-multiplier witness
-refutations run the search oracle; `stable-multiplier` decides the
-interval test in integers from each beta's trace and norm.  Reports
+refutations run the search oracle; `thresholds` and `stable-multiplier`
+decide the interval test of each multiple k*beta in integers, from
+beta's `multiple_keys`, without building k*beta.  Reports
 serialize to JSONL with a schema header; serialization is canonical
 (sorted keys, no timestamps), so a rerun with the same parameters
 produces byte-identical output.
@@ -27,15 +28,17 @@ from __future__ import annotations
 
 import json
 import time
+from bisect import bisect_right
 from math import isqrt
+from operator import attrgetter
 from typing import Iterator, NamedTuple
 
 from ._record import Record
 from .criteria import (
     doubling_witness,
-    first_even_multiple_miss,
     large_multiplier_guaranteed,
     multiple_keys,
+    multiple_misses,
     odd_multiple_witness,
     peters_five_squares,
     small_multiplier_obstructed,
@@ -314,6 +317,7 @@ def verify_multiplier_thresholds(ctx: RingContext, spec: ScanSpec, lengths: Swee
     witnesses: list[str] = []
     cases: list[dict] = []
     betas = list(scan_totally_positive(ctx, spec.trace_bound))
+    keys = [multiple_keys(beta) for beta in betas]
     for m in range(lo, hi + 1):
         case: dict = {"m": m}
         if small_multiplier_obstructed(ctx, m):
@@ -322,20 +326,18 @@ def verify_multiplier_thresholds(ctx: RingContext, spec: ScanSpec, lengths: Swee
             case["small_multiplier_refuted"] = nodes is not None
         if large_multiplier_guaranteed(ctx, m):
             scale = ctx.kappa * m
-            confirmed = 0
-            for beta in betas:
-                target = scale * beta
-                instances += 1
-                if not peters_five_squares(target):
+            missed = set(multiple_misses(ctx, keys, scale))
+            # In trace order, the betas the sweep confirms are a prefix.
+            fits = bisect_right(betas, spec.trace_bound // scale, key=attrgetter("trace"))
+            for i in sorted(missed.union(range(fits))):
+                target = scale * betas[i]
+                if i in missed:
                     failures.append(_failure(target, "interval hit", "empty interval"))
-                if target.trace <= spec.trace_bound:
-                    confirmed += 1
-                    if not lengths.is_sum_of_squares(target):
-                        failures.append(
-                            _failure(target, "sum of squares", "refuted by exhaustion")
-                        )
+                if i < fits and not lengths.is_sum_of_squares(target):
+                    failures.append(_failure(target, "sum of squares", "refuted by exhaustion"))
+            instances += len(betas)
             case["large_multiplier_checked"] = len(betas)
-            case["oracle_confirmed"] = confirmed
+            case["oracle_confirmed"] = fits
         if m % 2 == 1 and ctx.dyadic is DyadicClass.RAMIFIED:
             target = odd_multiple_witness(ctx, m)
             instances += 1
@@ -368,7 +370,7 @@ def estimate_stable_multiplier(ctx: RingContext, spec: ScanSpec, lengths: None) 
     first_bad: dict[int, str] = {}
     instances = 0
     for m in range(1, m_max + 1):
-        miss = first_even_multiple_miss(ctx, keys, 2 * m)
+        miss = next(multiple_misses(ctx, keys, 2 * m), None)
         if miss is None:
             instances += len(betas)
         else:

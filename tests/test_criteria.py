@@ -26,7 +26,7 @@ from soslab import (
     scan_totally_positive,
     small_multiplier_obstructed,
 )
-from soslab.criteria import _admissible_points, first_even_multiple_miss, multiple_keys
+from soslab.criteria import _admissible_points, multiple_keys, multiple_misses
 from soslab.quadfield import square_factor
 
 # ---------------------------------------------------------------------------
@@ -127,31 +127,27 @@ def test_norm_guarantee_refuses_odd_coefficients_and_nonpositive_elements(ctx6):
 
 
 def test_even_multiple_misses_match_the_interval_test():
-    # The integer decision, skip included, against the interval test on
-    # 2*m*beta, over every m that stable-multiplier scans by default.
-    skipped = 0
+    # The integer decision against the interval test on k*beta, over every
+    # k from 1 to past twice what stable-multiplier scans by default: odd k
+    # as well as even, with and without an odd second coordinate.
     for d in range(2, 60):
         if square_factor(d) is not None:
             continue
         ctx = RingContext(d)
         betas = list(scan_totally_positive(ctx, 24))
         keys = [multiple_keys(beta) for beta in betas]
-        for m in range(1, -(-d // 2) + 2):
-            hits = [peters_five_squares(2 * m * beta) for beta in betas]
+        for k in range(1, 2 * -(-d // 2) + 3):
+            hits = [peters_five_squares(k * beta) for beta in betas]
             for beta, key, hit in zip(betas, keys, hits):
-                assert (first_even_multiple_miss(ctx, [key], 2 * m) is None) is hit, (
-                    d, str(beta), m
-                )
-                skipped += peters_guaranteed(2 * m * beta)
-            first = hits.index(False) if False in hits else None
-            assert first_even_multiple_miss(ctx, keys, 2 * m) == first, (d, m)
-    assert skipped > 0
+                assert (not list(multiple_misses(ctx, [key], k))) is hit, (d, str(beta), k)
+            misses = [i for i, hit in enumerate(hits) if not hit]
+            assert list(multiple_misses(ctx, keys, k)) == misses, (d, k)
 
 
-@pytest.mark.parametrize("k", [0, 1, 3, -2])
-def test_even_multiple_misses_need_an_even_multiplier(ctx6, k):
+@pytest.mark.parametrize("k", [0, -2])
+def test_multiple_misses_need_a_positive_multiplier(ctx6, k):
     with pytest.raises(ValueError):
-        first_even_multiple_miss(ctx6, [multiple_keys(ctx6.one)], k)
+        next(multiple_misses(ctx6, [multiple_keys(ctx6.one)], k))
 
 
 def test_huge_interval_is_decided_without_listing_it(ctx5):

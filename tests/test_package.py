@@ -94,8 +94,11 @@ ELEMENT = ["--D", "6", "--elem", "6+2sqrt6"]
     [
         (["check", *ELEMENT], {"criteria", "sintegers", "sweep", "verify"}),
         (["decompose", *ELEMENT, "--shortest"], {"criteria", "sintegers", "sweep", "verify"}),
-        (["peters", *ELEMENT], {"sweep", "verify"}),
-        (["witness", "--D", "6", "--kind", "ramified"], {"sweep", "verify"}),
+        (["peters", *ELEMENT], {"_pysearch", "decompose", "sweep", "verify"}),
+        (
+            ["witness", "--D", "6", "--kind", "ramified"],
+            {"_pysearch", "decompose", "sweep", "verify"},
+        ),
         (["sint", *ELEMENT, "--m", "2"], {"sweep", "verify"}),
         (["scan", "--D", "6", "--trace-bound", "8", "--with-oracle"], set()),
         (["verify", "thm3", "--D", "2..6", "--trace-bound", "8"], set()),

@@ -364,6 +364,17 @@ def test_obstructed_verdict_rejects_an_invalid_certificate(ctx6):
         SVerdict(SKind.OBSTRUCTED, xi, certificate=bogus)
 
 
+def test_obstructed_verdict_rejects_another_elements_certificate(ctx2, ctx5):
+    cert = s_obstruction(s_element(ctx2.element(2, 1), 0, 3))
+    assert cert is not None and cert.is_valid()
+    # 3 = 1 + 1 + 1 and the modulus is even, so nothing obstructs this.
+    with pytest.raises(ValueError):
+        SVerdict(SKind.OBSTRUCTED, s_element(ctx2.from_int(3), 0, 2), certificate=cert)
+    # Nor does a certificate of D = 2 speak for an element of D = 5.
+    with pytest.raises(ValueError):
+        SVerdict(SKind.OBSTRUCTED, s_element(ctx5.element(2, 1), 0, 3), certificate=cert)
+
+
 def test_representable_verdict_needs_terms_and_a_level(ctx6):
     xi = s_element(ctx6.from_int(2), 1, 2)  # 2/4, already canonical
     ones = (ctx6.one, ctx6.one)

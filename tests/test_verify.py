@@ -288,19 +288,29 @@ def test_jsonl_shape_and_reproducibility():
     "argv,expected",
     [
         (
-            ["--D", "2..300", "--trace-bound", "60"],
+            ["m0", "--D", "2..300", "--trace-bound", "60"],
             "8d0cc92a57b44188e2c6c7c5fea25b0c92e918efe434b6fdac89ca9619ce7eb8",
         ),
         (
-            ["--D", "2..200", "--trace-bound", "50", "--m-range", "1..60"],
+            ["m0", "--D", "2..200", "--trace-bound", "50", "--m-range", "1..60"],
             "0c18a910356465ca94d65ff029284696a5379ddfa02698661070801906ceb8c1",
+        ),
+        (
+            # Odd m with D = 1 (mod 4) test odd multiples k*beta.
+            ["thresholds", "--D", "2..60", "--trace-bound", "40", "--m-range", "1..40"],
+            "25c82642cc7000f8f99ebc0ee7b5ba9e4cfb24ca8d61bb9309ed3669c8551805",
+        ),
+        (
+            ["peters", "--D", "2..80", "--trace-bound", "50"],
+            "c8a60bc1d10469e451139ff2685b75bfb1346ade12402d6bab1559dc7dbac5cd",
         ),
     ],
 )
-def test_wide_stable_multiplier_bytes_are_pinned(capsys, argv, expected):
-    # stable-multiplier well beyond the acceptance box, with the default and
-    # an explicit multiplier range.
-    code = cli_main(["verify", "m0", *argv, "--format", "json"])
+def test_wide_claim_bytes_are_pinned(capsys, argv, expected):
+    # Interval-test claims well beyond the acceptance box: stable-multiplier
+    # with the default and an explicit multiplier range, thresholds over
+    # many large multipliers, and the interval test against the sweep.
+    code = cli_main(["verify", *argv, "--format", "json"])
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert code == 0
     assert digest == expected
