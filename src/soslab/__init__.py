@@ -34,7 +34,6 @@ _EXPORTS = {
             "Decomposition",
             "SearchVerdict",
             "VerdictKind",
-            "candidate_roots",
             "decompose_sos",
             "is_sum_of_squares",
             "pythagoras_length",
@@ -49,7 +48,6 @@ _EXPORTS = {
             "NotOdd",
             "NotRamified",
             "NotSquarefree",
-            "NotTotallyNonneg",
             "NotTotallyPositive",
             "ParseError",
             "SoslabError",
@@ -57,7 +55,13 @@ _EXPORTS = {
             "WrongField",
             "ZeroElement",
         ),
-        "quadfield": ("DyadicClass", "QuadInt", "RingContext", "real_sign"),
+        "quadfield": (
+            "DyadicClass",
+            "QuadInt",
+            "RingContext",
+            "real_sign",
+            "scan_totally_positive",
+        ),
         "residues": (
             "Residue2",
             "ValuationClass",
@@ -82,7 +86,6 @@ _EXPORTS = {
             "ScanSpec",
             "reports_to_jsonl",
             "run_claims",
-            "scan_totally_positive",
         ),
     }.items()
     for name in names

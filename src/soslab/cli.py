@@ -30,7 +30,7 @@ from .errors import (
     ParseError,
     SoslabError,
 )
-from .quadfield import QuadInt, RingContext, square_factor
+from .quadfield import QuadInt, RingContext, scan_totally_positive, square_factor
 
 if TYPE_CHECKING:
     from .decompose import SearchVerdict
@@ -251,8 +251,7 @@ def cmd_decompose(cfg: CliConfig) -> int:
 
     ctx = RingContext(cfg.args.D)
     alpha = parse_element(ctx, cfg.args.elem)
-    shortest = cfg.args.shortest
-    max_terms = None if shortest else cfg.args.max_terms
+    shortest, max_terms = cfg.args.shortest, cfg.args.max_terms
     start = time.perf_counter()
     if shortest:
         verdict = shortest_decomposition(alpha, node_budget=cfg.node_budget)
@@ -409,17 +408,15 @@ def cmd_sint(cfg: CliConfig) -> int:
 
 def cmd_scan(cfg: CliConfig) -> int:
     from .residues import is_square_mod_two
-    from .sweep import Sweep
-    from .verify import scan_totally_positive
 
     ctx = RingContext(cfg.args.D)
     if cfg.args.trace_bound < 2:
         raise ValueError("trace bound below 2 scans nothing")
-    sweep = (
-        Sweep(ctx, cfg.args.trace_bound, node_budget=cfg.node_budget)
-        if cfg.args.with_oracle
-        else None
-    )
+    sweep = None
+    if cfg.args.with_oracle:
+        from .sweep import Sweep
+
+        sweep = Sweep(ctx, cfg.args.trace_bound, node_budget=cfg.node_budget)
     if cfg.fmt == "json":
         cfg.emit({"schema": 1}, "")
     for alpha in scan_totally_positive(ctx, cfg.args.trace_bound):
@@ -491,8 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="find an explicit sum-of-squares decomposition")
     common(p)
-    p.add_argument("--max-terms", type=_positive_int, default=None)
-    p.add_argument("--shortest", action="store_true", help="minimize the number of squares")
+    terms = p.add_mutually_exclusive_group()
+    terms.add_argument("--max-terms", type=_positive_int, default=None)
+    terms.add_argument("--shortest", action="store_true", help="minimize the number of squares")
 
     p = sub.add_parser("check", help="decide sum-of-squares representability")
     common(p)

@@ -30,7 +30,7 @@ import enum
 
 from . import _pysearch
 from ._record import Record
-from .errors import DEFAULT_NODE_BUDGET, BudgetExceeded, NotTotallyNonneg
+from .errors import DEFAULT_NODE_BUDGET, BudgetExceeded
 from .quadfield import QuadInt
 
 # No compiled kernel exists; perfbench still reads this attribute to report
@@ -108,24 +108,6 @@ class SearchVerdict(Record):
     @property
     def found(self) -> bool:
         return self.kind is VerdictKind.FOUND
-
-
-def candidate_roots(gamma: QuadInt) -> list[QuadInt]:
-    """All canonical beta != 0 with beta^2 <= gamma in both real embeddings.
-
-    These are the only possible terms of any decomposition of gamma; the
-    list is returned in the descending order the search consumes.  Raises
-    BudgetExceeded when finding them is more work than the default node
-    budget.
-    """
-    if not gamma.is_totally_nonnegative():
-        raise NotTotallyNonneg(f"{gamma} has a negative embedding")
-    ctx = gamma.ctx
-    big_a, big_b = gamma.half_coords
-    raw = _pysearch.generate_candidates(
-        ctx.D, ctx.kappa == 1, big_a, big_b, DEFAULT_NODE_BUDGET
-    )
-    return [ctx.from_half_pair(a, b) for a, b, _, _ in raw]
 
 
 def _search(

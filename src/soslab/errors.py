@@ -28,10 +28,6 @@ class ZeroElement(SoslabError):
     """Operation undefined for the zero element (e.g. a valuation)."""
 
 
-class NotTotallyNonneg(SoslabError):
-    """Element has a negative real embedding where nonnegativity is required."""
-
-
 class NotTotallyPositive(SoslabError):
     """Element is not totally positive where total positivity is required."""
 

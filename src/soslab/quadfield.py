@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from math import isqrt
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Iterator, Union
 
 from ._record import Record
 from .errors import ContextMismatch, NotSquarefree, TooSmall
@@ -337,3 +337,38 @@ class QuadInt(Record):
 
     def __repr__(self) -> str:
         return f"QuadInt(D={self.ctx.D}, u={self.u}, v={self.v})"
+
+
+# -- the box of totally positive elements ---------------------------------------
+
+
+def _box_rows(ctx: RingContext, trace_bound: int) -> Iterator[tuple[int, range]]:
+    """Each trace A <= trace_bound with the B that complete it, ascending,
+    in doubled coordinates: (A + B*sqrt(D))/2 is totally positive exactly
+    when A > 0 and D*B^2 < A^2, and integral exactly when A = B (mod 2),
+    both even unless D = 1 (mod 4).  The one statement of that rule."""
+    step = 1 if ctx.kappa == 1 else 2
+    for big_a in range(step, trace_bound + 1, step):
+        b_max = isqrt((big_a * big_a - 1) // ctx.D)
+        b_max -= (b_max - big_a) % 2
+        yield big_a, range(-b_max, b_max + 1, 2)
+
+
+def scan_totally_positive(ctx: RingContext, trace_bound: int) -> Iterator[QuadInt]:
+    """Every totally positive element with trace <= trace_bound, exactly once,
+    in (trace, a, b) lexicographic order."""
+    for big_a, row in _box_rows(ctx, trace_bound):
+        for big_b in row:
+            yield ctx.from_half_pair(big_a, big_b)
+
+
+def count_totally_positive(ctx: RingContext, trace_bound: int, limit: int) -> int:
+    """How many elements `scan_totally_positive` yields, or, once the count
+    passes `limit`, some number above it: every even trace holds an element,
+    so it reads at most 2*(limit + 1) rows, whatever the trace bound."""
+    total = 0
+    for _, row in _box_rows(ctx, trace_bound):
+        total += len(row)
+        if total > limit:
+            break
+    return total

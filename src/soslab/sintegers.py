@@ -34,7 +34,7 @@ from .decompose import (
 )
 from .errors import BadModulus, NotTotallyPositive
 from .quadfield import DyadicClass, QuadInt, RingContext
-from .residues import Residue2, is_square_mod_two, residue_mod_two, squares_mod_two
+from .residues import Residue2, is_square_mod_two, residue_mod_two
 
 # Any sum of squares in the ring of integers of a real quadratic field is a
 # sum of five (classical, not computed here); denominators of exponent j
@@ -78,34 +78,21 @@ class SElement(Record):
 class ObstructionCert(Record):
     """Why gamma / m^(2j) can never be a sum of squares in O[1/m].
 
-    Valid exactly when all three ingredients hold: m odd, 2 ramified, and
-    the numerator's class mod 2*O not a square.  Then every escalation
-    m^(2k) * gamma stays in the same non-square class, while any sum of
-    squares would have to land in a square class.
+    `s_obstruction` builds one only when m is odd, 2 ramifies, and the
+    numerator's class mod 2*O, `residue`, is not a square.  Then every
+    escalation m^(2k) * gamma stays in that non-square class, while any sum
+    of squares would have to land in a square class.
     """
 
-    __slots__ = ("ctx", "m_odd", "ramified", "residue", "reason")
+    __slots__ = ("ctx", "residue", "reason")
     ctx: RingContext
-    m_odd: bool
-    ramified: bool
     residue: Residue2
     reason: str
 
-    def __init__(
-        self, ctx: RingContext, m_odd: bool, ramified: bool, residue: Residue2, reason: str
-    ) -> None:
+    def __init__(self, ctx: RingContext, residue: Residue2, reason: str) -> None:
         self._set("ctx", ctx)
-        self._set("m_odd", m_odd)
-        self._set("ramified", ramified)
         self._set("residue", residue)
         self._set("reason", reason)
-
-    def is_valid(self) -> bool:
-        return (
-            self.m_odd
-            and self.ramified
-            and self.residue not in squares_mod_two(self.ctx)
-        )
 
 
 class SKind(enum.Enum):
@@ -175,14 +162,11 @@ def s_element(gamma: QuadInt, j: int, m: int) -> SElement:
 def s_obstruction(xi: SElement) -> ObstructionCert | None:
     """Permanent local obstruction certificate, if one exists."""
     ctx = xi.ctx
-    m_odd = xi.m % 2 == 1
-    ramified = ctx.dyadic is DyadicClass.RAMIFIED
     residue = residue_mod_two(xi.numerator)
-    if m_odd and ramified and not is_square_mod_two(xi.numerator):
+    ramified = ctx.dyadic is DyadicClass.RAMIFIED
+    if xi.m % 2 == 1 and ramified and not is_square_mod_two(xi.numerator):
         return ObstructionCert(
             ctx,
-            m_odd,
-            ramified,
             residue,
             reason=(
                 f"m={xi.m} is odd, so denominators are units mod 2*O and "

@@ -24,20 +24,7 @@ from math import isqrt
 
 from .decompose import DEFAULT_NODE_BUDGET, Decomposition
 from .errors import BudgetExceeded, ContextMismatch
-from .quadfield import QuadInt, RingContext
-
-
-def _box_size(ctx: RingContext, trace_bound: int) -> int:
-    """Integral (A, B) with 0 <= A <= trace_bound and D*B^2 <= A^2: the
-    totally nonnegative elements of the box, 0 included."""
-    total = 0
-    for big_a in range(0, trace_bound + 1, 1 if ctx.kappa == 1 else 2):
-        b_max = isqrt(big_a * big_a // ctx.D)
-        if ctx.kappa == 1:  # B = A (mod 2)
-            total += b_max + 1 if (b_max - big_a) % 2 == 0 else b_max
-        else:  # B even
-            total += 2 * (b_max // 2) + 1
-    return total
+from .quadfield import QuadInt, RingContext, count_totally_positive
 
 
 def _roots(ctx: RingContext, trace_bound: int) -> list[tuple[int, int, int, int]]:
@@ -63,10 +50,10 @@ def _roots(ctx: RingContext, trace_bound: int) -> list[tuple[int, int, int, int]
 class Sweep:
     """Shortest sum-of-squares lengths of every element of trace <= trace_bound.
 
-    Construction does all the work.  Before it starts, the work bound (box
-    size times the number of squares) is checked against `node_budget`,
-    and BudgetExceeded, with 0 nodes searched and naming D and the trace
-    bound, is raised above it.
+    Construction does all the work.  Before it starts, the work bound (the
+    box's elements, 0 included, times the number of squares) is checked
+    against `node_budget`, and BudgetExceeded, with 0 nodes searched and
+    naming D and the trace bound, is raised above it.
     """
 
     def __init__(
@@ -79,14 +66,14 @@ class Sweep:
         if trace_bound < 0:
             raise ValueError(f"trace bound must be nonnegative, got {trace_bound}")
         # A lower bound on the work, from the rational integers of the box
-        # and the rational squares alone, keeps the counting below bounded.
+        # and the rational squares alone, keeps listing the roots bounded.
         scope = f"the sweep of D={ctx.D} to trace {trace_bound}"
         floor = (trace_bound // 2 + 1) * isqrt(trace_bound // 2)
         if floor > node_budget:
             raise BudgetExceeded(0, node_budget, scope)
         roots = _roots(ctx, trace_bound)
-        work = _box_size(ctx, trace_bound) * len(roots)
-        if work > node_budget:
+        limit = node_budget // max(len(roots), 1)
+        if (count_totally_positive(ctx, trace_bound, limit) + 1) * len(roots) > node_budget:
             raise BudgetExceeded(0, node_budget, scope)
         self.ctx = ctx
         self.trace_bound = trace_bound

@@ -1,22 +1,21 @@
 """Scan harness: finite verifications of the package's headline claims.
 
-Each claim walks an exactly-enumerated stream of totally positive
-elements (ordered by (trace, a, b)), applies a claim-specific check, and
-returns a Report: instances checked, failures (element, expected, got),
-standalone-checkable witnesses, and claim-specific scalars.  Every claim
-is a function `verify_*(ctx, spec, lengths)` of the ring, the `ScanSpec`
-and the ring's `Sweep`, and `run_claims` is the one entry point: it walks
-ring by ring and builds at most one sweep per ring, which every claim that
-reads representability or shortest lengths shares (the odd multiple
-witnesses of `thresholds` are refuted from it too) and which it drops
-before the next ring's; it times each claim, and returns the reports
-claims outer, D inner.  The doubling and small-multiplier witness
-refutations run the search oracle; `thresholds` and `stable-multiplier`
-decide the interval test of each multiple k*beta in integers, from
-beta's `multiple_keys`, without building k*beta.  Reports
-serialize to JSONL with a schema header; serialization is canonical
-(sorted keys, no timestamps), so a rerun with the same parameters
-produces byte-identical output.
+Each claim checks the totally positive elements of trace at most the
+bound, in (trace, a, b) order, and returns a Report: instances checked,
+failures (element, expected, got), standalone-checkable witnesses, and
+claim-specific scalars.  Every claim is a function
+`verify_*(ctx, spec, elements, lengths)` of the ring, the `ScanSpec`, the
+ring's elements and its `Sweep`.  `run_claims` is the one entry point: it
+walks ring by ring, scans each ring at most once and builds at most one
+sweep, each charged to the node budget first, shared by every claim that
+reads it and dropped before the next ring's; it times each claim alone
+and returns the reports claims outer, D inner.  The doubling and
+small-multiplier witnesses are refuted by the search oracle; `thresholds`
+and `stable-multiplier` decide the interval test of each multiple k*beta
+in integers, from beta's `multiple_keys`, after charging one budget unit
+per multiple.  Reports serialize to canonical JSONL (a schema header,
+sorted keys, no timestamps), so a rerun with the same parameters is
+byte-identical.
 
 Failures are the load-bearing part: an empty failure list from an honest
 oracle is the whole point of the harness.  Mismatches in directions that
@@ -29,9 +28,8 @@ from __future__ import annotations
 import json
 import time
 from bisect import bisect_right
-from math import isqrt
 from operator import attrgetter
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from ._record import Record
 from .criteria import (
@@ -44,8 +42,14 @@ from .criteria import (
     small_multiplier_obstructed,
 )
 from .decompose import DEFAULT_NODE_BUDGET, VerdictKind, decompose_sos
-from .errors import WrongField
-from .quadfield import DyadicClass, QuadInt, RingContext
+from .errors import BudgetExceeded, WrongField
+from .quadfield import (
+    DyadicClass,
+    QuadInt,
+    RingContext,
+    count_totally_positive,
+    scan_totally_positive,
+)
 from .residues import is_square_mod_two
 from .sintegers import PYTHAGORAS_CAP
 from .sweep import Sweep
@@ -89,6 +93,8 @@ class ScanSpec(Record):
             raise ValueError("node budget must be positive")
         if workers < 1:
             raise ValueError("workers must be at least 1")
+        if not d_list:
+            raise ValueError("no squarefree D to scan: the D list is empty")
         for d in d_list:
             RingContext(d)  # raises unless squarefree and >= 2
         self._set("d_list", d_list)
@@ -145,29 +151,6 @@ def reports_to_jsonl(reports: list[Report]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def scan_totally_positive(ctx: RingContext, trace_bound: int) -> Iterator[QuadInt]:
-    """Every totally positive element with trace <= trace_bound, exactly once,
-    in (trace, a, b) lexicographic order.
-
-    For fixed trace t = 2a, total positivity is |b| < a/sqrt(D), i.e.
-    D*(2b)^2 < t^2, resolved in integers.
-    """
-    for t in range(1, trace_bound + 1):
-        if ctx.kappa == 1:
-            # v runs over integers of t's parity with D*v^2 < t^2.
-            v_max = isqrt((t * t - 1) // ctx.D)
-            start = -v_max if (v_max - t) % 2 == 0 else -v_max + 1
-            for v in range(start, v_max + 1, 2):
-                yield ctx.element((t - v) // 2, v)
-        else:
-            if t % 2:
-                continue
-            u = t // 2
-            v_max = isqrt((u * u - 1) // ctx.D)
-            for v in range(-v_max, v_max + 1):
-                yield ctx.element(u, v)
-
-
 # -- individual claims --------------------------------------------------------
 
 
@@ -189,15 +172,23 @@ def _refute_by_search(
     return None
 
 
-def verify_doubling(ctx: RingContext, spec: ScanSpec, lengths: Sweep | None) -> Report:
+def _charge(spec: ScanSpec, work: int, scope: str) -> None:
+    """Raises BudgetExceeded for `scope`, before any of its work, when that
+    work is over the node budget."""
+    if work > spec.node_budget:
+        raise BudgetExceeded(0, spec.node_budget, scope)
+
+
+def verify_doubling(
+    ctx: RingContext, spec: ScanSpec, elements: list[QuadInt] | None, lengths: Sweep | None
+) -> Report:
     """Doubled totally positive elements: all sums of squares for D in
-    {2, 3, 5}, read from a sweep up to 2*trace_bound (run_claims passes one
-    exactly there); for other D the doubled witness is refuted by
-    exhaustion."""
+    {2, 3, 5}, read from a sweep up to 2*trace_bound (run_claims passes one,
+    and the elements, exactly there); for other D the doubled witness is
+    refuted by exhaustion."""
     claim_id = f"doubling/D={ctx.D}"
     failures: list[dict] = []
-    if lengths is not None:
-        elements = list(scan_totally_positive(ctx, spec.trace_bound))
+    if lengths is not None and elements is not None:
         failures += [
             _failure(alpha, "2*alpha sum of squares", "refuted")
             for alpha in elements
@@ -213,12 +204,13 @@ def verify_doubling(ctx: RingContext, spec: ScanSpec, lengths: Sweep | None) -> 
     return Report(claim_id, 1, failures, witnesses, details)
 
 
-def verify_scharlau(ctx: RingContext, spec: ScanSpec, lengths: Sweep) -> Report:
+def verify_scharlau(
+    ctx: RingContext, spec: ScanSpec, elements: list[QuadInt], lengths: Sweep
+) -> Report:
     """For D in {2, 3}: totally positive and square mod 2*O implies sum of
     squares (the everywhere-local test is exact in these two rings)."""
     if ctx.D not in (2, 3):
         raise WrongField(f"claim is specific to D in {{2, 3}}, got D={ctx.D}")
-    elements = list(scan_totally_positive(ctx, spec.trace_bound))
     squares = [alpha for alpha in elements if is_square_mod_two(alpha)]
     failures = [
         _failure(alpha, "sum of squares", "refuted")
@@ -228,12 +220,13 @@ def verify_scharlau(ctx: RingContext, spec: ScanSpec, lengths: Sweep) -> Report:
     return Report(f"scharlau/D={ctx.D}", len(squares), failures, [], {"scanned": len(elements)})
 
 
-def verify_maass_three_squares(ctx: RingContext, spec: ScanSpec, lengths: Sweep) -> Report:
+def verify_maass_three_squares(
+    ctx: RingContext, spec: ScanSpec, elements: list[QuadInt], lengths: Sweep
+) -> Report:
     """For D = 5: every totally positive element is a sum of three squares."""
     if ctx.D != 5:
         raise WrongField(f"claim is specific to D = 5, got D={ctx.D}")
-    scanned = scan_totally_positive(ctx, spec.trace_bound)
-    rows = [(alpha, lengths.length(alpha)) for alpha in scanned]
+    rows = [(alpha, lengths.length(alpha)) for alpha in elements]
     failures = [
         _failure(alpha, "length <= 3", "not a sum of squares" if n is None else f"length {n}")
         for alpha, n in rows
@@ -243,12 +236,13 @@ def verify_maass_three_squares(ctx: RingContext, spec: ScanSpec, lengths: Sweep)
     return Report("maass/D=5", len(rows), failures, [], {"max_length": max(found, default=0)})
 
 
-def verify_pythagoras(ctx: RingContext, spec: ScanSpec, lengths: Sweep) -> Report:
+def verify_pythagoras(
+    ctx: RingContext, spec: ScanSpec, elements: list[QuadInt], lengths: Sweep
+) -> Report:
     """Shortest representations never need more than five squares; for
     D in {2, 3, 5} never more than three, and three really occurs."""
     cap = 3 if ctx.D in (2, 3, 5) else 5
-    scanned = scan_totally_positive(ctx, spec.trace_bound)
-    rows = [(alpha, lengths.length(alpha)) for alpha in scanned]
+    rows = [(alpha, lengths.length(alpha)) for alpha in elements]
     found = [n for _, n in rows if n is not None]
     failures = [
         _failure(alpha, f"length <= {cap}", f"length {n}")
@@ -269,7 +263,9 @@ def verify_pythagoras(ctx: RingContext, spec: ScanSpec, lengths: Sweep) -> Repor
     return Report(f"pythagoras/D={ctx.D}", len(rows), failures, [], details)
 
 
-def verify_peters_equivalence(ctx: RingContext, spec: ScanSpec, lengths: Sweep) -> Report:
+def verify_peters_equivalence(
+    ctx: RingContext, spec: ScanSpec, elements: list[QuadInt], lengths: Sweep
+) -> Report:
     """Interval test vs. the sweep on every scanned totally positive element.
 
     A hit that the sweep refutes breaks the criterion's stated
@@ -278,7 +274,6 @@ def verify_peters_equivalence(ctx: RingContext, spec: ScanSpec, lengths: Sweep) 
     (D = 1 mod 4); for D = 2, 3 (mod 4) it would be a new phenomenon, so it
     is recorded under details["findings"] instead.
     """
-    elements = list(scan_totally_positive(ctx, spec.trace_bound))
     failures = []
     findings = []
     for alpha in elements:
@@ -296,7 +291,9 @@ def verify_peters_equivalence(ctx: RingContext, spec: ScanSpec, lengths: Sweep) 
     return Report(f"peters-oracle/D={ctx.D}", len(elements), failures, [], {"findings": findings})
 
 
-def verify_multiplier_thresholds(ctx: RingContext, spec: ScanSpec, lengths: Sweep) -> Report:
+def verify_multiplier_thresholds(
+    ctx: RingContext, spec: ScanSpec, betas: list[QuadInt], lengths: Sweep
+) -> Report:
     """Multiplier thresholds, for each m in the spec's m_range (by default
     1 up to max(4, ceil(D/2))).
 
@@ -312,11 +309,12 @@ def verify_multiplier_thresholds(ctx: RingContext, spec: ScanSpec, lengths: Swee
     therefore follows trace_bound.
     """
     lo, hi = spec.m_range or (1, max(4, -(-ctx.D // 2)))
+    claim_id = f"thresholds/D={ctx.D}/m={lo}..{hi}"
+    _charge(spec, (hi - lo + 1) * len(betas), f"the multiples of {claim_id}")
     instances = 0
     failures: list[dict] = []
     witnesses: list[str] = []
     cases: list[dict] = []
-    betas = list(scan_totally_positive(ctx, spec.trace_bound))
     keys = [multiple_keys(beta) for beta in betas]
     for m in range(lo, hi + 1):
         case: dict = {"m": m}
@@ -352,10 +350,12 @@ def verify_multiplier_thresholds(ctx: RingContext, spec: ScanSpec, lengths: Swee
                     failures.append(_failure(target, "refuted by exhaustion", "sum of squares"))
         cases.append(case)
     details = {"m_range": [lo, hi], "cases": cases, "pythagoras_cap": PYTHAGORAS_CAP}
-    return Report(f"thresholds/D={ctx.D}/m={lo}..{hi}", instances, failures, witnesses, details)
+    return Report(claim_id, instances, failures, witnesses, details)
 
 
-def estimate_stable_multiplier(ctx: RingContext, spec: ScanSpec, lengths: None) -> Report:
+def estimate_stable_multiplier(
+    ctx: RingContext, spec: ScanSpec, betas: list[QuadInt], lengths: None
+) -> Report:
     """Smallest m* such that the interval test accepts 2*m*beta for every
     scanned totally positive beta and every m in [m*, m_max], where m_max
     is the top of the spec's m_range (by default ceil(D/2) + 1).
@@ -365,7 +365,8 @@ def estimate_stable_multiplier(ctx: RingContext, spec: ScanSpec, lengths: None) 
     multiplier below m* that still fails, with a failing element.
     """
     m_max = spec.m_range[1] if spec.m_range else -(-ctx.D // 2) + 1
-    betas = list(scan_totally_positive(ctx, spec.trace_bound))
+    claim_id = f"stable-multiplier/D={ctx.D}/m_max={m_max}"
+    _charge(spec, m_max * len(betas), f"the multiples of {claim_id}")
     keys = [multiple_keys(beta) for beta in betas]
     first_bad: dict[int, str] = {}
     instances = 0
@@ -392,13 +393,14 @@ def estimate_stable_multiplier(ctx: RingContext, spec: ScanSpec, lengths: None) 
             else None
         ),
     }
-    return Report(f"stable-multiplier/D={ctx.D}/m_max={m_max}", instances, [], [], details)
+    return Report(claim_id, instances, [], [], details)
 
 
-def verify_local_necessity(ctx: RingContext, spec: ScanSpec, lengths: Sweep) -> Report:
+def verify_local_necessity(
+    ctx: RingContext, spec: ScanSpec, elements: list[QuadInt], lengths: Sweep
+) -> Report:
     """Every scanned sum of squares is a square mod 2*O (the local test is
     necessary; its failure is a genuine obstruction)."""
-    elements = list(scan_totally_positive(ctx, spec.trace_bound))
     sums = [alpha for alpha in elements if lengths.is_sum_of_squares(alpha)]
     failures = [
         _failure(alpha, "square mod 2*O", "non-square class")
@@ -427,22 +429,23 @@ class _Claim(NamedTuple):
     # tracer does) see every call.
     function: str
     # The D the claim applies to, and the D on which it reads the ring's
-    # sweep; None is every D.
+    # sweep and the ring's scanned elements; None is every D.
     rings: tuple[int, ...] | None
     reads_sweep: tuple[int, ...] | None
+    reads_elements: tuple[int, ...] | None
 
 
 # In report order: run_claims walks D outer, but its reports, and so the
 # JSONL output, keep the order claims outer, D inner.
 _CLAIMS: dict[str, _Claim] = {
-    "doubling": _Claim("verify_doubling", None, (2, 3, 5)),
-    "scharlau": _Claim("verify_scharlau", (2, 3), None),
-    "maass": _Claim("verify_maass_three_squares", (5,), None),
-    "pythagoras": _Claim("verify_pythagoras", None, None),
-    "peters-oracle": _Claim("verify_peters_equivalence", None, None),
-    "thresholds": _Claim("verify_multiplier_thresholds", None, None),
-    "stable-multiplier": _Claim("estimate_stable_multiplier", None, ()),
-    "local-necessity": _Claim("verify_local_necessity", None, None),
+    "doubling": _Claim("verify_doubling", None, (2, 3, 5), (2, 3, 5)),
+    "scharlau": _Claim("verify_scharlau", (2, 3), None, None),
+    "maass": _Claim("verify_maass_three_squares", (5,), None, None),
+    "pythagoras": _Claim("verify_pythagoras", None, None, None),
+    "peters-oracle": _Claim("verify_peters_equivalence", None, None, None),
+    "thresholds": _Claim("verify_multiplier_thresholds", None, None, None),
+    "stable-multiplier": _Claim("estimate_stable_multiplier", None, (), None),
+    "local-necessity": _Claim("verify_local_necessity", None, None, None),
 }
 
 CLAIM_NAMES = tuple(_CLAIMS)
@@ -455,12 +458,14 @@ def _covers(rings: tuple[int, ...] | None, d: int) -> bool:
 def run_claims(spec: ScanSpec, claims: list[str]) -> list[Report]:
     """Run named claims over every applicable D in the spec.
 
-    The walk goes ring by ring.  Each ring gets at most one sweep, built
-    when a claim first reads it and before that claim's clock starts, so
-    `Report.elapsed` times the claim alone, and dropped before the next
-    ring's.  The sweep reaches 2*trace_bound when `doubling` reads it (it
-    checks doubled elements) and trace_bound otherwise.  The reports come
-    back claims outer, D inner, in the order the claims were named.
+    The walk goes ring by ring.  Each ring gets at most one sweep and one
+    scan of its elements, each charged to the node budget and made when a
+    claim first reads it (the sweep first), before that claim's clock
+    starts, so `Report.elapsed` times the claim alone; both are dropped
+    before the next ring's.  The sweep reaches 2*trace_bound when
+    `doubling` reads it (it checks doubled elements) and trace_bound
+    otherwise.  The reports come back claims outer, D inner, in the order
+    the claims were named.
     """
     names = [CLAIM_ALIASES.get(name, name) for name in claims]
     for name, claim in zip(claims, names):
@@ -469,7 +474,7 @@ def run_claims(spec: ScanSpec, claims: list[str]) -> list[Report]:
     runs: list[tuple[int, Report]] = []
     for d in spec.d_list:
         ctx = RingContext(d)
-        lengths = None  # drops the previous ring's sweep
+        lengths = elements = None  # drops the previous ring's
         for position, claim in enumerate(names):
             entry = _CLAIMS[claim]
             if not _covers(entry.rings, d):
@@ -479,8 +484,16 @@ def run_claims(spec: ScanSpec, claims: list[str]) -> list[Report]:
                 doubled = "doubling" in names and _covers(_CLAIMS["doubling"].reads_sweep, d)
                 trace = 2 * spec.trace_bound if doubled else spec.trace_bound
                 lengths = Sweep(ctx, trace, node_budget=spec.node_budget)
+            scans = _covers(entry.reads_elements, d)
+            if scans and elements is None:
+                # One budget unit per element, counted with an early exit.
+                count = count_totally_positive(ctx, spec.trace_bound, spec.node_budget)
+                _charge(spec, count, f"the scan of D={d} to trace {spec.trace_bound}")
+                elements = list(scan_totally_positive(ctx, spec.trace_bound))
             start = time.perf_counter()
-            report = globals()[entry.function](ctx, spec, lengths if reads else None)
+            report = globals()[entry.function](
+                ctx, spec, elements if scans else None, lengths if reads else None
+            )
             report.elapsed = time.perf_counter() - start
             runs.append((position, report))
     runs.sort(key=lambda run: run[0])

@@ -149,6 +149,14 @@ def test_capped_exhaustion_is_not_a_refutation(capsys):
     assert "not a sum of at most 2 squares" in out
 
 
+def test_shortest_and_max_terms_exclude_each_other(capsys):
+    # A shortest search has no term cap; taking both would drop one silently.
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--D", "2", "--elem", "7", "--shortest", "--max-terms", "1"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -436,6 +444,45 @@ def test_verify_budget_error_names_the_sweep(capsys, argv, ring):
     err = capsys.readouterr().err
     assert code == 3
     assert f"the sweep of {ring} within the node budget of 500" in err
+
+
+@pytest.mark.parametrize(
+    "argv,scope",
+    [
+        (
+            ["stable-multiplier", "--D", "7", "--trace-bound", "1000000", "--node-budget", "1000"],
+            "the scan of D=7 to trace 1000000",
+        ),
+        (
+            ["thresholds", "--D", "5", "--trace-bound", "4", "--m-range", "1..100000000000"],
+            "the multiples of thresholds/D=5/m=1..100000000000",
+        ),
+        (
+            ["stable-multiplier", "--D", "5", "--trace-bound", "4", "--m-range", "1..100000000000"],
+            "the multiples of stable-multiplier/D=5/m_max=100000000000",
+        ),
+    ],
+)
+def test_verify_budget_error_names_the_scan_or_the_multiples(capsys, argv, scope):
+    start = time.perf_counter()
+    code = main(["verify", *argv])
+    assert time.perf_counter() - start < 5
+    assert code == 3
+    assert f"no verdict for {scope} within the node budget" in capsys.readouterr().err
+
+
+def test_verify_doubling_outside_2_3_5_scans_nothing(capsys):
+    # Only the witness is refuted, so no budget covers the box.
+    argv = ["doubling", "--D", "7", "--trace-bound", "1000000", "--node-budget", "1000"]
+    assert main(["verify", *argv]) == 0
+
+
+@pytest.mark.parametrize("d_spec", ["2..1", "4..4"])
+def test_verify_rejects_an_empty_d_spec(capsys, d_spec):
+    assert main(["verify", "pythagoras", "--D", d_spec, "--trace-bound", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the D list is empty" in captured.err
 
 
 @pytest.mark.parametrize("budget", ["0", "-5"])

@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 from soslab import (
     BudgetExceeded,
     Decomposition,
-    NotTotallyNonneg,
     RingContext,
     SKind,
     Sweep,
     VerdictKind,
-    candidate_roots,
     decompose_sos,
     is_square_mod_two,
     is_sum_of_squares,
@@ -43,6 +41,14 @@ def tp_elements():
 
 # ---------------------------------------------------------------------------
 # candidate enumeration
+
+
+def candidate_roots(gamma):
+    """The candidate roots the search consumes for gamma, as ring elements."""
+    ctx = gamma.ctx
+    big_a, big_b = gamma.half_coords
+    raw = _pysearch.generate_candidates(ctx.D, ctx.kappa == 1, big_a, big_b, 10**8)
+    return [ctx.from_half_pair(a, b) for a, b, _, _ in raw]
 
 
 def test_candidate_roots_d3_example():
@@ -74,13 +80,6 @@ def test_candidate_roots_canonical_signs(ctx6):
     # descending by half-coordinates
     keys = [c.half_coords for c in cands]
     assert keys == sorted(keys, reverse=True)
-
-
-def test_candidate_roots_rejects_indefinite(ctx6):
-    with pytest.raises(NotTotallyNonneg):
-        candidate_roots(ctx6.element(-3, 0))
-    with pytest.raises(NotTotallyNonneg):
-        candidate_roots(ctx6.element(4, 2))  # 4 - 2 sqrt6 < 0
 
 
 @given(tp_elements())

@@ -102,6 +102,10 @@ ELEMENT = ["--D", "6", "--elem", "6+2sqrt6"]
         (["sint", *ELEMENT, "--m", "2"], {"sweep", "verify"}),
         (["scan", "--D", "6", "--trace-bound", "8", "--with-oracle"], set()),
         (["verify", "thm3", "--D", "2..6", "--trace-bound", "8"], set()),
+        (
+            ["scan", "--D", "6", "--trace-bound", "8"],
+            {"criteria", "decompose", "_pysearch", "sintegers", "sweep", "verify"},
+        ),
     ],
     ids=lambda value: value[0] if isinstance(value, list) else None,
 )

@@ -22,8 +22,9 @@ from soslab import (
     decompose_sos,
     doubling_witness,
     real_sign,
+    scan_totally_positive,
 )
-from soslab.quadfield import square_factor
+from soslab.quadfield import count_totally_positive, square_factor
 
 SQUAREFREE_DS = st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13, 17, 21, 29, 33, 101])
 SMALL_COORDS = st.integers(min_value=-40, max_value=40)
@@ -278,6 +279,29 @@ def test_square_is_totally_nonnegative(alpha):
     # AM-GM: Tr(alpha^2) >= 2 |N(alpha)|
     assert alpha.square().trace >= 2 * abs(alpha.norm)
 
+
+def test_box_count_matches_the_scan_and_brute_force():
+    top = 30
+    for d in (d for d in range(2, 40) if square_factor(d) is None):
+        ctx = RingContext(d)
+        coords = range(-top, top + 1)
+        box = [ctx.element(u, v) for u in coords for v in coords]
+        box = sorted(
+            (a.half_coords, (a.u, a.v)) for a in box if a.is_totally_positive() and a.trace <= top
+        )
+        for trace_bound in range(top + 1):
+            scanned = list(scan_totally_positive(ctx, trace_bound))
+            n = len(scanned)
+            assert count_totally_positive(ctx, trace_bound, n) == n, (d, trace_bound)
+            if n:
+                # Past its limit the count stops, at some number above it.
+                assert count_totally_positive(ctx, trace_bound, n - 1) > n - 1
+            brute = [uv for (big_a, _), uv in box if big_a <= trace_bound]
+            assert [(a.u, a.v) for a in scanned] == brute, (d, trace_bound)
+
+
+def test_box_count_of_a_huge_trace_bound_stops_at_its_limit():
+    assert count_totally_positive(RingContext(7), 10**30, 1000) > 1000
 
 # ---------------------------------------------------------------------------
 # equality, hashing, display

@@ -19,15 +19,17 @@ from soslab import (
     Sweep,
     is_square_mod_two,
     ramified_obstruction_witness,
+    residue_mod_two,
     s_element,
     s_is_sum_of_squares,
     peters_guaranteed,
     s_obstruction,
     scan_totally_positive,
+    squares_mod_two,
 )
 from soslab.decompose import SearchVerdict, VerdictKind
 from soslab.quadfield import square_factor
-from soslab.sintegers import PYTHAGORAS_CAP, ObstructionCert
+from soslab.sintegers import PYTHAGORAS_CAP
 
 # ---------------------------------------------------------------------------
 # construction and canonical form
@@ -84,13 +86,13 @@ def test_equality_is_invariant_under_escalation(d, u, v, j, m):
 def test_obstruction_for_odd_modulus_in_ramified_ring(ctx6):
     w = ramified_obstruction_witness(ctx6)  # 4 + sqrt6
     cert = s_obstruction(s_element(w, 0, 3))
-    assert cert.is_valid()
-    assert cert.m_odd and cert.ramified
-    assert "not a square" in cert.reason
+    assert cert.residue == residue_mod_two(w)
+    assert cert.residue not in squares_mod_two(ctx6)
+    assert "m=3 is odd" in cert.reason and "not a square" in cert.reason
 
     verdict = s_is_sum_of_squares(s_element(w, 0, 3))
     assert verdict.kind is SKind.OBSTRUCTED
-    assert verdict.certificate is not None and verdict.certificate.is_valid()
+    assert verdict.certificate == cert
 
 
 def test_no_obstruction_for_even_modulus(ctx6):
@@ -127,7 +129,11 @@ def test_obstruction_certificates_are_valid_in_every_ramified_ring():
                 if is_square_mod_two(gamma):
                     assert cert is None, (ctx.D, str(gamma), m)
                 else:
-                    assert cert is not None and cert.is_valid(), (ctx.D, str(gamma), m)
+                    xi = s_element(gamma, 0, m)
+                    assert cert is not None, (ctx.D, str(gamma), m)
+                    assert cert.residue not in squares_mod_two(ctx), (ctx.D, str(gamma), m)
+                    # The verdict accepts exactly the element's own certificate.
+                    assert SVerdict(SKind.OBSTRUCTED, xi, certificate=cert).certificate == cert
 
 
 @given(st.sampled_from([2, 3, 6, 7, 11]), st.integers(-15, 15), st.integers(-15, 15), st.sampled_from([3, 5, 7, 9]))
@@ -358,15 +364,17 @@ def test_obstructed_verdict_needs_a_certificate(ctx6):
 
 def test_obstructed_verdict_rejects_an_invalid_certificate(ctx6):
     xi = s_element(ctx6.element(3, 1), 0, 5)
-    cert = s_obstruction(xi)
-    bogus = ObstructionCert(cert.ctx, False, cert.ramified, cert.residue, cert.reason)
+    # The same numerator over another odd modulus: same ring and residue,
+    # but a certificate for another element.
+    bogus = s_obstruction(s_element(ctx6.element(3, 1), 0, 3))
+    assert bogus is not None and bogus.residue == s_obstruction(xi).residue
     with pytest.raises(ValueError):
         SVerdict(SKind.OBSTRUCTED, xi, certificate=bogus)
 
 
 def test_obstructed_verdict_rejects_another_elements_certificate(ctx2, ctx5):
     cert = s_obstruction(s_element(ctx2.element(2, 1), 0, 3))
-    assert cert is not None and cert.is_valid()
+    assert cert is not None
     # 3 = 1 + 1 + 1 and the modulus is even, so nothing obstructs this.
     with pytest.raises(ValueError):
         SVerdict(SKind.OBSTRUCTED, s_element(ctx2.from_int(3), 0, 2), certificate=cert)

@@ -66,7 +66,11 @@ def test_run_claims_sweep_honours_the_budget():
     spec = ScanSpec(d_list=(2,), trace_bound=TRACE, node_budget=50)
     with pytest.raises(BudgetExceeded):
         run_claims(spec, ["pythagoras"])
-    # A claim that reads no sweep still runs under the same budget.
+    # A claim that reads no sweep is still charged for its scan.
+    with pytest.raises(BudgetExceeded, match=f"the scan of D=2 to trace {TRACE}"):
+        run_claims(spec, ["stable-multiplier"])
+    # The box holds 169 elements, and m = 1, 2 test each once.
+    spec = ScanSpec(d_list=(2,), trace_bound=TRACE, node_budget=2 * 169)
     assert run_claims(spec, ["stable-multiplier"])[0].passed
 
 

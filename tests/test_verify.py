@@ -7,6 +7,7 @@ import weakref
 import pytest
 
 from soslab import (
+    BudgetExceeded,
     RingContext,
     ScanSpec,
     Sweep,
@@ -102,7 +103,7 @@ def test_scharlau():
     assert run_claims(ScanSpec((6,), 10), ["scharlau"]) == []
     ctx = RingContext(6)
     with pytest.raises(WrongField):
-        verify.verify_scharlau(ctx, ScanSpec((6,), 10), Sweep(ctx, 10))
+        verify.verify_scharlau(ctx, ScanSpec((6,), 10), [], Sweep(ctx, 10))
 
 
 def test_maass():
@@ -111,7 +112,7 @@ def test_maass():
     assert rep.details["max_length"] == 3
     ctx = RingContext(13)
     with pytest.raises(WrongField):
-        verify.verify_maass_three_squares(ctx, ScanSpec((13,), 10), Sweep(ctx, 10))
+        verify.verify_maass_three_squares(ctx, ScanSpec((13,), 10), [], Sweep(ctx, 10))
 
 
 def test_pythagoras():
@@ -222,6 +223,42 @@ def test_local_necessity():
     assert rep.instances_checked > 0
 
 
+@pytest.mark.parametrize(
+    "name,scope",
+    [
+        ("thresholds", "the multiples of thresholds/D=5/m=1..10"),
+        ("stable-multiplier", "the multiples of stable-multiplier/D=5/m_max=10"),
+    ],
+)
+def test_multiplier_claims_charge_every_multiple_first(monkeypatch, name, scope):
+    betas = len(list(scan_totally_positive(RingContext(5), 12)))
+    spec = ScanSpec((5,), 12, m_range=(1, 10), node_budget=10 * betas - 1)
+    monkeypatch.setattr(verify, "multiple_keys", None)  # nothing may run first
+    with pytest.raises(BudgetExceeded, match=scope):
+        run_claims(spec, [name])
+    monkeypatch.undo()
+    spec = ScanSpec((5,), 12, m_range=(1, 10), node_budget=10 * betas)
+    assert run_claims(spec, [name])[0].passed
+
+
+def test_run_claims_scans_each_ring_once(monkeypatch):
+    scanned = []
+    scan = verify.scan_totally_positive
+
+    def counting_scan(ctx, trace_bound):
+        scanned.append((ctx.D, trace_bound))
+        return scan(ctx, trace_bound)
+
+    monkeypatch.setattr(verify, "scan_totally_positive", counting_scan)
+    reports = run_claims(ScanSpec(d_list=(2, 5, 6, 19), trace_bound=20), list(CLAIM_NAMES))
+    assert all(r.passed for r in reports)
+    assert scanned == [(2, 20), (5, 20), (6, 20), (19, 20)]
+    # Outside D in {2, 3, 5}, doubling refutes one witness and reads no box.
+    scanned.clear()
+    run_claims(ScanSpec(d_list=(2, 6, 7), trace_bound=20), ["doubling"])
+    assert scanned == [(2, 20)]
+
+
 def test_stable_multiplier_estimates():
     rep = claim("stable-multiplier", 6, 12, m_range=(1, 4))
     assert rep.details["m_star"] == 2
@@ -241,6 +278,11 @@ def test_scan_spec_validation():
         ScanSpec(d_list=[4], trace_bound=10)  # 4 is not squarefree
     spec = ScanSpec(d_list=[2, 3], trace_bound=10)
     assert spec.node_budget > 0
+
+
+def test_scan_spec_rejects_an_empty_d_list():
+    with pytest.raises(ValueError, match="the D list is empty"):
+        ScanSpec(d_list=(), trace_bound=10)
 
 
 def test_claim_names_and_aliases():
