@@ -12,9 +12,12 @@ The interval's scale, center, radicand and parity are written once, in
 `_interval`, and every test here reads them.  "n is in [(c - sqrt(R))/s,
 (c + sqrt(R))/s]" is the integer inequality (s*n - c)^2 <= R, and the
 admissible n are read off in closed form as a `range`, so a hit costs the
-same at any norm; `peters_guaranteed` is the radicand bound above which
-there always is one.  `multiple_misses` decides the test for the
-multiples k*beta of many betas, from three integers per beta.
+same at any norm.  A radicand of at least D^2 always leaves one, whatever
+the center (`_radicand_hits`, where it is proved); `peters_guaranteed`
+reads that bound on one element.  `multiple_misses` decides the test for
+the multiples k*beta of many betas, from three integers per beta: it
+compares k*beta's radicand with the bound first, and computes the
+admissible range only below it.
 
 The witness constructions pick concrete elements that certify negative
 results: the doubling witness k + sqrt(D) (minimal k making it totally
@@ -113,20 +116,29 @@ def peters_five_squares(alpha: QuadInt) -> bool:
     return shape is not None and bool(_admissible_points(*shape))
 
 
-def peters_guaranteed(alpha: QuadInt) -> bool:
-    """Whether the norm of alpha alone guarantees an interval hit: the test
-    applies and its radicand is at least D^2.
+def _radicand_hits(ctx: RingContext, radicand: int) -> bool:
+    """Whether an interval test of ctx with this radicand has an admissible
+    integer whatever its center: the radicand is at least D^2.
 
     The admissible n fill |scale*n - center| <= r = isqrt(radicand), a real
     interval of length 2*r/scale, and r >= D exactly when radicand >= D^2.
     For D = 1 (mod 4) the scale is D, so the length is then at least 2 and
-    holds an n of the required parity; here that reads 4*N(alpha) >= D^2.
-    Otherwise the scale is 2D with no parity, so the length is at least 1
-    and holds an integer; that reads N(alpha) >= D^2, with an even
-    sqrt(D)-coefficient.  Requires alpha totally positive.
+    holds an n of either parity.  Otherwise the scale is 2D with no parity,
+    so the length is at least 1 and holds an integer.
+    """
+    return radicand >= ctx.D * ctx.D
+
+
+def peters_guaranteed(alpha: QuadInt) -> bool:
+    """Whether the norm of alpha alone guarantees an interval hit: the test
+    applies and its radicand is at least D^2 (`_radicand_hits`).
+
+    For D = 1 (mod 4) that reads 4*N(alpha) >= D^2; otherwise it reads
+    N(alpha) >= D^2, with an even sqrt(D)-coefficient.  Requires alpha
+    totally positive.
     """
     shape = _interval(alpha)
-    return shape is not None and shape[2] >= alpha.ctx.D * alpha.ctx.D
+    return shape is not None and _radicand_hits(alpha.ctx, shape[2])
 
 
 def multiple_keys(beta: QuadInt) -> tuple[int, int, int]:
@@ -145,7 +157,9 @@ def multiple_misses(
     r being those of the integer k; whether it applies, and its parity,
     follow k*v, so they are those of k (v even) or of k times the doubling
     witness, whose v is 1 (v odd).  `_interval` is read on those two
-    elements once per k, and no k*beta is built.
+    elements once per k, and no k*beta is built.  Where the test applies
+    and r*N(beta) >= D^2 it hits (`_radicand_hits`), so the admissible
+    range is computed only below that bound.
     """
     if k < 1:
         raise ValueError(f"multiplier must be >= 1, got {k}")
@@ -154,8 +168,9 @@ def multiple_misses(
     scale, center, radicand, _ = unit
     for i, (trace, v_parity, norm) in enumerate(keys):
         shape = by_v_parity[v_parity]
-        if shape is None or not _admissible_points(
-            scale, center * trace // 2, radicand * norm, shape[3]
+        if shape is None or not (
+            _radicand_hits(ctx, radicand * norm)
+            or _admissible_points(scale, center * trace // 2, radicand * norm, shape[3])
         ):
             yield i
 

@@ -30,8 +30,8 @@ import enum
 
 from . import _pysearch
 from ._record import Record
-from .errors import DEFAULT_NODE_BUDGET, BudgetExceeded
-from .quadfield import QuadInt
+from .errors import DEFAULT_NODE_BUDGET, BudgetExceeded, ContextMismatch
+from .quadfield import QuadInt, squares_sum_to
 
 # No compiled kernel exists; perfbench still reads this attribute to report
 # which kernel ran.
@@ -49,7 +49,8 @@ class Decomposition(Record):
 
     Terms are canonical sign representatives (a > 0, or a = 0 and b > 0),
     stored in non-increasing (a, b) order; the identity is re-checked on
-    construction, so holding an instance is holding a proof.
+    construction, in integers (`quadfield.squares_sum_to`), so holding an
+    instance is holding a proof.
     """
 
     __slots__ = ("target", "terms")
@@ -65,12 +66,12 @@ class Decomposition(Record):
                 reverse=True,
             )
         )
-        total = ctx.zero
-        for term in normalized:
-            if term.ctx != ctx:
-                raise ValueError("terms and target live in different rings")
-            total = total + term.square()
-        if total != target:
+        try:
+            verified = squares_sum_to(ctx, normalized, *target.half_coords)
+        except ContextMismatch:
+            raise ValueError("terms and target live in different rings") from None
+        if not verified:
+            total = sum((t.square() for t in normalized), ctx.zero)
             raise ValueError(
                 f"decomposition does not verify: sum of squares is {total}, "
                 f"target is {target}"

@@ -339,6 +339,27 @@ class QuadInt(Record):
         return f"QuadInt(D={self.ctx.D}, u={self.u}, v={self.v})"
 
 
+def squares_sum_to(
+    ctx: RingContext, terms: tuple[QuadInt, ...], big_a: int, big_b: int
+) -> bool:
+    """Whether the squares of terms sum to (A + B*sqrt(D))/2 in ctx's ring.
+
+    In doubled coordinates a term (a + b*sqrt(D))/2 squares to
+    (a^2 + D*b^2 + 2*a*b*sqrt(D))/4, so the identity is the integer pair
+    sum(a^2 + D*b^2) = 2*A and sum(a*b) = B; no element is built.  Raises
+    ContextMismatch on a term of another ring.
+    """
+    d = ctx.D
+    rational = cross = 0
+    for term in terms:
+        if term.ctx != ctx:
+            raise ContextMismatch(f"mixing D={d} and D={term.ctx.D} elements")
+        a, b = term.half_coords
+        rational += a * a + d * b * b
+        cross += a * b
+    return rational == 2 * big_a and cross == big_b
+
+
 # -- the box of totally positive elements ---------------------------------------
 
 

@@ -33,7 +33,7 @@ from .decompose import (
     decompose_sos,
 )
 from .errors import BadModulus, NotTotallyPositive
-from .quadfield import DyadicClass, QuadInt, RingContext
+from .quadfield import DyadicClass, QuadInt, RingContext, squares_sum_to
 from .residues import Residue2, is_square_mod_two, residue_mod_two
 
 # Any sum of squares in the ring of integers of a real quadratic field is a
@@ -145,10 +145,8 @@ class SVerdict(Record):
                     f"j_used={self.j_used} is below the element's exponent {self.element.j}"
                 )
             scale = self.element.m ** (2 * (self.j_used - self.element.j))
-            total = self.element.ctx.zero
-            for term in self.terms:
-                total = total + term.square()
-            if total != self.element.numerator * scale:
+            big_a, big_b = self.element.numerator.half_coords
+            if not squares_sum_to(self.element.ctx, self.terms, scale * big_a, scale * big_b):
                 raise ValueError("S-integer decomposition does not verify")
         elif self.kind is SKind.OBSTRUCTED:
             if self.certificate is None or self.certificate != s_obstruction(self.element):

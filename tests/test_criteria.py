@@ -26,7 +26,8 @@ from soslab import (
     scan_totally_positive,
     small_multiplier_obstructed,
 )
-from soslab.criteria import _admissible_points, multiple_keys, multiple_misses
+from soslab import criteria
+from soslab.criteria import _admissible_points, _interval, multiple_keys, multiple_misses
 from soslab.quadfield import square_factor
 
 # ---------------------------------------------------------------------------
@@ -142,6 +143,50 @@ def test_even_multiple_misses_match_the_interval_test():
                 assert (not list(multiple_misses(ctx, [key], k))) is hit, (d, str(beta), k)
             misses = [i for i, hit in enumerate(hits) if not hit]
             assert list(multiple_misses(ctx, keys, k)) == misses, (d, k)
+
+
+def test_radicand_bound_leaves_every_multiple_interval_nonempty():
+    # The bound multiple_misses decides by, checked against the full interval
+    # of k*beta over the same rings, box and multipliers as the test above.
+    checked = 0
+    for d in range(2, 60):
+        if square_factor(d) is not None:
+            continue
+        ctx = RingContext(d)
+        radicand_k = {k: _interval(ctx.from_int(k))[2] for k in range(1, 2 * -(-d // 2) + 3)}
+        for beta in scan_totally_positive(ctx, 24):
+            for k, radicand in radicand_k.items():
+                shape = _interval(k * beta)
+                if shape is None:
+                    continue
+                assert shape[2] == radicand * beta.norm, (d, str(beta), k)
+                if criteria._radicand_hits(ctx, shape[2]):
+                    checked += 1
+                    assert _admissible_points(*shape), (d, str(beta), k)
+    assert checked > 0
+
+
+@pytest.mark.parametrize("d", GUARANTEE_DS)
+def test_large_multiples_compute_no_interval(d, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _admissible_points(*args)
+
+    monkeypatch.setattr(criteria, "_admissible_points", counted)
+    ctx = RingContext(d)
+    betas = list(scan_totally_positive(ctx, 30))
+    keys = [multiple_keys(beta) for beta in betas]
+    for m in range(1, 2 * d + 2):
+        if large_multiplier_guaranteed(ctx, m):
+            assert list(multiple_misses(ctx, keys, ctx.kappa * m)) == [], (d, m)
+    # An odd k >= D in a ramified ring still rejects every odd-coefficient
+    # beta, without an interval for the others.
+    odd_k = d + 1 - d % 2
+    odd_v = [i for i, beta in enumerate(betas) if ctx.kappa == 2 and beta.v % 2]
+    assert list(multiple_misses(ctx, keys, odd_k)) == odd_v
+    assert calls == []
 
 
 @pytest.mark.parametrize("k", [0, -2])

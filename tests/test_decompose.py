@@ -424,3 +424,13 @@ def test_decomposition_normalizes_and_verifies(ctx2):
     assert [str(t) for t in dec.terms] == ["1", "1"]
     with pytest.raises(ValueError):
         Decomposition(alpha, (ctx2.one,))
+
+
+def test_decomposition_checks_the_ring_and_both_coordinates(ctx2, ctx3):
+    with pytest.raises(ValueError, match="different rings"):
+        Decomposition(ctx2.from_int(1), (ctx3.one,))
+    # 1 + (1 + sqrt2)^2 = 4 + 2*sqrt2: the rational part alone is not enough.
+    root = ctx2.element(1, 1)
+    assert Decomposition(ctx2.element(4, 2), (ctx2.one, root)).terms == (root, ctx2.one)
+    with pytest.raises(ValueError, match=r"sum of squares is 4\+2sqrt2, target is 4-2sqrt2"):
+        Decomposition(ctx2.element(4, -2), (ctx2.one, root))

@@ -24,7 +24,7 @@ from soslab import (
     real_sign,
     scan_totally_positive,
 )
-from soslab.quadfield import count_totally_positive, square_factor
+from soslab.quadfield import count_totally_positive, square_factor, squares_sum_to
 
 SQUAREFREE_DS = st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13, 17, 21, 29, 33, 101])
 SMALL_COORDS = st.integers(min_value=-40, max_value=40)
@@ -176,6 +176,23 @@ def test_mixed_int_arithmetic():
 def test_cross_context_arithmetic_rejected():
     with pytest.raises(ContextMismatch):
         RingContext(2).one + RingContext(3).one
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 13])
+def test_squares_sum_to_matches_the_ring_sum(d):
+    ctx = RingContext(d)
+    small = [ctx.element(u, v) for u in range(-2, 3) for v in range(-2, 3)]
+    for x in small:
+        for y in small:
+            total = x.square() + y.square()
+            for target in (total, total + 1, total + ctx.omega, total - ctx.omega):
+                same = squares_sum_to(ctx, (x, y), *target.half_coords)
+                assert same is (target == total), (d, str(x), str(y), str(target))
+
+
+def test_squares_sum_to_rejects_a_term_of_another_ring():
+    with pytest.raises(ContextMismatch, match="mixing D=2 and D=3"):
+        squares_sum_to(RingContext(2), (RingContext(2).one, RingContext(3).one), 4, 0)
 
 
 def test_pow_matches_repeated_multiplication():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import soslab
 from soslab import (
     BadModulus,
+    ContextMismatch,
     NotTotallyPositive,
     RingContext,
     SKind,
@@ -393,6 +394,19 @@ def test_representable_verdict_needs_terms_and_a_level(ctx6):
     with pytest.raises(ValueError):
         SVerdict(SKind.REPRESENTABLE, xi, terms=ones, j_used=0)  # below xi.j
     assert SVerdict(SKind.REPRESENTABLE, xi, terms=ones, j_used=1).j_used == 1
+
+
+def test_representable_verdict_verifies_the_scaled_identity(ctx6, ctx2):
+    xi = s_element(ctx6.from_int(2), 1, 2)  # 2/4
+    # At one level up the squares must sum to 2*4 = 8.
+    twos = (ctx6.from_int(2), ctx6.from_int(2))
+    assert SVerdict(SKind.REPRESENTABLE, xi, terms=twos, j_used=2).terms == twos
+    with pytest.raises(ValueError):
+        SVerdict(SKind.REPRESENTABLE, xi, terms=twos, j_used=1)
+    with pytest.raises(ValueError):
+        SVerdict(SKind.REPRESENTABLE, xi, terms=(ctx6.one,), j_used=1)
+    with pytest.raises(ContextMismatch):
+        SVerdict(SKind.REPRESENTABLE, xi, terms=(ctx6.one, ctx2.one), j_used=1)
 
 
 def test_verdict_invariants_hold_under_optimize_flag():
