@@ -106,6 +106,9 @@ def parse_element(ctx: RingContext, text: str) -> QuadInt:
 
 # -- config and output ---------------------------------------------------------
 
+# The TSV columns of the records of `_record`; scan's rows have their own.
+RECORD_COLUMNS = ("command", "D", "element", "verdict", "terms", "nodes", "elapsed_ms")
+
 
 class CliConfig:
     """Everything a subcommand handler needs, already validated."""
@@ -135,15 +138,17 @@ class CliConfig:
         if self.stream is not None and self.out is not None:
             self.stream.close()
 
-    def emit(self, record: dict, human: str, denom: str = "") -> None:
-        """Writes one record; a TSV row writes each term over `denom`
-        (sint's "/m^j"), as the human line does."""
+    def emit(
+        self, record: dict, human: str, denom: str = "", columns: tuple[str, ...] = RECORD_COLUMNS
+    ) -> None:
+        """Writes one record; a TSV row writes its `columns`, None as an
+        empty field, and each term over `denom` (sint's "/m^j"), as the
+        human line does."""
         if self.fmt == "json":
             line = json.dumps(record, sort_keys=True)
         elif self.fmt == "tsv":
-            fields = ("command", "D", "element", "verdict", "terms", "nodes", "elapsed_ms")
             row = []
-            for key in fields:
+            for key in columns:
                 value = record.get(key)
                 if isinstance(value, list):
                     value = ";".join(f"({x}){denom}" if denom else str(x) for x in value)
@@ -436,7 +441,8 @@ def cmd_scan(cfg: CliConfig) -> int:
             length = sweep.length(alpha)
             record["length"] = length
             human += f"\tlength={length}"
-        cfg.emit(record, human)
+        # A TSV row holds the record's own fields, in its order.
+        cfg.emit(record, human, columns=tuple(record))
     return 0
 
 

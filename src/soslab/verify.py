@@ -5,12 +5,18 @@ bound, in (trace, a, b) order, and returns a Report: instances checked,
 failures (element, expected, got), standalone-checkable witnesses, and
 claim-specific scalars.  Every claim is a function
 `verify_*(ctx, spec, elements, lengths)` of the ring, the `ScanSpec`, the
-ring's elements and its `Sweep`.  `run_claims` is the one entry point: it
-walks ring by ring, scans each ring at most once and builds at most one
-sweep, each charged to the node budget first, shared by every claim that
-reads it and dropped before the next ring's; it times each claim alone
-and returns the reports claims outer, D inner.  The doubling and
-small-multiplier witnesses are refuted by the search oracle.
+ring's elements and what the claim reads lengths from.  The five claims
+that ask only about the scanned elements (`scharlau`, `maass`,
+`pythagoras`, `peters-oracle`, `local-necessity`) read a list of their
+shortest lengths, in scan order, None where an element is no sum of
+squares; `doubling` and `thresholds`, whose targets lie off the scan,
+read the ring's `Sweep`.  `run_claims` is the one entry point: it walks
+ring by ring, scans each ring at most once, builds at most one sweep and
+reads each scanned element's length from it at most once, each charged to
+the node budget first (the lengths ride on the scan's charge), shared by
+every claim that reads it and dropped before the next ring's; it times
+each claim alone and returns the reports claims outer, D inner.  The
+doubling and small-multiplier witnesses are refuted by the search oracle.
 `stable-multiplier` decides the interval test of each multiple k*beta in
 integers, from beta's `multiple_keys`: `criteria.multiple_misses` passes
 a k*beta whose radicand is at least D^2 by that comparison alone (the
@@ -35,7 +41,7 @@ import json
 import time
 from bisect import bisect_right
 from operator import attrgetter
-from typing import NamedTuple
+from typing import Literal, NamedTuple
 
 from ._record import Record
 from .criteria import (
@@ -211,48 +217,44 @@ def verify_doubling(
 
 
 def verify_scharlau(
-    ctx: RingContext, spec: ScanSpec, elements: list[QuadInt], lengths: Sweep
+    ctx: RingContext, spec: ScanSpec, elements: list[QuadInt], lengths: list[int | None]
 ) -> Report:
     """For D in {2, 3}: totally positive and square mod 2*O implies sum of
     squares (the everywhere-local test is exact in these two rings)."""
     if ctx.D not in (2, 3):
         raise WrongField(f"claim is specific to D in {{2, 3}}, got D={ctx.D}")
-    squares = [alpha for alpha in elements if is_square_mod_two(alpha)]
-    failures = [
-        _failure(alpha, "sum of squares", "refuted")
-        for alpha in squares
-        if not lengths.is_sum_of_squares(alpha)
+    rows = [
+        (alpha, n) for alpha, n in zip(elements, lengths, strict=True) if is_square_mod_two(alpha)
     ]
-    return Report(f"scharlau/D={ctx.D}", len(squares), failures, [], {"scanned": len(elements)})
+    failures = [_failure(alpha, "sum of squares", "refuted") for alpha, n in rows if n is None]
+    return Report(f"scharlau/D={ctx.D}", len(rows), failures, [], {"scanned": len(elements)})
 
 
 def verify_maass_three_squares(
-    ctx: RingContext, spec: ScanSpec, elements: list[QuadInt], lengths: Sweep
+    ctx: RingContext, spec: ScanSpec, elements: list[QuadInt], lengths: list[int | None]
 ) -> Report:
     """For D = 5: every totally positive element is a sum of three squares."""
     if ctx.D != 5:
         raise WrongField(f"claim is specific to D = 5, got D={ctx.D}")
-    rows = [(alpha, lengths.length(alpha)) for alpha in elements]
     failures = [
         _failure(alpha, "length <= 3", "not a sum of squares" if n is None else f"length {n}")
-        for alpha, n in rows
+        for alpha, n in zip(elements, lengths, strict=True)
         if n is None or n > 3
     ]
-    found = [n for _, n in rows if n is not None]
-    return Report("maass/D=5", len(rows), failures, [], {"max_length": max(found, default=0)})
+    found = [n for n in lengths if n is not None]
+    return Report("maass/D=5", len(elements), failures, [], {"max_length": max(found, default=0)})
 
 
 def verify_pythagoras(
-    ctx: RingContext, spec: ScanSpec, elements: list[QuadInt], lengths: Sweep
+    ctx: RingContext, spec: ScanSpec, elements: list[QuadInt], lengths: list[int | None]
 ) -> Report:
     """Shortest representations never need more than five squares; for
     D in {2, 3, 5} never more than three, and three really occurs."""
     cap = 3 if ctx.D in (2, 3, 5) else 5
-    rows = [(alpha, lengths.length(alpha)) for alpha in elements]
-    found = [n for _, n in rows if n is not None]
+    found = [n for n in lengths if n is not None]
     failures = [
         _failure(alpha, f"length <= {cap}", f"length {n}")
-        for alpha, n in rows
+        for alpha, n in zip(elements, lengths, strict=True)
         if n is not None and n > cap
     ]
     details = {"cap": cap, "max_length": max(found, default=0), "sums_of_squares": len(found)}
@@ -266,11 +268,11 @@ def verify_pythagoras(
                     f"max length {max(found, default=0)}",
                 )
             )
-    return Report(f"pythagoras/D={ctx.D}", len(rows), failures, [], details)
+    return Report(f"pythagoras/D={ctx.D}", len(elements), failures, [], details)
 
 
 def verify_peters_equivalence(
-    ctx: RingContext, spec: ScanSpec, elements: list[QuadInt], lengths: Sweep
+    ctx: RingContext, spec: ScanSpec, elements: list[QuadInt], lengths: list[int | None]
 ) -> Report:
     """Interval test vs. the sweep on every scanned totally positive element.
 
@@ -282,9 +284,9 @@ def verify_peters_equivalence(
     """
     failures = []
     findings = []
-    for alpha in elements:
+    for alpha, n in zip(elements, lengths, strict=True):
         peters = peters_five_squares(alpha)
-        sos = lengths.is_sum_of_squares(alpha)
+        sos = n is not None
         if peters and not sos:
             failures.append(
                 _failure(alpha, "sum of five squares (interval hit)", "refuted by exhaustion")
@@ -402,11 +404,11 @@ def estimate_stable_multiplier(
 
 
 def verify_local_necessity(
-    ctx: RingContext, spec: ScanSpec, elements: list[QuadInt], lengths: Sweep
+    ctx: RingContext, spec: ScanSpec, elements: list[QuadInt], lengths: list[int | None]
 ) -> Report:
     """Every scanned sum of squares is a square mod 2*O (the local test is
     necessary; its failure is a genuine obstruction)."""
-    sums = [alpha for alpha in elements if lengths.is_sum_of_squares(alpha)]
+    sums = [alpha for alpha, n in zip(elements, lengths, strict=True) if n is not None]
     failures = [
         _failure(alpha, "square mod 2*O", "non-square class")
         for alpha in sums
@@ -434,23 +436,26 @@ class _Claim(NamedTuple):
     # tracer does) see every call.
     function: str
     # The D the claim applies to, and the D on which it reads the ring's
-    # sweep and the ring's scanned elements; None is every D.
+    # scanned elements and its fourth argument; None is every D.
     rings: tuple[int, ...] | None
-    reads_sweep: tuple[int, ...] | None
-    reads_elements: tuple[int, ...] | None
+    reads: tuple[int, ...] | None
+    # The fourth argument: "lengths", the shortest length of each scanned
+    # element in scan order, or "sweep", the ring's Sweep, for claims whose
+    # targets lie off the scan; None passes nothing.
+    fourth: Literal["sweep", "lengths"] | None
 
 
 # In report order: run_claims walks D outer, but its reports, and so the
 # JSONL output, keep the order claims outer, D inner.
 _CLAIMS: dict[str, _Claim] = {
-    "doubling": _Claim("verify_doubling", None, (2, 3, 5), (2, 3, 5)),
-    "scharlau": _Claim("verify_scharlau", (2, 3), None, None),
-    "maass": _Claim("verify_maass_three_squares", (5,), None, None),
-    "pythagoras": _Claim("verify_pythagoras", None, None, None),
-    "peters-oracle": _Claim("verify_peters_equivalence", None, None, None),
-    "thresholds": _Claim("verify_multiplier_thresholds", None, None, None),
-    "stable-multiplier": _Claim("estimate_stable_multiplier", None, (), None),
-    "local-necessity": _Claim("verify_local_necessity", None, None, None),
+    "doubling": _Claim("verify_doubling", None, (2, 3, 5), "sweep"),
+    "scharlau": _Claim("verify_scharlau", (2, 3), None, "lengths"),
+    "maass": _Claim("verify_maass_three_squares", (5,), None, "lengths"),
+    "pythagoras": _Claim("verify_pythagoras", None, None, "lengths"),
+    "peters-oracle": _Claim("verify_peters_equivalence", None, None, "lengths"),
+    "thresholds": _Claim("verify_multiplier_thresholds", None, None, "sweep"),
+    "stable-multiplier": _Claim("estimate_stable_multiplier", None, None, None),
+    "local-necessity": _Claim("verify_local_necessity", None, None, "lengths"),
 }
 
 CLAIM_NAMES = tuple(_CLAIMS)
@@ -463,14 +468,20 @@ def _covers(rings: tuple[int, ...] | None, d: int) -> bool:
 def run_claims(spec: ScanSpec, claims: list[str]) -> list[Report]:
     """Run named claims over every applicable D in the spec.
 
-    The walk goes ring by ring.  Each ring gets at most one sweep and one
-    scan of its elements, each charged to the node budget and made when a
-    claim first reads it (the sweep first), before that claim's clock
-    starts, so `Report.elapsed` times the claim alone; both are dropped
-    before the next ring's.  The sweep reaches 2*trace_bound when
-    `doubling` reads it (it checks doubled elements) and trace_bound
-    otherwise.  The reports come back claims outer, D inner, in the order
-    the claims were named.
+    The walk goes ring by ring.  Each ring gets at most one sweep, one
+    scan of its elements and one list of their shortest lengths, read off
+    the sweep once per element.  Each is made when a claim first reads it
+    (the sweep first), before that claim's clock starts, so
+    `Report.elapsed` times the claim alone; the sweep and the scan are
+    charged to the node budget first, and the lengths ride on the scan's
+    one unit per element.  All three are dropped before the next ring's.
+    `scharlau`, `maass`, `pythagoras`, `peters-oracle` and
+    `local-necessity` read the lengths; `doubling` and `thresholds` read
+    the sweep, since their targets lie off the scan; `stable-multiplier`
+    reads neither.  The sweep reaches 2*trace_bound when `doubling` reads
+    it (it checks doubled elements) and trace_bound otherwise.  The
+    reports come back claims outer, D inner, in the order the claims were
+    named.
     """
     names = [CLAIM_ALIASES.get(name, name) for name in claims]
     for name, claim in zip(claims, names):
@@ -479,26 +490,26 @@ def run_claims(spec: ScanSpec, claims: list[str]) -> list[Report]:
     runs: list[tuple[int, Report]] = []
     for d in spec.d_list:
         ctx = RingContext(d)
-        lengths = elements = None  # drops the previous ring's
+        sweep = elements = lengths = None  # drops the previous ring's
         for position, claim in enumerate(names):
             entry = _CLAIMS[claim]
             if not _covers(entry.rings, d):
                 continue
-            reads = _covers(entry.reads_sweep, d)
-            if reads and lengths is None:
-                doubled = "doubling" in names and _covers(_CLAIMS["doubling"].reads_sweep, d)
+            reads = _covers(entry.reads, d)
+            if reads and entry.fourth is not None and sweep is None:
+                doubled = "doubling" in names and _covers(_CLAIMS["doubling"].reads, d)
                 trace = 2 * spec.trace_bound if doubled else spec.trace_bound
-                lengths = Sweep(ctx, trace, node_budget=spec.node_budget)
-            scans = _covers(entry.reads_elements, d)
-            if scans and elements is None:
+                sweep = Sweep(ctx, trace, node_budget=spec.node_budget)
+            if reads and elements is None:
                 # One budget unit per element, counted with an early exit.
                 count = count_totally_positive(ctx, spec.trace_bound, spec.node_budget)
                 _charge(spec, count, f"the scan of D={d} to trace {spec.trace_bound}")
                 elements = list(scan_totally_positive(ctx, spec.trace_bound))
+            if reads and entry.fourth == "lengths" and lengths is None:
+                lengths = [sweep.length(alpha) for alpha in elements]
+            fourth = {"sweep": sweep, "lengths": lengths}.get(entry.fourth) if reads else None
             start = time.perf_counter()
-            report = globals()[entry.function](
-                ctx, spec, elements if scans else None, lengths if reads else None
-            )
+            report = globals()[entry.function](ctx, spec, elements if reads else None, fourth)
             report.elapsed = time.perf_counter() - start
             runs.append((position, report))
     runs.sort(key=lambda run: run[0])

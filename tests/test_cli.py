@@ -317,6 +317,23 @@ def test_scan_with_oracle(capsys):
     assert by_elem["2"]["length"] == 2
 
 
+def test_scan_tsv_writes_the_scan_record(capsys):
+    # The columns of the JSON record, in its order; no length is empty.
+    code, out = run_cli(capsys, "scan", "--D", "2", "--trace-bound", "6", "--format", "tsv")
+    assert code == 0
+    assert out.splitlines()[1].split("\t") == ["2-sqrt2", "2", "-1", "4", "2", "False"]
+    argv = ["scan", "--D", "6", "--trace-bound", "6", "--with-oracle", "--format", "tsv"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert [line.split("\t") for line in out.splitlines()] == [
+        ["1", "1", "0", "2", "1", "True", "1"],
+        ["2", "2", "0", "4", "4", "True", "2"],
+        ["3-sqrt6", "3", "-1", "6", "3", "False", ""],
+        ["3", "3", "0", "6", "9", "True", "3"],
+        ["3+sqrt6", "3", "1", "6", "3", "False", ""],
+    ]
+
+
 def test_out_appends_exactly_what_stdout_prints(tmp_path, capsys):
     argv = ["scan", "--D", "6", "--trace-bound", "40", "--format", "json"]
     code, printed = run_cli(capsys, *argv)

@@ -1,8 +1,10 @@
 """Claim-scan harness: reports, JSONL reproducibility, the dispatch table."""
 
+import copy
 import hashlib
 import json
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -17,10 +19,16 @@ from soslab import (
     scan_totally_positive,
 )
 from soslab import verify
+from soslab.cli import _parse_d_spec
 from soslab.cli import main as cli_main
+from soslab.criteria import peters_five_squares
 from soslab.verify import CLAIM_ALIASES, CLAIM_NAMES
 
 BUDGET = 10**7
+
+# The claims that ask only about the scanned elements, and so read their
+# lengths from one list per ring instead of the sweep.
+BOX_CLAIMS = ["scharlau", "maass", "pythagoras", "peters-oracle", "local-necessity"]
 
 
 def claim(name, d, trace_bound, m_range=None):
@@ -103,7 +111,7 @@ def test_scharlau():
     assert run_claims(ScanSpec((6,), 10), ["scharlau"]) == []
     ctx = RingContext(6)
     with pytest.raises(WrongField):
-        verify.verify_scharlau(ctx, ScanSpec((6,), 10), [], Sweep(ctx, 10))
+        verify.verify_scharlau(ctx, ScanSpec((6,), 10), [], [])
 
 
 def test_maass():
@@ -112,7 +120,7 @@ def test_maass():
     assert rep.details["max_length"] == 3
     ctx = RingContext(13)
     with pytest.raises(WrongField):
-        verify.verify_maass_three_squares(ctx, ScanSpec((13,), 10), [], Sweep(ctx, 10))
+        verify.verify_maass_three_squares(ctx, ScanSpec((13,), 10), [], [])
 
 
 def test_pythagoras():
@@ -199,6 +207,83 @@ def test_run_claims_keeps_one_sweep_alive_at_a_time(monkeypatch):
     assert all(r.passed for r in reports)
     assert len(peak) == 4
     assert max(peak) == 1
+
+
+def test_run_claims_reads_the_sweep_once_per_scanned_element(monkeypatch):
+    # doubling and thresholds look up targets off the scan themselves; every
+    # other lookup is made for the box claims, at most one per element.
+    lookups = Counter()
+    caller = [None]
+    lookup = verify.Sweep._lookup
+
+    class CountingSweep(verify.Sweep):
+        def _lookup(self, alpha):
+            lookups[caller[0]] += 1
+            return lookup(self, alpha)
+
+    monkeypatch.setattr(verify, "Sweep", CountingSweep)
+    for name in ("verify_doubling", "verify_multiplier_thresholds"):
+
+        def called_from(*args, name=name, function=getattr(verify, name)):
+            caller[0] = name
+            try:
+                return function(*args)
+            finally:
+                caller[0] = None
+
+        monkeypatch.setattr(verify, name, called_from)
+    d_list = _parse_d_spec("2..50")
+    reports = run_claims(ScanSpec(d_list, 40), list(CLAIM_NAMES))
+    assert all(r.passed for r in reports)
+    scanned = sum(len(list(scan_totally_positive(RingContext(d), 40))) for d in d_list)
+    assert scanned == 3930
+    assert lookups["verify_doubling"] > 0 and lookups["verify_multiplier_thresholds"] > 0
+    assert lookups[None] <= scanned
+
+
+@pytest.mark.parametrize("d,target", [(2, "6+2sqrt2"), (5, "3+w")])
+def test_a_wrong_length_reaches_every_box_claim(monkeypatch, d, target):
+    # A sweep that reads one sum of squares of the box as unreached changes
+    # each box claim's report exactly as looking up each element does.
+    ctx = RingContext(d)
+    spec = ScanSpec((d,), 14)
+    elements = list(scan_totally_positive(ctx, 14))
+    (alpha,) = [beta for beta in elements if str(beta) == target]
+    lookup = verify.Sweep._lookup
+
+    class HidingSweep(verify.Sweep):
+        def _lookup(self, beta):
+            return None if beta == alpha else lookup(self, beta)
+
+    def reports():
+        return {r.claim_id.split("/")[0]: r.to_record() for r in run_claims(spec, BOX_CLAIMS)}
+
+    before = reports()
+    monkeypatch.setattr(verify, "Sweep", HidingSweep)
+    after = reports()
+    assert Sweep(ctx, 14).length(alpha) is not None
+    sweep = HidingSweep(ctx, 14)
+    found = [n for n in (sweep.length(beta) for beta in elements) if n is not None]
+    assert 3 in found and peters_five_squares(alpha)  # the branches taken below
+
+    def failure(expected, got):
+        return {"element": target, "expected": expected, "got": got}
+
+    expected = copy.deepcopy(before)
+    if d in (2, 3):
+        expected["scharlau"]["failures"].append(failure("sum of squares", "refuted"))
+    if d == 5:
+        expected["maass"]["failures"].append(failure("length <= 3", "not a sum of squares"))
+        expected["maass"]["details"]["max_length"] = max(found)
+    expected["pythagoras"]["details"].update(max_length=max(found), sums_of_squares=len(found))
+    expected["peters-oracle"]["failures"].append(
+        failure("sum of five squares (interval hit)", "refuted by exhaustion")
+    )
+    expected["local-necessity"]["details"]["sums_of_squares"] = len(found)
+    assert set(after) == set(BOX_CLAIMS) - {"maass" if d == 2 else "scharlau"}
+    for name in after:
+        assert after[name] != before[name]
+        assert after[name] == expected[name]
 
 
 def test_run_claims_reports_claims_outer_in_the_named_order():
