@@ -530,7 +530,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--D", required=True, help="D spec: '6', '2,3,5', or '2..50'")
     p.add_argument("--trace-bound", type=int, required=True)
-    p.add_argument("--m-range", default=None, help="multiplier range, e.g. '1..5'")
+    p.add_argument(
+        "--m-range",
+        default=None,
+        help="multiplier range, e.g. '1..5': thresholds reads both ends; "
+        "stable-multiplier reads only the top, as m_max, and always starts at m = 1",
+    )
     p.add_argument("--format", choices=("human", "json"), default="json", dest="fmt")
     p.add_argument("--node-budget", type=_positive_int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--out", default=None, help="write the JSONL report here")

@@ -15,9 +15,10 @@ admissible n are read off in closed form as a `range`, so a hit costs the
 same at any norm.  A radicand of at least D^2 always leaves one, whatever
 the center (`_radicand_hits`, where it is proved); `peters_guaranteed`
 reads that bound on one element.  `multiple_misses` decides the test for
-the multiples k*beta of many betas, from three integers per beta: it
-compares k*beta's radicand with the bound first, and computes the
-admissible range only below it.
+the multiples k*beta of many betas and increasing k in one beta-major
+pass, from three integers per beta read once: k*beta's radicand grows with
+k, so the walk over k stops at the first k that reaches the bound, and the
+admissible range is computed only below it.
 
 The witness constructions pick concrete elements that certify negative
 results: the doubling witness k + sqrt(D) (minimal k making it totally
@@ -30,7 +31,7 @@ which obstructs sums of squares in S-integer rings with odd denominators.
 from __future__ import annotations
 
 from math import isqrt
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from ._record import Record
 from .errors import NotOdd, NotRamified, NotTotallyPositive
@@ -148,31 +149,57 @@ def multiple_keys(beta: QuadInt) -> tuple[int, int, int]:
 
 
 def multiple_misses(
-    ctx: RingContext, keys: list[tuple[int, int, int]], k: int
-) -> Iterator[int]:
-    """The index, in order, of every beta, given by its `multiple_keys`,
-    whose multiple k*beta (k >= 1) the interval test rejects.
+    ctx: RingContext, keys: list[tuple[int, int, int]], ks: Iterable[int]
+) -> Iterator[tuple[int, int]]:
+    """Every (index, k) such that the interval test rejects k*beta, for the
+    betas given by their `multiple_keys` and the increasing multipliers ks
+    (each k >= 1), in index order.  Within one index come first the k the
+    test does not apply to, then the rejected k in increasing order.
 
     k*beta's interval has center c*tr(beta)/2 and radicand r*N(beta), c and
     r being those of the integer k; whether it applies, and its parity,
     follow k*v, so they are those of k (v even) or of k times the doubling
     witness, whose v is 1 (v odd).  `_interval` is read on those two
-    elements once per k, and no k*beta is built.  Where the test applies
-    and r*N(beta) >= D^2 it hits (`_radicand_hits`), so the admissible
-    range is computed only below that bound.
+    elements once per k, and no k*beta is built.  Where the test does not
+    apply (kappa = 2, k and v odd), k*beta misses whatever N(beta).  The
+    pass is beta-major: it reads each beta's keys once and walks the k the
+    test applies to in increasing order.  Where r*N(beta) >= D^2 the test
+    hits (`_radicand_hits`), and r grows with k, so the walk stops at the
+    first k that reaches that bound: every later k*beta hits as well.  The
+    bound is read as N(beta) >= ceil(D^2/r), one comparison per k, and the
+    admissible range is computed only below it.
     """
-    if k < 1:
-        raise ValueError(f"multiplier must be >= 1, got {k}")
-    unit = _interval(ctx.from_int(k))
-    by_v_parity = (unit, _interval(k * doubling_witness(ctx)))
-    scale, center, radicand, _ = unit
+    witness = doubling_witness(ctx)
+    bound = ctx.D * ctx.D
+    # Per v parity: the k the test does not apply to; and, in k order, each
+    # k it applies to with its (scale, center, radicand, parity) and its
+    # reach, the least N(beta) at which radicand*N(beta) >= D^2.
+    untested: tuple[list[int], list[int]] = ([], [])
+    tested: tuple[list, list] = ([], [])
+    last = 0
+    for k in ks:
+        if k < 1:
+            raise ValueError(f"multiplier must be >= 1, got {k}")
+        if k <= last:
+            raise ValueError(f"multipliers must increase, got {k} after {last}")
+        last = k
+        n = ctx.from_int(k)
+        scale, center, radicand, parity = _interval(n)
+        odd = _interval(n * witness)
+        reach = -(-bound // radicand)
+        tested[0].append((k, reach, scale, center, radicand, parity))
+        if odd is None:
+            untested[1].append(k)
+        else:
+            tested[1].append((k, reach, scale, center, radicand, odd[3]))
     for i, (trace, v_parity, norm) in enumerate(keys):
-        shape = by_v_parity[v_parity]
-        if shape is None or not (
-            _radicand_hits(ctx, radicand * norm)
-            or _admissible_points(scale, center * trace // 2, radicand * norm, shape[3])
-        ):
-            yield i
+        for k in untested[v_parity]:
+            yield i, k
+        for k, reach, scale, center, radicand, parity in tested[v_parity]:
+            if norm >= reach:
+                break
+            if not _admissible_points(scale, center * trace // 2, radicand * norm, parity):
+                yield i, k
 
 
 def doubling_witness(ctx: RingContext) -> QuadInt:

@@ -18,16 +18,18 @@ every claim that reads it and dropped before the next ring's; it times
 each claim alone and returns the reports claims outer, D inner.  The
 doubling and small-multiplier witnesses are refuted by the search oracle.
 `stable-multiplier` decides the interval test of each multiple k*beta in
-integers, from beta's `multiple_keys`: `criteria.multiple_misses` passes
-a k*beta whose radicand is at least D^2 by that comparison alone (the
-bound `peters_guaranteed` states), and computes the admissible range only
-below it.  For a large m, `thresholds` tests no interval at all: kappa*m's
-own radicand reaches D^2 (`large_multiplier_guaranteed`), so every
-kappa*m*beta hits by the same bound, and the harness relies on that proof
-instead of checking it; the sweep still confirms each multiple it
-reaches.  Both charge one budget unit per multiple first.  Reports
-serialize to canonical JSONL (a schema header, sorted keys, no
-timestamps), so a rerun with the same parameters is byte-identical.
+integers, in one beta-major pass, `criteria.multiple_misses`: it reads
+each beta's `multiple_keys` once and walks k = 2, 4, ..., 2*m_max up to
+the first k*beta whose radicand reaches D^2 (the bound
+`peters_guaranteed` states), past which every multiple hits; the
+admissible range is computed only below it.  For a large m, `thresholds`
+tests no interval at all: kappa*m's own radicand reaches D^2
+(`large_multiplier_guaranteed`), so every kappa*m*beta hits by the same
+bound, and the harness relies on that proof instead of checking it; the
+sweep still confirms each multiple it reaches.  Both charge one budget
+unit per multiple first.  Reports serialize to canonical JSONL (a schema
+header, sorted keys, no timestamps), so a rerun with the same parameters
+is byte-identical.
 
 Failures are the load-bearing part: an empty failure list from an honest
 oracle is the whole point of the harness.  Mismatches in directions that
@@ -365,25 +367,28 @@ def estimate_stable_multiplier(
 ) -> Report:
     """Smallest m* such that the interval test accepts 2*m*beta for every
     scanned totally positive beta and every m in [m*, m_max], where m_max
-    is the top of the spec's m_range (by default ceil(D/2) + 1).
+    is the top of the spec's m_range (by default ceil(D/2) + 1); the scan
+    always starts at m = 1, whatever the range's lower end.
 
-    An empirical estimate of the stabilization threshold: some such m
-    exists (any m >= D/2 qualifies), and the report records the largest
-    multiplier below m* that still fails, with a failing element.
+    An empirical estimate of the stabilization threshold, bounded by the
+    box: a beta beyond the trace bound may still fail for some m >= m*
+    (for D = 31 the estimate is 4 at trace 40, yet 10*beta and 12*beta are
+    no sums of squares for beta = 39 - 7*sqrt31, of trace 78).  Some such
+    m exists (any m >= D/2 qualifies), and the report records the largest
+    multiplier below m* that still fails, with a failing element: the
+    first scanned beta at which it misses.  `instances_checked` counts, for
+    each m, the betas up to and including that first miss.
     """
     m_max = spec.m_range[1] if spec.m_range else -(-ctx.D // 2) + 1
     claim_id = f"stable-multiplier/D={ctx.D}/m_max={m_max}"
     _charge(spec, m_max * len(betas), f"the multiples of {claim_id}")
     keys = [multiple_keys(beta) for beta in betas]
-    first_bad: dict[int, str] = {}
-    instances = 0
-    for m in range(1, m_max + 1):
-        miss = next(multiple_misses(ctx, keys, 2 * m), None)
-        if miss is None:
-            instances += len(betas)
-        else:
-            instances += miss + 1
-            first_bad[m] = str(betas[miss])
+    first_bad: dict[int, int] = {}
+    for i, k in multiple_misses(ctx, keys, range(2, 2 * m_max + 1, 2)):
+        first_bad.setdefault(k // 2, i)
+    instances = sum(
+        first_bad[m] + 1 if m in first_bad else len(betas) for m in range(1, m_max + 1)
+    )
     m_star = None
     for m in range(m_max, 0, -1):
         if m in first_bad:
@@ -395,7 +400,7 @@ def estimate_stable_multiplier(
         "m_star": m_star,
         "largest_failing_m": largest_failing,
         "failing_example": (
-            {"m": largest_failing, "beta": first_bad[largest_failing]}
+            {"m": largest_failing, "beta": str(betas[first_bad[largest_failing]])}
             if largest_failing is not None
             else None
         ),

@@ -1,5 +1,6 @@
 """Interval criterion, witness elements, and multiplier thresholds."""
 
+from collections import Counter
 from math import isqrt
 
 import pytest
@@ -11,6 +12,7 @@ from soslab import (
     NotRamified,
     NotTotallyPositive,
     RingContext,
+    ScanSpec,
     ValuationClass,
     decompose_sos,
     doubling_witness,
@@ -23,10 +25,11 @@ from soslab import (
     peters_guaranteed,
     peters_interval,
     ramified_obstruction_witness,
+    run_claims,
     scan_totally_positive,
     small_multiplier_obstructed,
 )
-from soslab import criteria
+from soslab import criteria, verify
 from soslab.criteria import _admissible_points, _interval, multiple_keys, multiple_misses
 from soslab.quadfield import square_factor
 
@@ -130,19 +133,32 @@ def test_norm_guarantee_refuses_odd_coefficients_and_nonpositive_elements(ctx6):
 def test_even_multiple_misses_match_the_interval_test():
     # The integer decision against the interval test on k*beta, over every
     # k from 1 to past twice what stable-multiplier scans by default: odd k
-    # as well as even, with and without an odd second coordinate.
+    # as well as even, with and without an odd second coordinate.  One pass
+    # over all k, one pass over the even k alone (as stable-multiplier
+    # makes it), and one pass per k must each list exactly the rejected
+    # pairs: by index, the k the test does not apply to first, then the
+    # rest in increasing k.
     for d in range(2, 60):
         if square_factor(d) is not None:
             continue
         ctx = RingContext(d)
         betas = list(scan_totally_positive(ctx, 24))
         keys = [multiple_keys(beta) for beta in betas]
-        for k in range(1, 2 * -(-d // 2) + 3):
-            hits = [peters_five_squares(k * beta) for beta in betas]
-            for beta, key, hit in zip(betas, keys, hits):
-                assert (not list(multiple_misses(ctx, [key], k))) is hit, (d, str(beta), k)
-            misses = [i for i, hit in enumerate(hits) if not hit]
-            assert list(multiple_misses(ctx, keys, k)) == misses, (d, k)
+        ks = range(1, 2 * -(-d // 2) + 3)
+        misses = []
+        for i, beta in enumerate(betas):
+            row = [
+                (peters_interval(k * beta) is not None, k)
+                for k in ks
+                if not peters_five_squares(k * beta)
+            ]
+            misses += [(i, k) for _, k in sorted(row)]
+        assert list(multiple_misses(ctx, keys, ks)) == misses, d
+        even = [(i, k) for i, k in misses if k % 2 == 0]
+        assert list(multiple_misses(ctx, keys, ks[1::2])) == even, d
+        for k in ks:
+            expected = [(i, j) for i, j in misses if j == k]
+            assert list(multiple_misses(ctx, keys, [k])) == expected, (d, k)
 
 
 def test_radicand_bound_leaves_every_multiple_interval_nonempty():
@@ -178,21 +194,77 @@ def test_large_multiples_compute_no_interval(d, monkeypatch):
     ctx = RingContext(d)
     betas = list(scan_totally_positive(ctx, 30))
     keys = [multiple_keys(beta) for beta in betas]
-    for m in range(1, 2 * d + 2):
-        if large_multiplier_guaranteed(ctx, m):
-            assert list(multiple_misses(ctx, keys, ctx.kappa * m)) == [], (d, m)
+    large = [ctx.kappa * m for m in range(1, 2 * d + 2) if large_multiplier_guaranteed(ctx, m)]
+    assert large
+    for k in large:
+        assert list(multiple_misses(ctx, keys, [k])) == [], (d, k)
+    assert list(multiple_misses(ctx, keys, large)) == []
     # An odd k >= D in a ramified ring still rejects every odd-coefficient
     # beta, without an interval for the others.
     odd_k = d + 1 - d % 2
-    odd_v = [i for i, beta in enumerate(betas) if ctx.kappa == 2 and beta.v % 2]
-    assert list(multiple_misses(ctx, keys, odd_k)) == odd_v
+    odd_v = [(i, odd_k) for i, beta in enumerate(betas) if ctx.kappa == 2 and beta.v % 2]
+    assert list(multiple_misses(ctx, keys, [odd_k])) == odd_v
     assert calls == []
 
 
 @pytest.mark.parametrize("k", [0, -2])
 def test_multiple_misses_need_a_positive_multiplier(ctx6, k):
     with pytest.raises(ValueError):
-        next(multiple_misses(ctx6, [multiple_keys(ctx6.one)], k))
+        next(multiple_misses(ctx6, [multiple_keys(ctx6.one)], [k]))
+
+
+@pytest.mark.parametrize("ks", [[4, 2], [2, 2]])
+def test_multiple_misses_need_increasing_multipliers(ctx6, ks):
+    # The walk stops at the first k past the radicand bound, which holds
+    # only if the radicands, and so the k, increase.
+    with pytest.raises(ValueError):
+        next(multiple_misses(ctx6, [multiple_keys(ctx6.one)], ks))
+
+
+class _CountedKeys(list):
+    """A key list that counts every key read from it."""
+
+    reads = 0
+
+    def __iter__(self):
+        for key in super().__iter__():
+            self.reads += 1
+            yield key
+
+
+def test_stable_multiplier_pass_stops_at_the_radicand_bound(monkeypatch):
+    # Over the acceptance box, stable-multiplier builds and reads each
+    # beta's keys once, and computes an admissible range only for the
+    # pairs (2m, beta) whose radicand is below D^2: 2,701 of 42,736 (its
+    # reports count 35,026 instances, each m up to its first miss).
+    ranges = []
+
+    def counted_range(*args):
+        ranges.append(args)
+        return _admissible_points(*args)
+
+    built = []
+
+    def counted_keys(beta):
+        built.append(beta)
+        return multiple_keys(beta)
+
+    passed = []
+
+    def counted_pass(ctx, keys, ks):
+        passed.append(_CountedKeys(keys))
+        return multiple_misses(ctx, passed[-1], ks)
+
+    monkeypatch.setattr(criteria, "_admissible_points", counted_range)
+    monkeypatch.setattr(verify, "multiple_keys", counted_keys)
+    monkeypatch.setattr(verify, "multiple_misses", counted_pass)
+    d_list = tuple(d for d in range(2, 51) if square_factor(d) is None)
+    reports = run_claims(ScanSpec(d_list, 40), ["stable-multiplier"])
+    sizes = [len(list(scan_totally_positive(RingContext(d), 40))) for d in d_list]
+    assert len(built) == sum(keys.reads for keys in passed) == sum(sizes) == 3930
+    assert sum(r.details["m_max"] * n for r, n in zip(reports, sizes, strict=True)) == 42736
+    assert sum(r.instances_checked for r in reports) == 35026
+    assert len(ranges) <= 2701
 
 
 def test_huge_interval_is_decided_without_listing_it(ctx5):

@@ -13,7 +13,9 @@ from soslab import (
     RingContext,
     ScanSpec,
     Sweep,
+    VerdictKind,
     WrongField,
+    decompose_sos,
     reports_to_jsonl,
     run_claims,
     scan_totally_positive,
@@ -352,6 +354,26 @@ def test_stable_multiplier_estimates():
     assert rep.details["m_star"] == 1
 
 
+def test_stable_multiplier_is_an_estimate_bounded_by_the_box():
+    # beta = 39 - 7*sqrt31 (norm 2, trace 78) lies outside the box at trace
+    # 40: 10*beta and 12*beta are no sums of squares, yet the estimate
+    # there is m* = 4.  Reaching beta's trace moves it to 7.
+    ctx = RingContext(31)
+    beta = ctx.element(39, -7)
+    assert (beta.norm, beta.trace) == (2, 78)
+    for n in (10, 12):
+        verdict = decompose_sos(n * beta, node_budget=BUDGET)
+        assert (verdict.kind, verdict.nodes) == (VerdictKind.EXHAUSTED_NONE, 4), n
+    for n in (8, 14):
+        assert decompose_sos(n * beta, node_budget=BUDGET).kind is VerdictKind.FOUND, n
+    rep = claim("stable-multiplier", 31, 40)
+    assert rep.details["m_star"] == 4
+    assert rep.details["failing_example"] == {"m": 3, "beta": "6-sqrt31"}
+    rep = claim("stable-multiplier", 31, 78)
+    assert (rep.details["m_star"], rep.details["largest_failing_m"]) == (7, 6)
+    assert rep.details["failing_example"] == {"m": 6, "beta": "39-7sqrt31"}
+
+
 # ---------------------------------------------------------------------------
 # the spec/driver layer
 
@@ -430,6 +452,11 @@ def test_jsonl_shape_and_reproducibility():
         (
             ["peters", "--D", "2..80", "--trace-bound", "50"],
             "c8a60bc1d10469e451139ff2685b75bfb1346ade12402d6bab1559dc7dbac5cd",
+        ),
+        (
+            # Deep multiplier walks, most of them stopped by the radicand bound.
+            ["m0", "--D", "2..60", "--trace-bound", "100", "--m-range", "1..70"],
+            "331cf8f856de417103aa852034ef0e312b1054fa63e7458125dc2f4936d5fb81",
         ),
     ],
 )
