@@ -1,9 +1,7 @@
 """Pure-Python kernel for the exhaustive sum-of-squares search.
 
-Everything here works on doubled sqrt-basis coordinates: a pair (A, B)
-stands for (A + B*sqrt(D))/2, which is integral exactly when A = B (mod 2)
-for D = 1 (mod 4) and when both are even otherwise.  That one convention
-lets a single integer kernel serve both integral-basis shapes.
+Everything here works on the doubled pairs (A, B) that `quadfield` stores,
+meaning (A + B*sqrt(D))/2, so one integer kernel serves both shapes of w.
 
 The traversal enumerates multisets of candidate roots: candidates are kept
 in one fixed list (descending canonical order), and a child may only pick
@@ -47,9 +45,7 @@ STATUS_BUDGET = 2
 Candidate = tuple[int, int, int, int]
 
 
-def generate_candidates(
-    d: int, half_allowed: bool, big_a: int, big_b: int, budget: int
-) -> list[Candidate]:
+def generate_candidates(d: int, big_a: int, big_b: int, budget: int) -> list[Candidate]:
     """All canonical roots whose square fits under (A, B) in both embeddings.
 
     Canonical means a > 0, or a = 0 and b > 0.  The target must be totally
@@ -70,6 +66,7 @@ def generate_candidates(
     # Integrality fixes the parity of A: A = B (mod 2) in the half basis,
     # A and B both even otherwise.
     b_max = isqrt(2 * trace // d)
+    half_allowed = d % 4 == 1
     work = 0
     for b in range(-b_max, b_max + 1):
         work += 1

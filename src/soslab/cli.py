@@ -159,12 +159,16 @@ class CliConfig:
         self.write(line + "\n")
 
 
-def _parse_d_spec(spec: str) -> tuple[int, ...]:
-    """'6' | '2,3,5' | '2..50' (ranges keep only squarefree D)."""
+def _parse_d_spec(spec: str, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, ...]:
+    """'6' | '2,3,5' | '2..50' (ranges keep only squarefree D).  A range is
+    charged one unit per D, as a scan charges one per element, before any D
+    is listed: BudgetExceeded when that is over the node budget."""
     if ".." in spec:
         lo_s, hi_s = spec.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-        return tuple(d for d in range(max(lo, 2), hi + 1) if square_factor(d) is None)
+        lo, hi = max(int(lo_s), 2), int(hi_s)
+        if hi - lo + 1 > node_budget:
+            raise BudgetExceeded(0, node_budget, f"the D range {spec}")
+        return tuple(d for d in range(lo, hi + 1) if square_factor(d) is None)
     return tuple(int(part) for part in spec.split(","))
 
 
@@ -450,7 +454,7 @@ def cmd_verify(cfg: CliConfig) -> int:
     from .verify import CLAIM_NAMES, ScanSpec, reports_to_jsonl, run_claims
 
     spec = ScanSpec(
-        d_list=_parse_d_spec(cfg.args.D),
+        d_list=_parse_d_spec(cfg.args.D, cfg.node_budget),
         trace_bound=cfg.args.trace_bound,
         m_range=_parse_m_range(cfg.args.m_range) if cfg.args.m_range else None,
         node_budget=cfg.node_budget,

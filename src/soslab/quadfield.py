@@ -5,10 +5,13 @@ For squarefree D >= 2 the ring of integers of Q(sqrt(D)) is Z[w] with
     w = sqrt(D)           when D = 2, 3 (mod 4),
     w = (1 + sqrt(D))/2   when D = 1 (mod 4).
 
-Elements are stored as integer coordinate pairs (u, v) meaning u + v*w.
-Every question about the two real embeddings (signs, total positivity,
-comparisons against sqrt(D)) is answered by integer sign tests; no
-floating point is used anywhere.
+An element is stored as its doubled pair (A, B), meaning (A + B*sqrt(D))/2,
+which is integral exactly when A = B (mod 2), both even unless D = 1 (mod 4).
+In that pair the trace is A, the norm (A^2 - D*B^2)/4 and the conjugate
+(A, -B), and total positivity is the integer test A > 0, A^2 > D*B^2, so
+the arithmetic reads the same for both shapes of w.  The coordinates (u, v)
+of u + v*w are a read-only view, for construction and display.  No floating
+point is used anywhere.
 """
 
 from __future__ import annotations
@@ -107,43 +110,34 @@ class RingContext(Record):
         return QuadInt(self, u, v)
 
     def from_int(self, n: int) -> QuadInt:
-        return QuadInt(self, n, 0)
+        return _from_pair(self, 2 * n, 0)
 
     def from_sqrt_pair(self, a: int, b: int) -> QuadInt:
         """Element a + b*sqrt(D) with integer a, b."""
-        if self.kappa == 1:
-            return QuadInt(self, a - b, 2 * b)
-        return QuadInt(self, a, b)
+        return _from_pair(self, 2 * a, 2 * b)
 
     def from_half_pair(self, big_a: int, big_b: int) -> QuadInt:
         """Element (A + B*sqrt(D))/2 from doubled coordinates (A, B).
 
-        The pair must satisfy the integrality rule of the ring: A = B (mod 2)
-        when D = 1 (mod 4), both even otherwise.
+        The pair must satisfy the integrality rule of the ring: A = B (mod 2),
+        both even unless D = 1 (mod 4).
         """
-        if self.kappa == 1:
-            if (big_a - big_b) % 2:
-                raise ValueError(
-                    f"({big_a}+{big_b}*sqrt{self.D})/2 is not integral: "
-                    "coordinates differ mod 2"
-                )
-            return QuadInt(self, (big_a - big_b) // 2, big_b)
-        if big_a % 2 or big_b % 2:
+        if (big_a - big_b) % 2 or big_b % self.kappa:
             raise ValueError(
-                f"({big_a}+{big_b}*sqrt{self.D})/2 is not integral for "
-                f"D={self.D}: coordinates must be even"
+                f"({big_a}+{big_b}*sqrt{self.D})/2 is not integral for D={self.D}: "
+                "coordinates must agree mod 2, and be even unless D = 1 (mod 4)"
             )
-        return QuadInt(self, big_a // 2, big_b // 2)
+        return _from_pair(self, big_a, big_b)
 
     # -- distinguished elements ----------------------------------------------
 
     @property
     def zero(self) -> QuadInt:
-        return QuadInt(self, 0, 0)
+        return _from_pair(self, 0, 0)
 
     @property
     def one(self) -> QuadInt:
-        return QuadInt(self, 1, 0)
+        return _from_pair(self, 2, 0)
 
     @property
     def omega(self) -> QuadInt:
@@ -152,9 +146,7 @@ class RingContext(Record):
     @property
     def sqrt_d(self) -> QuadInt:
         """sqrt(D) as a ring element (equals 2w - 1 when D = 1 mod 4)."""
-        if self.kappa == 1:
-            return QuadInt(self, -1, 2)
-        return QuadInt(self, 0, 1)
+        return _from_pair(self, 0, 2)
 
     def __repr__(self) -> str:
         return f"RingContext(D={self.D})"
@@ -180,69 +172,62 @@ def real_sign(ctx: RingContext, p: Rational, q: Rational) -> int:
 
 
 class QuadInt(Record):
-    """Immutable element u + v*w of the ring of integers of Q(sqrt(D))."""
+    """Immutable element (A + B*sqrt(D))/2 of the ring of integers of
+    Q(sqrt(D)), built from and shown as u + v*w."""
 
-    __slots__ = ("ctx", "u", "v")
+    __slots__ = ("ctx", "_a", "_b")
     ctx: RingContext
-    u: int
-    v: int
+    _a: int
+    _b: int
 
     def __init__(self, ctx: RingContext, u: int, v: int) -> None:
+        # w = (t + kappa*sqrt(D))/2, where its trace t = 2 - kappa.
         self._set("ctx", ctx)
-        self._set("u", u)
-        self._set("v", v)
+        self._set("_a", 2 * u + (2 - ctx.kappa) * v)
+        self._set("_b", ctx.kappa * v)
 
     # -- coordinate views ----------------------------------------------------
 
     @property
-    def half_coords(self) -> tuple[int, int]:
-        """Doubled sqrt-basis coordinates (A, B) with self = (A + B*sqrt(D))/2.
+    def u(self) -> int:
+        return (self._a - (2 - self.ctx.kappa) * self.v) // 2
 
-        Always integral, for both shapes of w; most sign work happens here.
-        """
-        if self.ctx.kappa == 1:
-            return 2 * self.u + self.v, self.v
-        return 2 * self.u, 2 * self.v
+    @property
+    def v(self) -> int:
+        return self._b // self.ctx.kappa
+
+    @property
+    def half_coords(self) -> tuple[int, int]:
+        """The stored pair (A, B), with self = (A + B*sqrt(D))/2."""
+        return self._a, self._b
 
     @property
     def trace(self) -> int:
-        return self.half_coords[0]
+        return self._a
 
     @property
     def norm(self) -> int:
-        if self.ctx.kappa == 1:
-            return self.u * self.u + self.u * self.v - self.v * self.v * (
-                (self.ctx.D - 1) // 4
-            )
-        return self.u * self.u - self.ctx.D * self.v * self.v
+        return (self._a * self._a - self.ctx.D * self._b * self._b) // 4
 
     def conjugate(self) -> QuadInt:
         """Image under the nontrivial field automorphism sqrt(D) -> -sqrt(D)."""
-        if self.ctx.kappa == 1:
-            return QuadInt(self.ctx, self.u + self.v, -self.v)
-        return QuadInt(self.ctx, self.u, -self.v)
+        return _from_pair(self.ctx, self._a, -self._b)
 
     # -- embeddings ----------------------------------------------------------
 
     def is_totally_positive(self) -> bool:
-        big_a, big_b = self.half_coords
-        return (
-            real_sign(self.ctx, big_a, big_b) > 0
-            and real_sign(self.ctx, big_a, -big_b) > 0
-        )
+        big_a = self._a
+        return big_a > 0 and big_a * big_a > self.ctx.D * self._b * self._b
 
     def is_totally_nonnegative(self) -> bool:
-        big_a, big_b = self.half_coords
-        return (
-            real_sign(self.ctx, big_a, big_b) >= 0
-            and real_sign(self.ctx, big_a, -big_b) >= 0
-        )
+        big_a = self._a
+        return big_a >= 0 and big_a * big_a >= self.ctx.D * self._b * self._b
 
     # -- ring operations -----------------------------------------------------
 
     def _coerce(self, other: QuadInt | int) -> QuadInt:
         if isinstance(other, int):
-            return QuadInt(self.ctx, other, 0)
+            return _from_pair(self.ctx, 2 * other, 0)
         if isinstance(other, QuadInt):
             if other.ctx != self.ctx:
                 raise ContextMismatch(
@@ -255,7 +240,7 @@ class QuadInt(Record):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return QuadInt(self.ctx, self.u + other.u, self.v + other.v)
+        return _from_pair(self.ctx, self._a + other._a, self._b + other._b)
 
     __radd__ = __add__
 
@@ -263,7 +248,7 @@ class QuadInt(Record):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return QuadInt(self.ctx, self.u - other.u, self.v - other.v)
+        return _from_pair(self.ctx, self._a - other._a, self._b - other._b)
 
     def __rsub__(self, other: QuadInt | int) -> QuadInt:
         other = self._coerce(other)
@@ -272,18 +257,16 @@ class QuadInt(Record):
         return other - self
 
     def __neg__(self) -> QuadInt:
-        return QuadInt(self.ctx, -self.u, -self.v)
+        return _from_pair(self.ctx, -self._a, -self._b)
 
     def __mul__(self, other: QuadInt | int) -> QuadInt:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        u1, v1, u2, v2 = self.u, self.v, other.u, other.v
-        if self.ctx.kappa == 1:
-            # w^2 = (D-1)/4 + w
-            c = (self.ctx.D - 1) // 4
-            return QuadInt(self.ctx, u1 * u2 + c * v1 * v2, u1 * v2 + v1 * u2 + v1 * v2)
-        return QuadInt(self.ctx, u1 * u2 + self.ctx.D * v1 * v2, u1 * v2 + v1 * u2)
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        return _from_pair(
+            self.ctx, (a1 * a2 + self.ctx.D * b1 * b2) // 2, (a1 * b2 + b1 * a2) // 2
+        )
 
     __rmul__ = __mul__
 
@@ -303,40 +286,50 @@ class QuadInt(Record):
         return self * self
 
     def __bool__(self) -> bool:
-        return bool(self.u or self.v)
+        return bool(self._a or self._b)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            return self.v == 0 and self.u == other
+            return self._b == 0 and self._a == 2 * other
         if isinstance(other, QuadInt):
-            return self.ctx == other.ctx and self.u == other.u and self.v == other.v
+            return self.ctx == other.ctx and self._a == other._a and self._b == other._b
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.ctx.D, self.u, self.v))
+        return hash((self.ctx.D, self._a, self._b))
 
     # -- canonical presentation ----------------------------------------------
 
     def canonical(self) -> QuadInt:
         """The sign representative with a > 0, or a = 0 and b > 0 (0 maps to 0)."""
-        big_a, big_b = self.half_coords
-        if big_a > 0 or (big_a == 0 and big_b > 0):
+        if self._a > 0 or (self._a == 0 and self._b > 0):
             return self
         return -self
 
     def __str__(self) -> str:
         unit = "w" if self.ctx.kappa == 1 else f"sqrt{self.ctx.D}"
-        if self.v == 0:
-            return str(self.u)
-        coeff = "" if abs(self.v) == 1 else str(abs(self.v))
+        u, v = self.u, self.v
+        if v == 0:
+            return str(u)
+        coeff = "" if abs(v) == 1 else str(abs(v))
         tail = f"{coeff}{unit}"
-        if self.u == 0:
-            return tail if self.v > 0 else f"-{tail}"
-        op = "+" if self.v > 0 else "-"
-        return f"{self.u}{op}{tail}"
+        if u == 0:
+            return tail if v > 0 else f"-{tail}"
+        op = "+" if v > 0 else "-"
+        return f"{u}{op}{tail}"
 
     def __repr__(self) -> str:
         return f"QuadInt(D={self.ctx.D}, u={self.u}, v={self.v})"
+
+
+def _from_pair(ctx: RingContext, big_a: int, big_b: int) -> QuadInt:
+    """The element (A + B*sqrt(D))/2, unchecked: the one constructor for
+    pairs that are integral by construction (see `from_half_pair`)."""
+    alpha = object.__new__(QuadInt)
+    alpha._set("ctx", ctx)
+    alpha._set("_a", big_a)
+    alpha._set("_b", big_b)
+    return alpha
 
 
 def squares_sum_to(
@@ -354,7 +347,7 @@ def squares_sum_to(
     for term in terms:
         if term.ctx != ctx:
             raise ContextMismatch(f"mixing D={d} and D={term.ctx.D} elements")
-        a, b = term.half_coords
+        a, b = term._a, term._b
         rational += a * a + d * b * b
         cross += a * b
     return rational == 2 * big_a and cross == big_b
@@ -380,7 +373,7 @@ def scan_totally_positive(ctx: RingContext, trace_bound: int) -> Iterator[QuadIn
     in (trace, a, b) lexicographic order."""
     for big_a, row in _box_rows(ctx, trace_bound):
         for big_b in row:
-            yield ctx.from_half_pair(big_a, big_b)
+            yield _from_pair(ctx, big_a, big_b)
 
 
 def count_totally_positive(ctx: RingContext, trace_bound: int, limit: int) -> int:

@@ -478,6 +478,11 @@ def test_verify_budget_error_names_the_sweep(capsys, argv, ring):
             ["stable-multiplier", "--D", "5", "--trace-bound", "4", "--m-range", "1..100000000000"],
             "the multiples of stable-multiplier/D=5/m_max=100000000000",
         ),
+        # A D range is charged one unit per D before any D is listed.
+        (
+            ["doubling", "--D", "2..1000000000000", "--trace-bound", "2", "--node-budget", "10"],
+            "the D range 2..1000000000000",
+        ),
     ],
 )
 def test_verify_budget_error_names_the_scan_or_the_multiples(capsys, argv, scope):

@@ -218,6 +218,31 @@ def test_norm_is_multiplicative(a, b):
     assert (a * b).norm == a.norm * b.norm
 
 
+def _omega_product(d, u1, v1, u2, v2):
+    """(u1 + v1*w)(u2 + v2*w) in the w basis, reduced by w^2 = (D-1)/4 + w
+    when D = 1 (mod 4) and by w^2 = D otherwise."""
+    if d % 4 == 1:
+        c = (d - 1) // 4
+        return u1 * u2 + c * v1 * v2, u1 * v2 + v1 * u2 + v1 * v2
+    return u1 * u2 + d * v1 * v2, u1 * v2 + v1 * u2
+
+
+@given(elements(), elements())
+def test_product_matches_the_omega_basis_formula(a, b):
+    b = a.ctx.element(b.u, b.v)
+    product = a * b
+    assert (product.u, product.v) == _omega_product(a.ctx.D, a.u, a.v, b.u, b.v)
+
+
+@given(SQUAREFREE_DS, SMALL_COORDS, SMALL_COORDS)
+def test_omega_coordinates_round_trip(d, u, v):
+    ctx = RingContext(d)
+    alpha = QuadInt(ctx, u, v)
+    assert alpha == ctx.element(u, v)
+    assert (alpha.u, alpha.v) == (u, v)
+    assert ctx.from_half_pair(*alpha.half_coords) == alpha
+
+
 @given(elements())
 def test_conjugation_involution_and_invariants(alpha):
     conj = alpha.conjugate()
@@ -281,6 +306,27 @@ def test_total_positivity_examples(ctx6):
     assert not ctx6.zero.is_totally_positive()
 
 
+def _embeddings(alpha):
+    """The two real embeddings of u + v*w, each as (p, q) meaning p + q*sqrt(D)."""
+    if alpha.ctx.D % 4 == 1:
+        half = Fraction(alpha.v, 2)
+        return (alpha.u + half, half), (alpha.u + half, -half)
+    return (alpha.u, alpha.v), (alpha.u, -alpha.v)
+
+
+def test_total_positivity_matches_real_sign():
+    # A whole grid, so that the elements nearest the boundary A^2 = D*B^2
+    # are all tested.
+    for d in (2, 3, 5, 6, 7, 13, 101):
+        ctx = RingContext(d)
+        for u in range(-12, 13):
+            for v in range(-12, 13):
+                alpha = ctx.element(u, v)
+                signs = [real_sign(ctx, p, q) for p, q in _embeddings(alpha)]
+                assert alpha.is_totally_positive() is (min(signs) > 0), (d, u, v)
+                assert alpha.is_totally_nonnegative() is (min(signs) >= 0), (d, u, v)
+
+
 @given(elements(), elements())
 def test_totally_positive_closed_under_product(a, b):
     if a.ctx.D != b.ctx.D:
@@ -331,6 +377,12 @@ def test_eq_hash_contract():
     assert ctx.element(3, 1) != 3
     assert hash(ctx.from_int(3)) == hash(RingContext(6).from_int(3))
     assert len({ctx.element(1, 2), ctx.element(1, 2), ctx.element(2, 1)}) == 2
+    ctx = RingContext(5)
+    assert ctx.from_int(3) == 3 == ctx.from_half_pair(6, 0)
+    assert ctx.element(3, 1) != 3 and ctx.element(3, 1) != 4
+    assert ctx.element(1, 1) == QuadInt(ctx, 1, 1) == ctx.from_half_pair(3, 1)
+    assert hash(ctx.element(1, 1)) == hash(ctx.from_half_pair(3, 1))
+    assert ctx.element(1, 1) != RingContext(13).element(1, 1)
 
 
 def test_str_canonical_forms():
@@ -360,6 +412,7 @@ def test_records_are_immutable_values(ctx6):
     records = [
         ctx6,
         alpha,
+        RingContext(5).element(2, -3),
         decompose_sos(ctx6.element(7, 2)).decomposition,  # (1+sqrt6)^2
         ScanSpec((2, 6), 10, m_range=(1, 3)),
     ]
@@ -371,6 +424,7 @@ def test_records_are_immutable_values(ctx6):
             delattr(record, field)
         copy = pickle.loads(pickle.dumps(record))
         assert copy == record and hash(copy) == hash(record)
+        assert repr(copy) == repr(record)
     assert RingContext(6) == ctx6 != RingContext(7)
     assert ScanSpec((2,), 10) != ScanSpec((2,), 11)
     assert repr(ScanSpec((2,), 10)) == (
