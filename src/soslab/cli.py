@@ -30,7 +30,9 @@ from .errors import (
     ParseError,
     SoslabError,
 )
-from .quadfield import QuadInt, RingContext, scan_totally_positive, square_factor
+from .quadfield import (
+    QuadInt, RingContext, charge_square_factor, scan_totally_positive, square_factor
+)
 
 if TYPE_CHECKING:
     from .decompose import SearchVerdict
@@ -161,13 +163,14 @@ class CliConfig:
 
 def _parse_d_spec(spec: str, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, ...]:
     """'6' | '2,3,5' | '2..50' (ranges keep only squarefree D).  A range is
-    charged one unit per D, as a scan charges one per element, before any D
-    is listed: BudgetExceeded when that is over the node budget."""
+    charged one unit per D, as a scan charges one per element, then its
+    largest D's squarefree test, before any D is listed (BudgetExceeded)."""
     if ".." in spec:
         lo_s, hi_s = spec.split("..", 1)
         lo, hi = max(int(lo_s), 2), int(hi_s)
         if hi - lo + 1 > node_budget:
             raise BudgetExceeded(0, node_budget, f"the D range {spec}")
+        charge_square_factor(hi, node_budget)
         return tuple(d for d in range(lo, hi + 1) if square_factor(d) is None)
     return tuple(int(part) for part in spec.split(","))
 
@@ -562,6 +565,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command != "verify":  # verify's --D is a spec, charged as parsed
+            charge_square_factor(args.D, args.node_budget)
         cfg = CliConfig(
             command=args.command,
             fmt=args.fmt,

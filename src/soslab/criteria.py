@@ -36,6 +36,7 @@ from typing import Iterable, Iterator
 from ._record import Record
 from .errors import NotOdd, NotRamified, NotTotallyPositive
 from .quadfield import DyadicClass, QuadInt, RingContext
+from .residues import is_square_mod_two
 
 
 class PetersInterval(Record):
@@ -83,21 +84,19 @@ def _admissible_points(scale: int, center: int, radicand: int, parity: int | Non
 
 
 def _interval(alpha: QuadInt) -> tuple[int, int, int, int | None] | None:
-    """(scale, center, radicand, parity) of alpha's interval test, or None
-    where the test does not apply (D = 2, 3 mod 4 with odd
-    sqrt(D)-coefficient).  Requires alpha totally positive."""
-    if not alpha.is_totally_positive():
-        raise NotTotallyPositive(f"{alpha} is not totally positive")
+    """(scale, center, radicand, parity) of alpha's interval test, read off
+    its pair (A, B), or None where it does not apply: alpha is no square mod
+    2*O, so no sum of squares.  Requires alpha totally positive."""
     ctx = alpha.ctx
+    big_a, big_b = alpha.half_coords
+    radicand = big_a * big_a - ctx.D * big_b * big_b
+    if big_a <= 0 or radicand <= 0:
+        raise NotTotallyPositive(f"{alpha} is not totally positive")
     if ctx.kappa == 1:
-        # alpha = a0 + a1*w: integer n with n = a1 (mod 2) in
-        # [(2*a0 + a1 - 2*sqrt(N))/D, (2*a0 + a1 + 2*sqrt(N))/D].
-        return ctx.D, alpha.trace, 4 * alpha.norm, alpha.v % 2
-    if alpha.v % 2:
+        return ctx.D, big_a, radicand, big_b % 2
+    if not is_square_mod_two(alpha):
         return None
-    # alpha = a0 + 2*a1*sqrt(D): integer n in
-    # [(a0 - sqrt(N))/(2D), (a0 + sqrt(N))/(2D)].
-    return 2 * ctx.D, alpha.u, alpha.norm, None
+    return 2 * ctx.D, big_a // 2, radicand // 4, None
 
 
 def peters_interval(alpha: QuadInt) -> PetersInterval | None:
@@ -143,9 +142,11 @@ def peters_guaranteed(alpha: QuadInt) -> bool:
 
 
 def multiple_keys(beta: QuadInt) -> tuple[int, int, int]:
-    """What `multiple_misses` reads of beta: its trace, the parity of its
-    second coordinate, and its norm."""
-    return beta.trace, beta.v % 2, beta.norm
+    """What `multiple_misses` reads of beta: its trace A, the parity of v (B's
+    for D = 1 mod 4, else whether beta is no square mod 2*O), and its norm."""
+    big_a, big_b = beta.half_coords
+    norm = (big_a * big_a - beta.ctx.D * big_b * big_b) // 4
+    return big_a, int(big_b % 2 or not is_square_mod_two(beta)), norm
 
 
 def multiple_misses(
@@ -156,24 +157,25 @@ def multiple_misses(
     (each k >= 1), in index order.  Within one index come first the k the
     test does not apply to, then the rejected k in increasing order.
 
-    k*beta's interval has center c*tr(beta)/2 and radicand r*N(beta), c and
-    r being those of the integer k; whether it applies, and its parity,
-    follow k*v, so they are those of k (v even) or of k times the doubling
-    witness, whose v is 1 (v odd).  `_interval` is read on those two
-    elements once per k, and no k*beta is built.  Where the test does not
-    apply (kappa = 2, k and v odd), k*beta misses whatever N(beta).  The
-    pass is beta-major: it reads each beta's keys once and walks the k the
-    test applies to in increasing order.  Where r*N(beta) >= D^2 the test
-    hits (`_radicand_hits`), and r grows with k, so the walk stops at the
-    first k that reaches that bound: every later k*beta hits as well.  The
-    bound is read as N(beta) >= ceil(D^2/r), one comparison per k, and the
-    admissible range is computed only below it.
+    k*beta's interval has center c*tr(beta)/2 and radicand r*N(beta), c and r
+    being the integer k's, 1's times k and k^2.  It applies unless k*beta is no square mod 2*O:
+    as k*beta = beta (mod 2*O) for odd k and 0 for even k, that is odd k and v
+    odd when kappa = 2 (the class of w).  Its parity, where one is required,
+    is that of k*v.  No k*beta, nor k, is built.  Where the test does not
+    apply, k*beta misses whatever N(beta).  The pass is beta-major: it reads
+    each beta's keys once and walks the k the test applies to in increasing
+    order.  Where r*N(beta) >= D^2 the test hits (`_radicand_hits`), and r
+    grows with k, so the walk stops at the first k that reaches that bound:
+    every later k*beta hits as well.  The bound is read as
+    N(beta) >= ceil(D^2/r), one comparison per k, and the admissible range
+    is computed only below it.
     """
-    witness = doubling_witness(ctx)
+    scale, unit_center, unit_radicand, parity = _interval(ctx.one)
+    odd_squares = is_square_mod_two(ctx.omega)
     bound = ctx.D * ctx.D
     # Per v parity: the k the test does not apply to; and, in k order, each
-    # k it applies to with its (scale, center, radicand, parity) and its
-    # reach, the least N(beta) at which radicand*N(beta) >= D^2.
+    # k it applies to with its center, radicand and parity, and its reach,
+    # the least N(beta) at which radicand*N(beta) >= D^2.
     untested: tuple[list[int], list[int]] = ([], [])
     tested: tuple[list, list] = ([], [])
     last = 0
@@ -183,19 +185,17 @@ def multiple_misses(
         if k <= last:
             raise ValueError(f"multipliers must increase, got {k} after {last}")
         last = k
-        n = ctx.from_int(k)
-        scale, center, radicand, parity = _interval(n)
-        odd = _interval(n * witness)
+        center, radicand = k * unit_center, k * k * unit_radicand
         reach = -(-bound // radicand)
-        tested[0].append((k, reach, scale, center, radicand, parity))
-        if odd is None:
+        tested[0].append((k, reach, center, radicand, parity))
+        if k % 2 and not odd_squares:
             untested[1].append(k)
         else:
-            tested[1].append((k, reach, scale, center, radicand, odd[3]))
+            tested[1].append((k, reach, center, radicand, None if parity is None else k % 2))
     for i, (trace, v_parity, norm) in enumerate(keys):
         for k in untested[v_parity]:
             yield i, k
-        for k, reach, scale, center, radicand, parity in tested[v_parity]:
+        for k, reach, center, radicand, parity in tested[v_parity]:
             if norm >= reach:
                 break
             if not _admissible_points(scale, center * trace // 2, radicand * norm, parity):

@@ -6,11 +6,11 @@ exists within the term bound (a completed exhaustive traversal), or gives
 up with a budget verdict -- it never guesses, and it never prunes with a
 representability theorem, so its negative answers are unconditional.
 
-One invariant of the traversal is settled at the root instead of by
-walking it.  When 2 ramifies (D = 2, 3 mod 4), every candidate square has
-doubled coordinates SB = A*B with A and B even, so the remainder's B mod 4
-is the same at every node; a target with B = 2 (mod 4), i.e. an odd
-sqrt(D)-coefficient, can never reach (0, 0), and the traversal would
+One obstruction is settled at the root instead of by walking the
+traversal: the mod-2*O square rule (`residues.is_square_mod_two`).  Cross
+terms vanish mod 2*O, (x + y)^2 = x^2 + y^2 (mod 2*O), so any sum of
+squares is a square there; a target that is not one (2 ramified, odd
+sqrt(D)-coefficient) can never be reached, and the traversal would
 exhaust.  The search returns that exhausted verdict with 0 nodes.
 
 The traversal itself is `_pysearch.run_search`, in arbitrary-precision
@@ -32,6 +32,7 @@ from . import _pysearch
 from ._record import Record
 from .errors import DEFAULT_NODE_BUDGET, BudgetExceeded, ContextMismatch
 from .quadfield import QuadInt, squares_sum_to
+from .residues import is_square_mod_two
 
 # No compiled kernel exists; perfbench still reads this attribute to report
 # which kernel ran.
@@ -120,11 +121,9 @@ def _search(
     if not alpha.is_totally_nonnegative():
         # No sum of squares has a negative embedding; nothing to search.
         return SearchVerdict(VerdictKind.EXHAUSTED_NONE, None, 0)
-    big_a, big_b = alpha.half_coords
-    if ctx.kappa == 2 and big_b % 4 == 2:
-        # Every candidate square has SB = A*B with A, B even, so B mod 4 is
-        # fixed along every path, and the target (0, 0) needs B = 0 mod 4.
+    if not is_square_mod_two(alpha):
         return SearchVerdict(VerdictKind.EXHAUSTED_NONE, None, 0)
+    big_a, big_b = alpha.half_coords
     depth_cap = big_a // 2
     if max_terms is not None:
         depth_cap = min(depth_cap, max(max_terms, 0))
@@ -155,8 +154,8 @@ def decompose_sos(
     Found verdicts carry a re-verified decomposition; exhausted verdicts
     are proofs of non-representability within the term bound (for the
     default unbounded search, non-representability outright); budget
-    verdicts carry no claim.  An odd sqrt(D)-coefficient with 2 ramified
-    is exhausted at the root, with 0 nodes (see the module docstring).
+    verdicts carry no claim.  A target that is no square mod 2*O is
+    exhausted at the root, with 0 nodes (see the module docstring).
     """
     return _search(alpha, max_terms, node_budget, shortest=False)
 

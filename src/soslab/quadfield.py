@@ -21,7 +21,7 @@ from math import isqrt
 from typing import TYPE_CHECKING, Iterator, Union
 
 from ._record import Record
-from .errors import ContextMismatch, NotSquarefree, TooSmall
+from .errors import BudgetExceeded, ContextMismatch, NotSquarefree, TooSmall
 
 if TYPE_CHECKING:
     # Annotations only: fractions imports decimal, which no caller needs.
@@ -58,6 +58,12 @@ def square_factor(d: int) -> int | None:
         p += 1 if p == 2 else 2
     root = isqrt(n)
     return root if root > 1 and root * root == n else None
+
+
+def charge_square_factor(d: int, node_budget: int) -> None:
+    """Charges square_factor(d)'s trial division, the cube root of d, to the budget."""
+    if d >= (node_budget + 1) ** 3:
+        raise BudgetExceeded(0, node_budget, f"the squarefree test of D={d}")
 
 
 class RingContext(Record):

@@ -1,9 +1,9 @@
 """Residue classes modulo 2*O and the local sum-of-squares criterion.
 
 O/2O has exactly four classes, represented by coordinate parities
-(u mod 2, v mod 2).  Which classes are squares is decided by enumerating
-the four representatives and squaring them in the ring -- the enumeration
-itself is the proof, there is no case formula to trust.
+(u mod 2, v mod 2).  Which are squares is one closed form on the stored
+pair (A, B), proved in `is_square_mod_two`; `squares_mod_two` squares the
+four representatives in the ring, the reference the tests hold it to.
 
 The local criterion: a totally positive element is a sum of r >= 5 squares
 at every completion of O if and only if it is congruent to a square mod
@@ -15,7 +15,6 @@ squares modulo 2*O because cross terms vanish.)
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import NotRamified, ZeroElement
@@ -42,7 +41,6 @@ def residue_mod_two(alpha: QuadInt) -> Residue2:
     return Residue2(alpha.u & 1, alpha.v & 1)
 
 
-@lru_cache(maxsize=None)
 def squares_mod_two(ctx: RingContext) -> frozenset[Residue2]:
     """The set of classes of O/2O that are squares, by direct enumeration."""
     return frozenset(
@@ -50,53 +48,45 @@ def squares_mod_two(ctx: RingContext) -> frozenset[Residue2]:
     )
 
 
-@lru_cache(maxsize=None)
-def _maximal_ideal_residues(ctx: RingContext) -> frozenset[Residue2]:
-    """Classes of O/2O lying in the ramified prime p = (2, w0).
-
-    w0 = sqrt(D) for even D, 1 + sqrt(D) for odd D.  Enumerates w0 * O
-    modulo 2*O and adjoins the zero class; only meaningful when 2 ramifies.
-    """
-    if ctx.dyadic is not DyadicClass.RAMIFIED:
-        raise NotRamified(f"2 does not ramify for D={ctx.D}")
-    w0 = ctx.sqrt_d if ctx.D % 2 == 0 else ctx.one + ctx.sqrt_d
-    classes = {Residue2(0, 0)}
-    for u in (0, 1):
-        for v in (0, 1):
-            classes.add(residue_mod_two(w0 * ctx.element(u, v)))
-    return frozenset(classes)
-
-
 def is_square_mod_two(alpha: QuadInt) -> bool:
-    return residue_mod_two(alpha) in squares_mod_two(alpha.ctx)
+    """Whether alpha is a square mod 2*O: always when 2 is unramified, else
+    exactly when B = 0 (mod 4), i.e. v is even.
+
+    When 2 ramifies (w = sqrt(D), B = 2v), (u + v*sqrt(D))^2 = u^2 + D*v^2
+    (mod 2*O), a rational class; 0 = 0^2 and 1 = 1^2, so the squares are
+    exactly the classes with v even.  Otherwise O/2O is reduced of
+    characteristic 2 (2*O is a product of distinct primes), where squaring
+    is additive and injective, hence bijective: every class is a square.
+    """
+    return alpha.ctx.kappa == 1 or alpha.half_coords[1] % 4 == 0
 
 
 def dyadic_valuation(alpha: QuadInt) -> int:
     """Valuation of alpha at the ramified prime p over 2 (p^2 = 2*O).
 
-    Strips powers of 2 (worth 2 each since p^2 = 2*O), then checks one
-    residue for the leftover factor of p.
+    Strips powers of 2 (worth 2 each) while A = B = 0 (mod 4); what is left
+    lies in p exactly when its norm is even, as p is the only prime over 2
+    and N(p) = 2.
     """
     if alpha.ctx.dyadic is not DyadicClass.RAMIFIED:
         raise NotRamified(f"2 does not ramify for D={alpha.ctx.D}")
     if not alpha:
         raise ZeroElement("the zero element has no finite valuation")
-    u, v, t = alpha.u, alpha.v, 0
-    while u % 2 == 0 and v % 2 == 0:
-        u //= 2
-        v //= 2
+    big_a, big_b = alpha.half_coords
+    t = 0
+    while big_a % 4 == 0 and big_b % 4 == 0:
+        big_a //= 2
+        big_b //= 2
         t += 1
-    in_p = Residue2(u & 1, v & 1) in _maximal_ideal_residues(alpha.ctx)
-    return 2 * t + (1 if in_p else 0)
+    norm = (big_a * big_a - alpha.ctx.D * big_b * big_b) // 4
+    return 2 * t + (1 if norm % 2 == 0 else 0)
 
 
 def dyadic_valuation_class(alpha: QuadInt) -> ValuationClass:
     """Coarse dyadic position: unit, exactly once in p, or in p^2 = 2*O."""
     if alpha.ctx.dyadic is not DyadicClass.RAMIFIED:
         return ValuationClass.NOT_APPLICABLE
-    if not alpha:
-        raise ZeroElement("the zero element has no valuation class")
-    val = dyadic_valuation(alpha)
+    val = dyadic_valuation(alpha)  # raises ZeroElement for 0
     if val == 0:
         return ValuationClass.UNIT
     if val == 1:

@@ -33,7 +33,7 @@ from .decompose import (
     decompose_sos,
 )
 from .errors import BadModulus, NotTotallyPositive
-from .quadfield import DyadicClass, QuadInt, RingContext, squares_sum_to
+from .quadfield import QuadInt, RingContext, squares_sum_to
 from .residues import Residue2, is_square_mod_two, residue_mod_two
 
 # Any sum of squares in the ring of integers of a real quadratic field is a
@@ -159,12 +159,10 @@ def s_element(gamma: QuadInt, j: int, m: int) -> SElement:
 
 def s_obstruction(xi: SElement) -> ObstructionCert | None:
     """Permanent local obstruction certificate, if one exists."""
-    ctx = xi.ctx
     residue = residue_mod_two(xi.numerator)
-    ramified = ctx.dyadic is DyadicClass.RAMIFIED
-    if xi.m % 2 == 1 and ramified and not is_square_mod_two(xi.numerator):
+    if xi.m % 2 == 1 and not is_square_mod_two(xi.numerator):
         return ObstructionCert(
-            ctx,
+            xi.ctx,
             residue,
             reason=(
                 f"m={xi.m} is odd, so denominators are units mod 2*O and "

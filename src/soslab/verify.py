@@ -61,6 +61,7 @@ from .quadfield import (
     DyadicClass,
     QuadInt,
     RingContext,
+    charge_square_factor,
     count_totally_positive,
     scan_totally_positive,
 )
@@ -110,6 +111,7 @@ class ScanSpec(Record):
         if not d_list:
             raise ValueError("no squarefree D to scan: the D list is empty")
         for d in d_list:
+            charge_square_factor(d, node_budget)
             RingContext(d)  # raises unless squarefree and >= 2
         self._set("d_list", d_list)
         self._set("trace_bound", trace_bound)

@@ -493,6 +493,37 @@ def test_verify_budget_error_names_the_scan_or_the_multiples(capsys, argv, scope
     assert f"no verdict for {scope} within the node budget" in capsys.readouterr().err
 
 
+HUGE_D = "1000000000000000000000000000057"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--D", HUGE_D, "--elem", "1"],
+        ["witness", "--D", HUGE_D],
+        ["verify", "doubling", "--D", f"2,{HUGE_D}", "--trace-bound", "2"],
+        ["verify", "doubling", "--D", f"{HUGE_D}..{HUGE_D}", "--trace-bound", "2"],
+    ],
+)
+def test_a_huge_d_is_charged_before_its_squarefree_test(capsys, argv):
+    # Trial division up to the cube root of D, about 10^10 steps here, is
+    # charged to the default node budget before any ring is built.
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 0.5
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"no verdict for the squarefree test of D={HUGE_D} within the node budget" in err
+
+
+@pytest.mark.parametrize("budget,code", [("100", 0), ("99", 3)])
+def test_a_modest_d_still_runs(capsys, budget, code):
+    # The prime D = 1000003 has integer cube root 100: its squarefree test
+    # fits a budget of 100 nodes, and not one of 99.
+    argv = ["check", "--D", "1000003", "--elem", "1", "--node-budget", budget]
+    assert run_cli(capsys, *argv) == (code, "1 is a sum of 1 squares\n" if code == 0 else "")
+
+
 def test_verify_doubling_outside_2_3_5_scans_nothing(capsys):
     # Only the witness is refuted, so no budget covers the box.
     argv = ["doubling", "--D", "7", "--trace-bound", "1000000", "--node-budget", "1000"]

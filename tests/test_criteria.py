@@ -16,6 +16,7 @@ from soslab import (
     ValuationClass,
     decompose_sos,
     doubling_witness,
+    dyadic_valuation,
     dyadic_valuation_class,
     is_square_mod_two,
     is_sum_of_squares,
@@ -31,7 +32,7 @@ from soslab import (
 )
 from soslab import criteria, verify
 from soslab.criteria import _admissible_points, _interval, multiple_keys, multiple_misses
-from soslab.quadfield import square_factor
+from soslab.quadfield import QuadInt, square_factor
 
 # ---------------------------------------------------------------------------
 # the interval criterion
@@ -432,3 +433,36 @@ def test_large_threshold_guarantees_hold(d, m, idx):
         pool = list(scan_totally_positive(ctx, 10))
         beta = pool[idx % len(pool)]
         assert peters_five_squares(ctx.kappa * m * beta)
+
+
+# ---------------------------------------------------------------------------
+# the stored pair
+
+
+def _pair_decisions(box):
+    ctx = box[0].ctx
+    keys = [multiple_keys(beta) for beta in box]
+    return list(multiple_misses(ctx, keys, range(1, ctx.D + 2))), [
+        (
+            peters_five_squares(alpha),
+            peters_interval(alpha),
+            is_square_mod_two(alpha),
+            dyadic_valuation(alpha) if ctx.kappa == 2 else None,
+            decompose_sos(alpha),
+        )
+        for alpha in box
+    ]
+
+
+def test_criteria_residues_and_search_read_only_the_stored_pair(monkeypatch):
+    # The coordinates (u, v) are a view for construction and display; the
+    # decisions read the pair (A, B), so they come out the same without it.
+    boxes = [list(scan_totally_positive(RingContext(d), 30)) for d in (2, 3, 5, 6, 7, 17)]
+    expected = [_pair_decisions(box) for box in boxes]
+
+    def no_view(self):
+        raise AssertionError("read the (u, v) view")
+
+    monkeypatch.setattr(QuadInt, "u", property(no_view))
+    monkeypatch.setattr(QuadInt, "v", property(no_view))
+    assert [_pair_decisions(box) for box in boxes] == expected

@@ -72,6 +72,20 @@ def test_ramified_square_classes_are_the_even_coefficients():
         assert squares_mod_two(RingContext(d)) == {Residue2(0, 0), Residue2(1, 0)}, d
 
 
+GRID_DS = (2, 3, 5, 6, 7, 13, 17, 21, 33, 41)  # ramified, inert and split
+GRID = range(-12, 13)
+
+
+def test_closed_form_square_rule_matches_the_enumeration():
+    for d in GRID_DS:
+        ctx = RingContext(d)
+        squares = squares_mod_two(ctx)
+        for u in GRID:
+            for v in GRID:
+                alpha = ctx.element(u, v)
+                assert is_square_mod_two(alpha) == (residue_mod_two(alpha) in squares), (d, u, v)
+
+
 @given(SQUAREFREE_DS, COORDS, COORDS)
 def test_squaring_lands_in_a_square_class(d, u, v):
     ctx = RingContext(d)
@@ -117,6 +131,32 @@ def test_valuation_examples(ctx6):
 
     ctx3 = RingContext(3)
     assert dyadic_valuation(ctx3.element(1, 1)) == 1  # 1 + sqrt3 generates p
+
+
+def _reference_valuation(alpha):
+    """Strips powers of 2 by the coordinates (u, v), then asks whether what
+    is left lies in p = (2, w0), by enumerating w0*O mod 2*O."""
+    ctx = alpha.ctx
+    u, v, t = alpha.u, alpha.v, 0
+    while u % 2 == 0 and v % 2 == 0:
+        u, v, t = u // 2, v // 2, t + 1
+    w0 = ctx.sqrt_d if ctx.D % 2 == 0 else ctx.one + ctx.sqrt_d
+    in_p = {Residue2(0, 0)} | {
+        residue_mod_two(w0 * ctx.element(x, y)) for x in (0, 1) for y in (0, 1)
+    }
+    return 2 * t + (Residue2(u & 1, v & 1) in in_p)
+
+
+def test_valuation_matches_the_enumerated_prime():
+    for d in GRID_DS:
+        ctx = RingContext(d)
+        if ctx.dyadic is not DyadicClass.RAMIFIED:
+            continue
+        for u in GRID:
+            for v in GRID:
+                alpha = ctx.element(u, v)
+                if alpha:
+                    assert dyadic_valuation(alpha) == _reference_valuation(alpha), (d, u, v)
 
 
 def test_valuation_requires_ramified_and_nonzero(ctx5, ctx6):
