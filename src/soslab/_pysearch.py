@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .errors import BudgetExceeded
+from .errors import charge
 
 STATUS_EXHAUSTED = 0
 STATUS_FOUND = 1
@@ -54,8 +54,8 @@ def generate_candidates(d: int, big_a: int, big_b: int, budget: int) -> list[Can
 
     The scan is charged against `budget`: one unit per row b, plus the
     number of a the row tries, counted before the row runs.  Once that
-    work exceeds the budget it raises BudgetExceeded with 0 nodes, so a
-    large target with a small budget stops at once.
+    work exceeds the budget, `errors.charge` raises BudgetExceeded with 0
+    nodes, so a large target with a small budget stops at once.
     """
     trace = big_a
     out: list[Candidate] = []
@@ -82,8 +82,8 @@ def generate_candidates(d: int, big_a: int, big_b: int, budget: int) -> list[Can
         # The a in range(a_lo, a_hi + 1, 2), counted in integers: len() of
         # a range fails beyond sys.maxsize.  Never negative, as a_lo <= 2.
         work += (a_hi - a_lo) // 2 + 1
-        if work > budget:
-            raise BudgetExceeded(0, budget)
+        if work > budget:  # compared inline: a call per row would cost the hot scan
+            charge(work, budget)
         for a in range(a_lo, a_hi + 1, 2):
             sa, sb = (a * a + bbd) // 2, a * b
             da, db = big_a - sa, big_b - sb

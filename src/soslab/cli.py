@@ -24,14 +24,11 @@ import time
 from typing import TYPE_CHECKING, TextIO
 
 from .errors import (
-    DEFAULT_NODE_BUDGET,
-    BasisMismatch,
-    BudgetExceeded,
-    ParseError,
-    SoslabError,
+    DEFAULT_NODE_BUDGET, BasisMismatch, BudgetExceeded, ParseError, SoslabError, charge
 )
 from .quadfield import (
-    QuadInt, RingContext, charge_square_factor, scan_totally_positive, square_factor
+    QuadInt, RingContext, charge_scan, charge_square_factor, cube_root, scan_totally_positive,
+    square_factor,
 )
 
 if TYPE_CHECKING:
@@ -113,15 +110,14 @@ RECORD_COLUMNS = ("command", "D", "element", "verdict", "terms", "nodes", "elaps
 
 
 class CliConfig:
-    """Everything a subcommand handler needs, already validated."""
+    """Everything a subcommand handler needs, read from the parsed (and so
+    validated) arguments."""
 
-    def __init__(
-        self, command: str, fmt: str, node_budget: int, out: str | None, args: argparse.Namespace
-    ) -> None:
-        self.command = command
-        self.fmt = fmt
-        self.node_budget = node_budget
-        self.out = out
+    def __init__(self, args: argparse.Namespace) -> None:
+        self.command = args.command
+        self.fmt = args.fmt
+        self.node_budget = args.node_budget
+        self.out = args.out
         self.args = args
         self.stream: TextIO | None = None
 
@@ -162,15 +158,17 @@ class CliConfig:
 
 
 def _parse_d_spec(spec: str, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, ...]:
-    """'6' | '2,3,5' | '2..50' (ranges keep only squarefree D).  A range is
-    charged one unit per D, as a scan charges one per element, then its
-    largest D's squarefree test, before any D is listed (BudgetExceeded)."""
+    """'6' | '2,3,5' | '2..50' (ranges keep only squarefree D).  Before any
+    D is listed, a range is charged one unit per D, as a scan charges one
+    per element, then its largest D's squarefree test, then all its tests,
+    each costing at most that largest D's cube root (BudgetExceeded)."""
     if ".." in spec:
         lo_s, hi_s = spec.split("..", 1)
         lo, hi = max(int(lo_s), 2), int(hi_s)
-        if hi - lo + 1 > node_budget:
-            raise BudgetExceeded(0, node_budget, f"the D range {spec}")
+        charge(hi - lo + 1, node_budget, f"the D range {spec}")
         charge_square_factor(hi, node_budget)
+        tests = f"the squarefree tests of the D range {spec}"
+        charge((hi - lo + 1) * cube_root(max(hi, 0)), node_budget, tests)
         return tuple(d for d in range(lo, hi + 1) if square_factor(d) is None)
     return tuple(int(part) for part in spec.split(","))
 
@@ -424,6 +422,7 @@ def cmd_scan(cfg: CliConfig) -> int:
     ctx = RingContext(cfg.args.D)
     if cfg.args.trace_bound < 2:
         raise ValueError("trace bound below 2 scans nothing")
+    charge_scan(ctx, cfg.args.trace_bound, cfg.node_budget)
     sweep = None
     if cfg.args.with_oracle:
         from .sweep import Sweep
@@ -567,13 +566,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command != "verify":  # verify's --D is a spec, charged as parsed
             charge_square_factor(args.D, args.node_budget)
-        cfg = CliConfig(
-            command=args.command,
-            fmt=args.fmt,
-            node_budget=args.node_budget,
-            out=args.out,
-            args=args,
-        )
+        cfg = CliConfig(args)
         try:
             return HANDLERS[args.command](cfg)
         finally:

@@ -219,17 +219,17 @@ def ramified_obstruction_witness(ctx: RingContext) -> QuadInt:
     """A totally positive element of valuation exactly 1 at the prime over 2.
 
     Built as sqrt(D) (even D) or 1 + sqrt(D) (odd D) plus the least even
-    rational integer making it totally positive.  Such an element is not a
+    rational integer s >= 0 making it totally positive: with t = D mod 2,
+    t + s + sqrt(D) is totally positive exactly when t + s > sqrt(D), that
+    is t + s > isqrt(D), as D is no square.  Such an element is not a
     square mod 2*O, which blocks sums of squares even after inverting any
     odd modulus.
     """
     if ctx.dyadic is not DyadicClass.RAMIFIED:
         raise NotRamified(f"2 does not ramify for D={ctx.D}")
     base = ctx.sqrt_d if ctx.D % 2 == 0 else ctx.one + ctx.sqrt_d
-    shift = 0
-    while not (base + shift).is_totally_positive():
-        shift += 2
-    return base + shift
+    shift = isqrt(ctx.D) + 1 - ctx.D % 2  # at least 1, as D >= 2
+    return base + shift + shift % 2
 
 
 def small_multiplier_obstructed(ctx: RingContext, m: int) -> bool:

@@ -66,6 +66,13 @@ class BudgetExceeded(SoslabError):
         )
 
 
+def charge(work: int, budget: int, scope: str | None = None) -> None:
+    """The one pre-work guard: raises BudgetExceeded (0 nodes, naming `scope`)
+    when `work`, counted before any of it runs, is over `budget`."""
+    if work > budget:
+        raise BudgetExceeded(0, budget, scope)
+
+
 class ParseError(SoslabError):
     """Element string does not match the accepted grammar."""
 

@@ -21,7 +21,7 @@ from math import isqrt
 from typing import TYPE_CHECKING, Iterator, Union
 
 from ._record import Record
-from .errors import BudgetExceeded, ContextMismatch, NotSquarefree, TooSmall
+from .errors import ContextMismatch, NotSquarefree, TooSmall, charge
 
 if TYPE_CHECKING:
     # Annotations only: fractions imports decimal, which no caller needs.
@@ -60,10 +60,18 @@ def square_factor(d: int) -> int | None:
     return root if root > 1 and root * root == n else None
 
 
+def cube_root(n: int) -> int:
+    """floor(n^(1/3)) for n >= 0, exactly: integer Newton steps from above."""
+    x = 1 << -(-n.bit_length() // 3)
+    while x * x * x > n:
+        x = (2 * x + n // (x * x)) // 3
+    return x
+
+
 def charge_square_factor(d: int, node_budget: int) -> None:
-    """Charges square_factor(d)'s trial division, the cube root of d, to the budget."""
-    if d >= (node_budget + 1) ** 3:
-        raise BudgetExceeded(0, node_budget, f"the squarefree test of D={d}")
+    """Charges square_factor(d)'s trial division, the cube root of d, to the
+    budget (`errors.charge`), naming the squarefree test of d."""
+    charge(cube_root(max(d, 0)), node_budget, f"the squarefree test of D={d}")
 
 
 class RingContext(Record):
@@ -392,3 +400,10 @@ def count_totally_positive(ctx: RingContext, trace_bound: int, limit: int) -> in
         if total > limit:
             break
     return total
+
+
+def charge_scan(ctx: RingContext, trace_bound: int, node_budget: int) -> None:
+    """Charges `scan_totally_positive`'s box, one unit per element counted
+    with an early exit (`count_totally_positive`), to the budget."""
+    count = count_totally_positive(ctx, trace_bound, node_budget)
+    charge(count, node_budget, f"the scan of D={ctx.D} to trace {trace_bound}")

@@ -23,7 +23,7 @@ from bisect import bisect_right
 from math import isqrt
 
 from .decompose import DEFAULT_NODE_BUDGET, Decomposition
-from .errors import BudgetExceeded, ContextMismatch
+from .errors import ContextMismatch, charge
 from .quadfield import QuadInt, RingContext, count_totally_positive
 
 
@@ -51,9 +51,9 @@ class Sweep:
     """Shortest sum-of-squares lengths of every element of trace <= trace_bound.
 
     Construction does all the work.  Before it starts, the work bound (the
-    box's elements, 0 included, times the number of squares) is checked
-    against `node_budget`, and BudgetExceeded, with 0 nodes searched and
-    naming D and the trace bound, is raised above it.
+    box's elements, 0 included, times the number of squares) is charged to
+    `node_budget` (`errors.charge`), which raises BudgetExceeded naming
+    D and the trace bound above it.
     """
 
     def __init__(
@@ -68,13 +68,11 @@ class Sweep:
         # A lower bound on the work, from the rational integers of the box
         # and the rational squares alone, keeps listing the roots bounded.
         scope = f"the sweep of D={ctx.D} to trace {trace_bound}"
-        floor = (trace_bound // 2 + 1) * isqrt(trace_bound // 2)
-        if floor > node_budget:
-            raise BudgetExceeded(0, node_budget, scope)
+        charge((trace_bound // 2 + 1) * isqrt(trace_bound // 2), node_budget, scope)
         roots = _roots(ctx, trace_bound)
         limit = node_budget // max(len(roots), 1)
-        if (count_totally_positive(ctx, trace_bound, limit) + 1) * len(roots) > node_budget:
-            raise BudgetExceeded(0, node_budget, scope)
+        count = count_totally_positive(ctx, trace_bound, limit)
+        charge((count + 1) * len(roots), node_budget, scope)
         self.ctx = ctx
         self.trace_bound = trace_bound
         self._roots = roots

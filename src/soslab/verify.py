@@ -56,13 +56,13 @@ from .criteria import (
     small_multiplier_obstructed,
 )
 from .decompose import DEFAULT_NODE_BUDGET, VerdictKind, decompose_sos
-from .errors import BudgetExceeded, WrongField
+from .errors import WrongField, charge
 from .quadfield import (
     DyadicClass,
     QuadInt,
     RingContext,
+    charge_scan,
     charge_square_factor,
-    count_totally_positive,
     scan_totally_positive,
 )
 from .residues import is_square_mod_two
@@ -186,13 +186,6 @@ def _refute_by_search(
         return verdict.nodes
     failures.append(_failure(target, "exhausted_none", verdict.kind.value))
     return None
-
-
-def _charge(spec: ScanSpec, work: int, scope: str) -> None:
-    """Raises BudgetExceeded for `scope`, before any of its work, when that
-    work is over the node budget."""
-    if work > spec.node_budget:
-        raise BudgetExceeded(0, spec.node_budget, scope)
 
 
 def verify_doubling(
@@ -325,7 +318,7 @@ def verify_multiplier_thresholds(
     """
     lo, hi = spec.m_range or (1, max(4, -(-ctx.D // 2)))
     claim_id = f"thresholds/D={ctx.D}/m={lo}..{hi}"
-    _charge(spec, (hi - lo + 1) * len(betas), f"the multiples of {claim_id}")
+    charge((hi - lo + 1) * len(betas), spec.node_budget, f"the multiples of {claim_id}")
     instances = 0
     failures: list[dict] = []
     witnesses: list[str] = []
@@ -383,7 +376,7 @@ def estimate_stable_multiplier(
     """
     m_max = spec.m_range[1] if spec.m_range else -(-ctx.D // 2) + 1
     claim_id = f"stable-multiplier/D={ctx.D}/m_max={m_max}"
-    _charge(spec, m_max * len(betas), f"the multiples of {claim_id}")
+    charge(m_max * len(betas), spec.node_budget, f"the multiples of {claim_id}")
     keys = [multiple_keys(beta) for beta in betas]
     first_bad: dict[int, int] = {}
     for i, k in multiple_misses(ctx, keys, range(2, 2 * m_max + 1, 2)):
@@ -480,7 +473,7 @@ def run_claims(spec: ScanSpec, claims: list[str]) -> list[Report]:
     the sweep once per element.  Each is made when a claim first reads it
     (the sweep first), before that claim's clock starts, so
     `Report.elapsed` times the claim alone; the sweep and the scan are
-    charged to the node budget first, and the lengths ride on the scan's
+    charged first (`errors.charge`), and the lengths ride on the scan's
     one unit per element.  All three are dropped before the next ring's.
     `scharlau`, `maass`, `pythagoras`, `peters-oracle` and
     `local-necessity` read the lengths; `doubling` and `thresholds` read
@@ -508,9 +501,7 @@ def run_claims(spec: ScanSpec, claims: list[str]) -> list[Report]:
                 trace = 2 * spec.trace_bound if doubled else spec.trace_bound
                 sweep = Sweep(ctx, trace, node_budget=spec.node_budget)
             if reads and elements is None:
-                # One budget unit per element, counted with an early exit.
-                count = count_totally_positive(ctx, spec.trace_bound, spec.node_budget)
-                _charge(spec, count, f"the scan of D={d} to trace {spec.trace_bound}")
+                charge_scan(ctx, spec.trace_bound, spec.node_budget)
                 elements = list(scan_totally_positive(ctx, spec.trace_bound))
             if reads and entry.fourth == "lengths" and lengths is None:
                 lengths = [sweep.length(alpha) for alpha in elements]

@@ -524,13 +524,78 @@ def test_a_modest_d_still_runs(capsys, budget, code):
     assert run_cli(capsys, *argv) == (code, "1 is a sum of 1 squares\n" if code == 0 else "")
 
 
+@pytest.mark.parametrize(
+    "argv,scope",
+    [
+        # The scan's box is counted, with an early exit, before any line.
+        (
+            ["scan", "--D", "2", "--trace-bound", "1000000000000", "--node-budget", "100"],
+            "the scan of D=2 to trace 1000000000000",
+        ),
+        # 10,001 D, each charged the cube root 10^5 of the largest: 10^9 in all.
+        (
+            ["verify", "doubling", "--D", "1000000000000000..1000000000010000",
+             "--trace-bound", "2", "--node-budget", "100000"],
+            "the squarefree tests of the D range 1000000000000000..1000000000010000",
+        ),
+    ],
+)
+def test_an_input_sized_loop_is_charged_before_it_runs(capsys, argv, scope):
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert f"no verdict for {scope} within the node budget" in captured.err
+
+
+@pytest.mark.parametrize("budget,code", [("169", 0), ("168", 3)])
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_scan_is_charged_its_box(capsys, budget, code, fmt):
+    # D = 2 has 169 totally positive elements of trace at most 30.
+    argv = ["scan", "--D", "2", "--trace-bound", "30", "--format", fmt, "--node-budget", budget]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert len(captured.out.splitlines()) == 169 + (fmt == "json")
+    else:
+        assert captured.out == ""
+        assert "the scan of D=2 to trace 30 within the node budget of 168" in captured.err
+
+
+@pytest.mark.parametrize("budget,code", [("400", 0), ("399", 3)])
+def test_a_d_range_is_charged_its_width_times_its_cube_root(capsys, budget, code):
+    # Four D, each charged the integer cube root 100 of 1000003: 400 units.
+    argv = ["doubling", "--D", "1000000..1000003", "--trace-bound", "2", "--node-budget", budget]
+    assert main(["verify", *argv]) == code
+    err = capsys.readouterr().err
+    scope = "the squarefree tests of the D range 1000000..1000003 within the node budget of 399"
+    assert (scope in err) == (code == 3)
+
+
+@pytest.mark.parametrize(
+    "d,witness",
+    [
+        ("1000000000000000002", "1000000002+sqrt1000000000000000002"),
+        ("1000000000000000003", "1000000001+sqrt1000000000000000003"),
+    ],
+)
+def test_ramified_witness_of_a_huge_d_is_immediate(capsys, d, witness):
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "witness", "--D", d, "--kind", "ramified")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (0, f"ramified obstruction witness for D={d}: {witness}\n")
+
+
 def test_verify_doubling_outside_2_3_5_scans_nothing(capsys):
     # Only the witness is refuted, so no budget covers the box.
     argv = ["doubling", "--D", "7", "--trace-bound", "1000000", "--node-budget", "1000"]
     assert main(["verify", *argv]) == 0
 
 
-@pytest.mark.parametrize("d_spec", ["2..1", "4..4"])
+# An empty range is charged nothing: its width is 0 or below.
+@pytest.mark.parametrize("d_spec", ["2..1", "4..4", "10..5", "2..-5"])
 def test_verify_rejects_an_empty_d_spec(capsys, d_spec):
     assert main(["verify", "pythagoras", "--D", d_spec, "--trace-bound", "8"]) == 2
     captured = capsys.readouterr()

@@ -345,6 +345,23 @@ def test_ramified_witness_examples(d, expected):
     assert not is_square_mod_two(w)
 
 
+def _stepped_ramified_witness(ctx):
+    # Reference: step the shift by 2 until the element is totally positive.
+    base = ctx.sqrt_d if ctx.D % 2 == 0 else ctx.one + ctx.sqrt_d
+    shift = 0
+    while not (base + shift).is_totally_positive():
+        shift += 2
+    return base + shift
+
+
+def test_ramified_witness_closed_form_matches_stepping():
+    ds = [d for d in range(2, 5000) if d % 4 in (2, 3) and square_factor(d) is None]
+    assert len(ds) == 2033
+    for d in ds:
+        ctx = RingContext(d)
+        assert ramified_obstruction_witness(ctx) == _stepped_ramified_witness(ctx), d
+
+
 def test_ramified_witness_requires_ramified(ctx5):
     with pytest.raises(NotRamified):
         ramified_obstruction_witness(ctx5)

@@ -24,7 +24,7 @@ from soslab import (
     real_sign,
     scan_totally_positive,
 )
-from soslab.quadfield import count_totally_positive, square_factor, squares_sum_to
+from soslab.quadfield import count_totally_positive, cube_root, square_factor, squares_sum_to
 
 SQUAREFREE_DS = st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13, 17, 21, 29, 33, 101])
 SMALL_COORDS = st.integers(min_value=-40, max_value=40)
@@ -365,6 +365,18 @@ def test_box_count_matches_the_scan_and_brute_force():
 
 def test_box_count_of_a_huge_trace_bound_stops_at_its_limit():
     assert count_totally_positive(RingContext(7), 10**30, 1000) > 1000
+
+
+@given(st.integers(min_value=0, max_value=10**60))
+def test_cube_root_is_exact(n):
+    r = cube_root(n)
+    assert r**3 <= n < (r + 1) ** 3
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 100, 10**20 + 7])
+def test_cube_root_at_a_cube_and_just_below(r):
+    assert cube_root(r**3) == r
+    assert cube_root(r**3 - 1) == r - 1
 
 # ---------------------------------------------------------------------------
 # equality, hashing, display
