@@ -274,6 +274,9 @@ class QuadInt(Record):
         return _from_pair(self.ctx, -self._a, -self._b)
 
     def __mul__(self, other: QuadInt | int) -> QuadInt:
+        if isinstance(other, int):
+            # Scaling by an integer needs no element for it.
+            return _from_pair(self.ctx, other * self._a, other * self._b)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented

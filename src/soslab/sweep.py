@@ -1,5 +1,5 @@
 """Whole-box sweep: the shortest sum-of-squares length of every element of
-trace at most T, from one breadth-first pass.
+trace at most T, from one breadth-first pass over rows of bits.
 
 The pass starts from 0 and adds every nonzero square whose trace fits, in
 the doubled coordinates (A, B) of `_pysearch`.  The layer at which an
@@ -11,10 +11,22 @@ pass therefore sees every decomposition of every element of the box, and
 its negative answers need no representability theorem, as the search
 oracle's do not.
 
-Each reached element keeps the square that reached it, so a verified
-`Decomposition` of shortest length can be rebuilt on demand.  The search
-oracle in `decompose` stays the independent engine the tests compare this
-against.
+The elements of trace A form a row.  While the pass runs, a row is one
+integer with bit B + W set for each reached (A, B), where
+W = isqrt(T^2 // D) + 1, so adding the square (SA, SB) to every element
+of a row is one shift by SB, or-ed into row A + SA.  (The pass shifts
+every row left, by SB + L with L the largest |SB|, and shifts each sum
+back by L once its layer is done.)  No bit leaves its row: each shifted
+bit is a reached element, 0 or totally positive, so D*B^2 < A^2 <= T^2
+and |B| < W.  After the last layer each row keeps one byte per slot,
+2W + 1 in all: the shortest length of (A, B), or 0 where nothing reached
+it (the ring's Pythagoras number is at most 5, so a byte holds any
+length).  The element 0, of length 0, is answered apart, and the bits
+are dropped.
+
+A verified `Decomposition` of shortest length is rebuilt on demand by
+walking down the lengths.  The search oracle in `decompose` stays the
+independent engine the tests compare this against.
 """
 
 from __future__ import annotations
@@ -53,7 +65,9 @@ class Sweep:
     Construction does all the work.  Before it starts, the work bound (the
     box's elements, 0 included, times the number of squares) is charged to
     `node_budget` (`errors.charge`), which raises BudgetExceeded naming
-    D and the trace bound above it.
+    D and the trace bound above it.  It keeps one row of 2W + 1 length
+    bytes for each trace that holds a sum of squares, about 2*T^2/sqrt(D)
+    bytes in all.
     """
 
     def __init__(
@@ -76,46 +90,81 @@ class Sweep:
         self.ctx = ctx
         self.trace_bound = trace_bound
         self._roots = roots
-        # (A, B) -> (shortest length, index of the root whose square reached it)
-        self._reached: dict[tuple[int, int], tuple[int, int]] = {(0, 0): (0, -1)}
-        square_traces = [r[2] for r in roots]
-        frontier = [(0, 0)]
-        length = 0
+        self._width = width = isqrt(trace_bound * trace_bound // ctx.D) + 1
+        # Every shift is taken leftward, by SB + lift, and each sum is set
+        # back by lift once a layer is done.
+        lift = max((abs(r[3]) for r in roots), default=0)
+        traces = [r[2] for r in roots]
+        shifts = [(sa, sb + lift) for _, _, sa, sb in roots]
+        # Row A's reached bits, and each layer's rows of newly reached bits.
+        reached = [0] * (trace_bound + 1)
+        reached[0] = 1 << width
+        frontier = {0: reached[0]}
+        layers = []
         while frontier:
-            length += 1
-            layer = []
-            for big_a, big_b in frontier:
-                for i in range(bisect_right(square_traces, trace_bound - big_a)):
-                    key = (big_a + roots[i][2], big_b + roots[i][3])
-                    if key not in self._reached:
-                        self._reached[key] = (length, i)
-                        layer.append(key)
-            frontier = layer
+            sums = [0] * (trace_bound + 1)
+            for big_a, row in frontier.items():
+                for sa, shift in shifts[: bisect_right(traces, trace_bound - big_a)]:
+                    sums[big_a + sa] |= row << shift
+            frontier = {}
+            for big_a, bits in enumerate(sums):
+                if bits:
+                    bits = (bits >> lift) & ~reached[big_a]
+                    if bits:
+                        reached[big_a] |= bits
+                        frontier[big_a] = bits
+            layers.append(frontier)
+        # A byte per slot of every reached row past 0, holding the layer
+        # that first set its bit, or 0 where none did.
+        slots = 2 * width + 1
+        self._rows = rows = {
+            big_a: bytearray(slots) for big_a, bits in enumerate(reached) if big_a and bits
+        }
+        for length, layer in enumerate(layers, 1):
+            for big_a, bits in layer.items():
+                row = rows[big_a]
+                while bits:
+                    low = bits & -bits
+                    row[low.bit_length() - 1] = length
+                    bits ^= low
 
-    def _lookup(self, alpha: QuadInt) -> tuple[int, int] | None:
+    def _lookup(self, alpha: QuadInt) -> int | None:
         if alpha.ctx.D != self.ctx.D:
             raise ContextMismatch(f"sweep of D={self.ctx.D} asked about a D={alpha.ctx.D} element")
-        if alpha.trace > self.trace_bound:
+        big_a, big_b = alpha.half_coords
+        if big_a > self.trace_bound:
             raise ValueError(f"{alpha} lies outside the swept box (trace <= {self.trace_bound})")
-        return self._reached.get(alpha.half_coords)
+        row = self._rows.get(big_a)
+        if row is None:
+            return 0 if big_a == big_b == 0 else None
+        pos = big_b + self._width
+        # A negative index would wrap round to another slot.
+        return (row[pos] or None) if 0 <= pos < len(row) else None
 
     def length(self, alpha: QuadInt) -> int | None:
         """Shortest length of alpha as a sum of squares; None is a proof that
         it is none."""
-        hit = self._lookup(alpha)
-        return None if hit is None else hit[0]
+        return self._lookup(alpha)
 
     def is_sum_of_squares(self, alpha: QuadInt) -> bool:
         return self._lookup(alpha) is not None
 
     def decomposition(self, alpha: QuadInt) -> Decomposition | None:
-        """A verified decomposition of alpha of shortest length, or None."""
-        if self._lookup(alpha) is None:
+        """A verified decomposition of alpha of shortest length, or None.
+
+        Each step takes the first square, in the order of the roots, that
+        leaves an element one shorter."""
+        length = self._lookup(alpha)
+        if length is None:
             return None
         terms = []
         big_a, big_b = alpha.half_coords
-        while (big_a, big_b) != (0, 0):
-            a, b, sa, sb = self._roots[self._reached[big_a, big_b][1]]
+        for shorter in range(length - 1, -1, -1):
+            a, b, sa, sb = next(
+                r
+                for r in self._roots
+                if self._lookup(self.ctx.from_half_pair(big_a - r[2], big_b - r[3])) == shorter
+            )
             terms.append(self.ctx.from_half_pair(a, b))
             big_a, big_b = big_a - sa, big_b - sb
         return Decomposition(alpha, tuple(terms))

@@ -63,6 +63,7 @@ from .quadfield import (
     RingContext,
     charge_scan,
     charge_square_factor,
+    cube_root,
     scan_totally_positive,
 )
 from .residues import is_square_mod_two
@@ -82,15 +83,19 @@ class ScanSpec(Record):
 
     `workers` has no effect: the claims read one sweep per ring in this
     process.  It is still accepted, and must be at least 1, so that
-    existing callers keep working.
+    existing callers keep working.  `contexts` holds the RingContext of
+    each D, built here, after each D's squarefree test and then their sum
+    are charged to the node budget; `run_claims` reads them, so each D is
+    tested once.
     """
 
-    __slots__ = ("d_list", "trace_bound", "m_range", "node_budget", "workers")
+    __slots__ = ("d_list", "trace_bound", "m_range", "node_budget", "workers", "contexts")
     d_list: tuple[int, ...]
     trace_bound: int
     m_range: tuple[int, int] | None
     node_budget: int
     workers: int
+    contexts: tuple[RingContext, ...]
 
     def __init__(
         self,
@@ -112,12 +117,22 @@ class ScanSpec(Record):
             raise ValueError("no squarefree D to scan: the D list is empty")
         for d in d_list:
             charge_square_factor(d, node_budget)
-            RingContext(d)  # raises unless squarefree and >= 2
+        listed = ",".join(map(str, d_list))
+        tests = sum(cube_root(max(d, 0)) for d in d_list)
+        charge(tests, node_budget, f"the squarefree tests of the D list {listed}")
+        # Each raises unless its D is squarefree and >= 2.
+        contexts = tuple(RingContext(d) for d in d_list)
         self._set("d_list", d_list)
         self._set("trace_bound", trace_bound)
         self._set("m_range", m_range)
         self._set("node_budget", node_budget)
         self._set("workers", workers)
+        self._set("contexts", contexts)
+
+    def __repr__(self) -> str:
+        # The parameters alone: the contexts follow from d_list.
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__[:-1])
+        return f"ScanSpec({shown})"
 
 
 class Report:
@@ -468,7 +483,8 @@ def _covers(rings: tuple[int, ...] | None, d: int) -> bool:
 def run_claims(spec: ScanSpec, claims: list[str]) -> list[Report]:
     """Run named claims over every applicable D in the spec.
 
-    The walk goes ring by ring.  Each ring gets at most one sweep, one
+    The walk goes ring by ring, over the spec's contexts, so no D is
+    tested for squarefreeness again.  Each ring gets at most one sweep, one
     scan of its elements and one list of their shortest lengths, read off
     the sweep once per element.  Each is made when a claim first reads it
     (the sweep first), before that claim's clock starts, so
@@ -488,8 +504,8 @@ def run_claims(spec: ScanSpec, claims: list[str]) -> list[Report]:
         if claim not in _CLAIMS:
             raise ValueError(f"unknown claim {name!r}")
     runs: list[tuple[int, Report]] = []
-    for d in spec.d_list:
-        ctx = RingContext(d)
+    for ctx in spec.contexts:
+        d = ctx.D
         sweep = elements = lengths = None  # drops the previous ring's
         for position, claim in enumerate(names):
             entry = _CLAIMS[claim]

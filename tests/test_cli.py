@@ -574,6 +574,17 @@ def test_a_d_range_is_charged_its_width_times_its_cube_root(capsys, budget, code
     assert (scope in err) == (code == 3)
 
 
+@pytest.mark.parametrize("budget,code", [("200", 0), ("199", 3), ("100", 3)])
+def test_a_d_list_is_charged_the_sum_of_its_cube_roots(capsys, budget, code):
+    # Two primes, each of integer cube root 100: 200 units for their tests
+    # together, though each alone fits a budget of 100.
+    argv = ["doubling", "--D", "1000003,1000033", "--trace-bound", "2", "--node-budget", budget]
+    assert main(["verify", *argv]) == code
+    err = capsys.readouterr().err
+    scope = f"the squarefree tests of the D list 1000003,1000033 within the node budget of {budget}"
+    assert (scope in err) == (code == 3)
+
+
 @pytest.mark.parametrize(
     "d,witness",
     [

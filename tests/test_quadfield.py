@@ -173,6 +173,16 @@ def test_mixed_int_arithmetic():
     assert -alpha == ctx.from_sqrt_pair(-3, -1)
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 6, 13, 17])
+def test_integer_scaling_matches_the_ring_product(d):
+    ctx = RingContext(d)
+    for alpha in (ctx.element(3, -2), ctx.omega, ctx.zero, ctx.element(-1, 4)):
+        for k in (*range(-3, 4), True, False):
+            scaled = k * alpha
+            assert scaled == alpha * k == ctx.from_int(k) * alpha
+            assert type(scaled.half_coords[0]) is int and scaled.ctx is ctx
+
+
 def test_cross_context_arithmetic_rejected():
     with pytest.raises(ContextMismatch):
         RingContext(2).one + RingContext(3).one

@@ -1,5 +1,8 @@
 """Whole-box sweep against the search oracle, element by element."""
 
+import tracemalloc
+from math import isqrt
+
 import pytest
 
 from soslab import (
@@ -82,3 +85,53 @@ def test_scan_spec_accepts_but_ignores_workers():
     ]
     with pytest.raises(ValueError):
         ScanSpec(d_list=(5,), trace_bound=12, workers=0)
+
+
+@pytest.mark.parametrize("d", [10, 17, 21, 33, 41])
+def test_sweep_lengths_match_the_oracle_at_trace_50(d):
+    ctx = RingContext(d)
+    sweep = Sweep(ctx, 50)
+    for alpha in scan_totally_positive(ctx, 50):
+        assert sweep.length(alpha) == pythagoras_length(alpha), str(alpha)
+
+
+def test_sweep_answers_zero_with_length_zero(ctx5, ctx6):
+    for ctx in (ctx5, ctx6):
+        sweep = Sweep(ctx, 12)
+        assert sweep.length(ctx.zero) == 0
+        assert sweep.is_sum_of_squares(ctx.zero)
+
+
+@pytest.mark.parametrize("d", [5, 6])
+def test_sweep_lookups_outside_the_cone_are_none(d):
+    # Each row keeps 2W + 1 slots, W = isqrt(12^2 // D) + 1; a B past W on
+    # either side must read as no sum of squares, not as another slot.
+    ctx = RingContext(d)
+    sweep = Sweep(ctx, 12)
+    width = isqrt(144 // d) + 1
+    for big_a in (-4, -2, 0, 2, 4, 12):
+        for big_b in range(-6 * width, 6 * width + 1, 2):
+            alpha = ctx.from_half_pair(big_a, big_b)
+            if not alpha.is_totally_positive() and alpha:
+                assert sweep.length(alpha) is None, str(alpha)
+                assert not sweep.is_sum_of_squares(alpha)
+                assert sweep.decomposition(alpha) is None
+    assert sweep.length(ctx.from_sqrt_pair(2, -1)) is None  # 2 - sqrt(D) < 0
+
+
+def test_sweep_holds_one_byte_per_box_slot():
+    # One byte per slot of 300 rows of 2W + 1 = 271 slots is about 80 KiB;
+    # an entry per reached element would hold several MiB.
+    ctx = RingContext(5)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sweep = Sweep(ctx, 300)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert sweep.length(ctx.from_int(150)) is not None
+    assert held < 2**20

@@ -20,7 +20,7 @@ from soslab import (
     run_claims,
     scan_totally_positive,
 )
-from soslab import verify
+from soslab import quadfield, verify
 from soslab.cli import _parse_d_spec
 from soslab.cli import main as cli_main
 from soslab.criteria import peters_five_squares
@@ -385,6 +385,25 @@ def test_scan_spec_validation():
         ScanSpec(d_list=[4], trace_bound=10)  # 4 is not squarefree
     spec = ScanSpec(d_list=[2, 3], trace_bound=10)
     assert spec.node_budget > 0
+
+
+def test_run_claims_tests_no_d_for_squarefreeness(monkeypatch):
+    # ScanSpec builds each D's ring once; run_claims reuses it.
+    calls = []
+    square_factor = quadfield.square_factor
+
+    def counting(d):
+        calls.append(d)
+        return square_factor(d)
+
+    monkeypatch.setattr(quadfield, "square_factor", counting)
+    spec = ScanSpec(d_list=(2, 5, 6), trace_bound=8, node_budget=BUDGET)
+    assert calls == [2, 5, 6]
+    calls.clear()
+    reports = run_claims(spec, list(CLAIM_NAMES))
+    assert all(r.passed for r in reports)
+    assert calls == []
+    assert [ctx.D for ctx in spec.contexts] == [2, 5, 6]
 
 
 def test_scan_spec_rejects_an_empty_d_list():
