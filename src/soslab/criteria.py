@@ -15,10 +15,11 @@ admissible n are read off in closed form as a `range`, so a hit costs the
 same at any norm.  A radicand of at least D^2 always leaves one, whatever
 the center (`_radicand_hits`, where it is proved); `peters_guaranteed`
 reads that bound on one element.  `multiple_misses` decides the test for
-the multiples k*beta of many betas and increasing k in one beta-major
-pass, from three integers per beta read once: k*beta's radicand grows with
-k, so the walk over k stops at the first k that reaches the bound, and the
-admissible range is computed only below it.
+the even multiples 2m*beta of many betas, m = 1..m_max, in one beta-major
+pass from two integers per beta read once, its trace and norm: 2m*beta's
+radicand grows with m, so each walk stops at the first m that reaches the
+bound, the admissible range is computed only below it, and the table of
+multipliers stops where every beta reaches it, at about D/2 entries.
 
 The witness constructions pick concrete elements that certify negative
 results: the doubling witness k + sqrt(D) (minimal k making it totally
@@ -31,7 +32,7 @@ which obstructs sums of squares in S-integer rings with odd denominators.
 from __future__ import annotations
 
 from math import isqrt
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from ._record import Record
 from .errors import NotOdd, NotRamified, NotTotallyPositive
@@ -141,65 +142,40 @@ def peters_guaranteed(alpha: QuadInt) -> bool:
     return shape is not None and _radicand_hits(alpha.ctx, shape[2])
 
 
-def multiple_keys(beta: QuadInt) -> tuple[int, int, int]:
-    """What `multiple_misses` reads of beta: its trace A, the parity of v (B's
-    for D = 1 mod 4, else whether beta is no square mod 2*O), and its norm."""
-    big_a, big_b = beta.half_coords
-    norm = (big_a * big_a - beta.ctx.D * big_b * big_b) // 4
-    return big_a, int(big_b % 2 or not is_square_mod_two(beta)), norm
-
-
 def multiple_misses(
-    ctx: RingContext, keys: list[tuple[int, int, int]], ks: Iterable[int]
+    ctx: RingContext, betas: list[QuadInt], m_max: int
 ) -> Iterator[tuple[int, int]]:
-    """Every (index, k) such that the interval test rejects k*beta, for the
-    betas given by their `multiple_keys` and the increasing multipliers ks
-    (each k >= 1), in index order.  Within one index come first the k the
-    test does not apply to, then the rejected k in increasing order.
+    """Every (index, m) with 1 <= m <= m_max such that the interval test
+    rejects 2*m*beta, in index order and, within one index, in increasing m.
 
-    k*beta's interval has center c*tr(beta)/2 and radicand r*N(beta), c and r
-    being the integer k's, 1's times k and k^2.  It applies unless k*beta is no square mod 2*O:
-    as k*beta = beta (mod 2*O) for odd k and 0 for even k, that is odd k and v
-    odd when kappa = 2 (the class of w).  Its parity, where one is required,
-    is that of k*v.  No k*beta, nor k, is built.  Where the test does not
-    apply, k*beta misses whatever N(beta).  The pass is beta-major: it reads
-    each beta's keys once and walks the k the test applies to in increasing
-    order.  Where r*N(beta) >= D^2 the test hits (`_radicand_hits`), and r
-    grows with k, so the walk stops at the first k that reaches that bound:
-    every later k*beta hits as well.  The bound is read as
-    N(beta) >= ceil(D^2/r), one comparison per k, and the admissible range
-    is computed only below it.
+    2*m*beta lies in 2*O, so it is a square mod 2*O and the test applies;
+    where D = 1 (mod 4) requires a parity, that parity is even.  Its center
+    is 2m*tr(beta)/2 and its radicand 4m^2*N(beta), each in units of 1's
+    (`_interval(1)`), so each beta is read once, as its trace and norm, and
+    no multiple is built.  Where the radicand reaches D^2 the test hits
+    (`_radicand_hits`), and it grows with m, so each beta's walk stops at
+    the first m whose reach, the least norm at which it gets there, is at
+    most N(beta).  The table of multipliers stops at the first m whose reach
+    is 1, since every beta has N(beta) >= 1: at most about D/2 entries,
+    whatever m_max.
     """
     scale, unit_center, unit_radicand, parity = _interval(ctx.one)
-    odd_squares = is_square_mod_two(ctx.omega)
     bound = ctx.D * ctx.D
-    # Per v parity: the k the test does not apply to; and, in k order, each
-    # k it applies to with its center, radicand and parity, and its reach,
-    # the least N(beta) at which radicand*N(beta) >= D^2.
-    untested: tuple[list[int], list[int]] = ([], [])
-    tested: tuple[list, list] = ([], [])
-    last = 0
-    for k in ks:
-        if k < 1:
-            raise ValueError(f"multiplier must be >= 1, got {k}")
-        if k <= last:
-            raise ValueError(f"multipliers must increase, got {k} after {last}")
-        last = k
-        center, radicand = k * unit_center, k * k * unit_radicand
-        reach = -(-bound // radicand)
-        tested[0].append((k, reach, center, radicand, parity))
-        if k % 2 and not odd_squares:
-            untested[1].append(k)
-        else:
-            tested[1].append((k, reach, center, radicand, None if parity is None else k % 2))
-    for i, (trace, v_parity, norm) in enumerate(keys):
-        for k in untested[v_parity]:
-            yield i, k
-        for k, reach, center, radicand, parity in tested[v_parity]:
+    # In m order: m, its reach, and the center and radicand per unit of
+    # tr(beta) and N(beta).
+    table = []
+    for m in range(1, m_max + 1):
+        radicand = 4 * m * m * unit_radicand
+        if radicand >= bound:
+            break
+        table.append((m, -(-bound // radicand), m * unit_center, radicand))
+    for i, beta in enumerate(betas):
+        trace, norm = beta.trace, beta.norm
+        for m, reach, center, radicand in table:
             if norm >= reach:
                 break
-            if not _admissible_points(scale, center * trace // 2, radicand * norm, parity):
-                yield i, k
+            if not _admissible_points(scale, center * trace, radicand * norm, parity):
+                yield i, m
 
 
 def doubling_witness(ctx: RingContext) -> QuadInt:

@@ -18,11 +18,12 @@ of a row is one shift by SB, or-ed into row A + SA.  (The pass shifts
 every row left, by SB + L with L the largest |SB|, and shifts each sum
 back by L once its layer is done.)  No bit leaves its row: each shifted
 bit is a reached element, 0 or totally positive, so D*B^2 < A^2 <= T^2
-and |B| < W.  After the last layer each row keeps one byte per slot,
-2W + 1 in all: the shortest length of (A, B), or 0 where nothing reached
-it (the ring's Pythagoras number is at most 5, so a byte holds any
-length).  The element 0, of length 0, is answered apart, and the bits
-are dropped.
+and |B| < W.  Each reached row past 0 also keeps one byte per slot,
+2W + 1 in all, allocated when the row first gets a bit: the shortest
+length of (A, B), written by the layer that first reaches it, or 0 where
+nothing does (the ring's Pythagoras number is at most 5, so a byte holds
+any length).  The element 0, of length 0, is answered apart, and the bits
+are dropped after the last layer.
 
 A verified `Decomposition` of shortest length is rebuilt on demand by
 walking down the lengths.  The search oracle in `decompose` stays the
@@ -96,12 +97,17 @@ class Sweep:
         lift = max((abs(r[3]) for r in roots), default=0)
         traces = [r[2] for r in roots]
         shifts = [(sa, sb + lift) for _, _, sa, sb in roots]
-        # Row A's reached bits, and each layer's rows of newly reached bits.
+        # Row A's reached bits, and the rows of bits the last layer reached
+        # first.  Each new bit's slot gets that layer's number at once; a
+        # row's bytes are allocated when it first gets a bit.
+        slots = 2 * width + 1
         reached = [0] * (trace_bound + 1)
         reached[0] = 1 << width
+        self._rows = rows = {}
         frontier = {0: reached[0]}
-        layers = []
+        length = 0
         while frontier:
+            length += 1
             sums = [0] * (trace_bound + 1)
             for big_a, row in frontier.items():
                 for sa, shift in shifts[: bisect_right(traces, trace_bound - big_a)]:
@@ -113,20 +119,13 @@ class Sweep:
                     if bits:
                         reached[big_a] |= bits
                         frontier[big_a] = bits
-            layers.append(frontier)
-        # A byte per slot of every reached row past 0, holding the layer
-        # that first set its bit, or 0 where none did.
-        slots = 2 * width + 1
-        self._rows = rows = {
-            big_a: bytearray(slots) for big_a, bits in enumerate(reached) if big_a and bits
-        }
-        for length, layer in enumerate(layers, 1):
-            for big_a, bits in layer.items():
-                row = rows[big_a]
-                while bits:
-                    low = bits & -bits
-                    row[low.bit_length() - 1] = length
-                    bits ^= low
+                        row_bytes = rows.get(big_a)
+                        if row_bytes is None:
+                            row_bytes = rows[big_a] = bytearray(slots)
+                        while bits:
+                            low = bits & -bits
+                            row_bytes[low.bit_length() - 1] = length
+                            bits ^= low
 
     def _lookup(self, alpha: QuadInt) -> int | None:
         if alpha.ctx.D != self.ctx.D:

@@ -17,12 +17,13 @@ the node budget first (the lengths ride on the scan's charge), shared by
 every claim that reads it and dropped before the next ring's; it times
 each claim alone and returns the reports claims outer, D inner.  The
 doubling and small-multiplier witnesses are refuted by the search oracle.
-`stable-multiplier` decides the interval test of each multiple k*beta in
+`stable-multiplier` decides the interval test of each multiple 2m*beta in
 integers, in one beta-major pass, `criteria.multiple_misses`: it reads
-each beta's `multiple_keys` once and walks k = 2, 4, ..., 2*m_max up to
-the first k*beta whose radicand reaches D^2 (the bound
-`peters_guaranteed` states), past which every multiple hits; the
-admissible range is computed only below it.  For a large m, `thresholds`
+each beta's trace and norm once and walks m = 1, 2, ..., m_max up to the
+first 2m*beta whose radicand reaches D^2 (the bound `peters_guaranteed`
+states), past which every multiple hits; the admissible range is computed
+only below it, and no multiplier past about D/2 is tabled, so its work and
+memory do not grow with m_max.  For a large m, `thresholds`
 tests no interval at all: kappa*m's own radicand reaches D^2
 (`large_multiplier_guaranteed`), so every kappa*m*beta hits by the same
 bound, and the harness relies on that proof instead of checking it; the
@@ -49,7 +50,6 @@ from ._record import Record
 from .criteria import (
     doubling_witness,
     large_multiplier_guaranteed,
-    multiple_keys,
     multiple_misses,
     odd_multiple_witness,
     peters_five_squares,
@@ -392,19 +392,13 @@ def estimate_stable_multiplier(
     m_max = spec.m_range[1] if spec.m_range else -(-ctx.D // 2) + 1
     claim_id = f"stable-multiplier/D={ctx.D}/m_max={m_max}"
     charge(m_max * len(betas), spec.node_budget, f"the multiples of {claim_id}")
-    keys = [multiple_keys(beta) for beta in betas]
     first_bad: dict[int, int] = {}
-    for i, k in multiple_misses(ctx, keys, range(2, 2 * m_max + 1, 2)):
-        first_bad.setdefault(k // 2, i)
-    instances = sum(
-        first_bad[m] + 1 if m in first_bad else len(betas) for m in range(1, m_max + 1)
-    )
-    m_star = None
-    for m in range(m_max, 0, -1):
-        if m in first_bad:
-            break
-        m_star = m
+    for i, m in multiple_misses(ctx, betas, m_max):
+        first_bad.setdefault(m, i)
+    n = len(betas)
+    instances = m_max * n - sum(n - i - 1 for i in first_bad.values())
     largest_failing = max(first_bad, default=None)
+    m_star = None if largest_failing == m_max else (largest_failing or 0) + 1
     details = {
         "m_max": m_max,
         "m_star": m_star,

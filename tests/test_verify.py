@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import json
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -320,7 +321,7 @@ def test_local_necessity():
 def test_multiplier_claims_charge_every_multiple_first(monkeypatch, name, scope):
     betas = len(list(scan_totally_positive(RingContext(5), 12)))
     spec = ScanSpec((5,), 12, m_range=(1, 10), node_budget=10 * betas - 1)
-    monkeypatch.setattr(verify, "multiple_keys", None)  # nothing may run first
+    monkeypatch.setattr(verify, "multiple_misses", None)  # nothing may run first
     with pytest.raises(BudgetExceeded, match=scope):
         run_claims(spec, [name])
     monkeypatch.undo()
@@ -372,6 +373,20 @@ def test_stable_multiplier_is_an_estimate_bounded_by_the_box():
     rep = claim("stable-multiplier", 31, 78)
     assert (rep.details["m_star"], rep.details["largest_failing_m"]) == (7, 6)
     assert rep.details["failing_example"] == {"m": 6, "beta": "39-7sqrt31"}
+
+
+def test_stable_multiplier_memory_does_not_grow_with_m_max():
+    # Every 2m*beta hits once 2m*1's radicand reaches D^2, so the pass
+    # tables no multiplier past about D/2, however large m_max is.
+    spec = ScanSpec((5,), 2, m_range=(1, 200_000))
+    tracemalloc.start()
+    try:
+        (rep,) = run_claims(spec, ["stable-multiplier"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.instances_checked, rep.details["m_star"]) == (200_000, 1)
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +491,11 @@ def test_jsonl_shape_and_reproducibility():
             # Deep multiplier walks, most of them stopped by the radicand bound.
             ["m0", "--D", "2..60", "--trace-bound", "100", "--m-range", "1..70"],
             "331cf8f856de417103aa852034ef0e312b1054fa63e7458125dc2f4936d5fb81",
+        ),
+        (
+            # m_max far past D/2 with few betas: the multiplier table stops early.
+            ["m0", "--D", "2..200", "--trace-bound", "7", "--m-range", "1..150"],
+            "fe1aa4720036e1856d001207742621afda800ed811aa54f798ee151fe84acf9e",
         ),
     ],
 )
