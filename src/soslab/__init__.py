@@ -56,7 +56,6 @@ _EXPORTS = {
             "ZeroElement",
         ),
         "quadfield": (
-            "DyadicClass",
             "QuadInt",
             "RingContext",
             "real_sign",
@@ -64,9 +63,7 @@ _EXPORTS = {
         ),
         "residues": (
             "Residue2",
-            "ValuationClass",
             "dyadic_valuation",
-            "dyadic_valuation_class",
             "is_square_mod_two",
             "residue_mod_two",
             "squares_mod_two",

@@ -32,8 +32,12 @@ from .quadfield import (
 )
 
 if TYPE_CHECKING:
+    from typing import Callable, TypeVar
+
     from .decompose import SearchVerdict
     from .sintegers import SElement
+
+    T = TypeVar("T")
 
 # Each handler imports the modules that only it calls (`peters` and
 # `witness` not even `decompose`): interpreter start and import are most of
@@ -111,7 +115,17 @@ RECORD_COLUMNS = ("command", "D", "element", "verdict", "terms", "nodes", "elaps
 
 class CliConfig:
     """Everything a subcommand handler needs, read from the parsed (and so
-    validated) arguments."""
+    validated) arguments.
+
+    For every subcommand but verify (whose --D is a spec, charged as it is
+    parsed), this is the one place that reads --D and --elem: it charges
+    D's squarefree test, builds `ctx`, then parses --elem, where the
+    subcommand takes one, as `alpha`, each once, before the handler's own
+    checks.
+    """
+
+    ctx: RingContext
+    alpha: QuadInt
 
     def __init__(self, args: argparse.Namespace) -> None:
         self.command = args.command
@@ -120,6 +134,11 @@ class CliConfig:
         self.out = args.out
         self.args = args
         self.stream: TextIO | None = None
+        if args.command != "verify":
+            charge_square_factor(args.D, args.node_budget)
+            self.ctx = RingContext(args.D)
+            if "elem" in args:
+                self.alpha = parse_element(self.ctx, args.elem)
 
     def write(self, text: str) -> None:
         """Writes to stdout, or to --out, opened once on the first write:
@@ -229,13 +248,24 @@ def _budget_certificate(cfg: CliConfig) -> dict:
     return {"kind": "budget_exceeded", "budget": cfg.node_budget}
 
 
+def _timed(call: Callable[..., T], *args: object, **kwargs: object) -> tuple[T, int]:
+    """call(*args, **kwargs), and the whole milliseconds it took."""
+    start = time.perf_counter()
+    result = call(*args, **kwargs)
+    return result, int(1000 * (time.perf_counter() - start))
+
+
 def _search_record(
-    cfg: CliConfig, alpha: QuadInt, verdict: SearchVerdict, elapsed_ms: int
-) -> tuple[dict, int]:
-    """The JSON record of one check/decompose verdict, and its exit code."""
+    cfg: CliConfig, verdict: SearchVerdict, elapsed_ms: int
+) -> tuple[dict, str, int]:
+    """The JSON record of one check/decompose verdict, its human line where
+    no decomposition was found (the handler writes the one where it was),
+    and its exit code."""
     from .decompose import VerdictKind
 
+    alpha = cfg.alpha
     decomposition = verdict.decomposition
+    human = ""
     if decomposition is not None:
         if cfg.command == "check":
             terms = [str(t) for t in decomposition.terms]
@@ -246,10 +276,13 @@ def _search_record(
     elif verdict.kind is VerdictKind.EXHAUSTED_NONE:
         certificate = {"kind": "exhaustion", "nodes": verdict.nodes}
         kind, terms, code = "not_sum_of_squares", None, 0
+        human = f"{alpha} is not a sum of squares [exhausted {verdict.nodes} nodes]"
     else:
         certificate = _budget_certificate(cfg)
         kind, terms, code = "unknown", None, 3
-    return _record(cfg, alpha, kind, certificate, terms, verdict.nodes, elapsed_ms), code
+        human = _no_verdict(cfg, alpha)
+    record = _record(cfg, alpha, kind, certificate, terms, verdict.nodes, elapsed_ms)
+    return record, human, code
 
 
 def _no_verdict(cfg: CliConfig, alpha: QuadInt) -> str:
@@ -259,37 +292,31 @@ def _no_verdict(cfg: CliConfig, alpha: QuadInt) -> str:
 def cmd_decompose(cfg: CliConfig) -> int:
     from .decompose import VerdictKind, decompose_sos, shortest_decomposition
 
-    ctx = RingContext(cfg.args.D)
-    alpha = parse_element(ctx, cfg.args.elem)
+    alpha = cfg.alpha
     shortest, max_terms = cfg.args.shortest, cfg.args.max_terms
-    start = time.perf_counter()
     if shortest:
-        verdict = shortest_decomposition(alpha, node_budget=cfg.node_budget)
+        verdict, elapsed_ms = _timed(shortest_decomposition, alpha, node_budget=cfg.node_budget)
     else:
-        verdict = decompose_sos(alpha, max_terms=max_terms, node_budget=cfg.node_budget)
-    elapsed_ms = int(1000 * (time.perf_counter() - start))
-    record, code = _search_record(cfg, alpha, verdict, elapsed_ms)
-    capped_miss = max_terms is not None and verdict.kind is VerdictKind.EXHAUSTED_NONE
-    if capped_miss:
-        # Exhausting a capped search says nothing about longer sums.
-        record["verdict"] = "none_within_max_terms"
-        record["certificate"]["max_terms"] = max_terms
+        verdict, elapsed_ms = _timed(
+            decompose_sos, alpha, max_terms=max_terms, node_budget=cfg.node_budget
+        )
+    record, human, code = _search_record(cfg, verdict, elapsed_ms)
+    exhausted = verdict.kind is VerdictKind.EXHAUSTED_NONE
     decomposition = verdict.decomposition
     if decomposition is not None:
         human = str(decomposition)
         if shortest:
             human += f"  [shortest: {len(decomposition)} squares]"
-    elif code == 3:
-        human = _no_verdict(cfg, alpha)
-    elif shortest:
-        human = f"{alpha} is not a sum of squares in O(sqrt{ctx.D})"
-    elif capped_miss:
+    elif exhausted and shortest:
+        human = f"{alpha} is not a sum of squares in O(sqrt{cfg.ctx.D})"
+    elif exhausted and max_terms is not None:
+        # Exhausting a capped search says nothing about longer sums.
+        record["verdict"] = "none_within_max_terms"
+        record["certificate"]["max_terms"] = max_terms
         human = (
             f"{alpha} is not a sum of at most {max_terms} squares "
             f"[exhausted {verdict.nodes} nodes]"
         )
-    else:
-        human = f"{alpha} is not a sum of squares [exhausted {verdict.nodes} nodes]"
     cfg.emit(record, human)
     return code
 
@@ -298,20 +325,13 @@ def cmd_check(cfg: CliConfig) -> int:
     from .decompose import decompose_sos
     from .residues import is_square_mod_two
 
-    ctx = RingContext(cfg.args.D)
-    alpha = parse_element(ctx, cfg.args.elem)
-    start = time.perf_counter()
-    verdict = decompose_sos(alpha, node_budget=cfg.node_budget)
-    elapsed_ms = int(1000 * (time.perf_counter() - start))
-    record, code = _search_record(cfg, alpha, verdict, elapsed_ms)
+    alpha = cfg.alpha
+    verdict, elapsed_ms = _timed(decompose_sos, alpha, node_budget=cfg.node_budget)
+    record, human, code = _search_record(cfg, verdict, elapsed_ms)
     record["totally_positive"] = alpha.is_totally_positive()
     record["square_mod_2O"] = is_square_mod_two(alpha)
     if verdict.decomposition is not None:
         human = f"{alpha} is a sum of {len(verdict.decomposition)} squares"
-    elif code == 3:
-        human = _no_verdict(cfg, alpha)
-    else:
-        human = f"{alpha} is not a sum of squares [exhausted {verdict.nodes} nodes]"
     cfg.emit(record, human)
     return code
 
@@ -319,8 +339,7 @@ def cmd_check(cfg: CliConfig) -> int:
 def cmd_peters(cfg: CliConfig) -> int:
     from .criteria import peters_interval
 
-    ctx = RingContext(cfg.args.D)
-    alpha = parse_element(ctx, cfg.args.elem)
+    alpha = cfg.alpha
     interval = peters_interval(alpha)
     points = interval.admissible if interval is not None else range(0)
     certificate: dict | None
@@ -361,7 +380,7 @@ def cmd_peters(cfg: CliConfig) -> int:
 def cmd_witness(cfg: CliConfig) -> int:
     from .criteria import doubling_witness, odd_multiple_witness, ramified_obstruction_witness
 
-    ctx = RingContext(cfg.args.D)
+    ctx = cfg.ctx
     kind = cfg.args.kind
     if kind == "doubling":
         element = doubling_witness(ctx)
@@ -379,12 +398,8 @@ def cmd_witness(cfg: CliConfig) -> int:
 def cmd_sint(cfg: CliConfig) -> int:
     from .sintegers import SKind, s_element, s_is_sum_of_squares
 
-    ctx = RingContext(cfg.args.D)
-    gamma = parse_element(ctx, cfg.args.elem)
-    xi = s_element(gamma, cfg.args.j, cfg.args.m)
-    start = time.perf_counter()
-    verdict = s_is_sum_of_squares(xi, node_budget=cfg.node_budget)
-    elapsed_ms = int(1000 * (time.perf_counter() - start))
+    xi = s_element(cfg.alpha, cfg.args.j, cfg.args.m)
+    verdict, elapsed_ms = _timed(s_is_sum_of_squares, xi, node_budget=cfg.node_budget)
 
     def record(kind: str, certificate: dict, terms: tuple[QuadInt, ...] | None = None) -> dict:
         return {**_record(cfg, xi, kind, certificate, terms, verdict.nodes, elapsed_ms), "m": xi.m}
@@ -419,7 +434,7 @@ def cmd_sint(cfg: CliConfig) -> int:
 def cmd_scan(cfg: CliConfig) -> int:
     from .residues import is_square_mod_two
 
-    ctx = RingContext(cfg.args.D)
+    ctx = cfg.ctx
     if cfg.args.trace_bound < 2:
         raise ValueError("trace bound below 2 scans nothing")
     charge_scan(ctx, cfg.args.trace_bound, cfg.node_budget)
@@ -564,8 +579,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command != "verify":  # verify's --D is a spec, charged as parsed
-            charge_square_factor(args.D, args.node_budget)
         cfg = CliConfig(args)
         try:
             return HANDLERS[args.command](cfg)

@@ -19,7 +19,8 @@ the even multiples 2m*beta of many betas, m = 1..m_max, in one beta-major
 pass from two integers per beta read once, its trace and norm: 2m*beta's
 radicand grows with m, so each walk stops at the first m that reaches the
 bound, the admissible range is computed only below it, and the table of
-multipliers stops where every beta reaches it, at about D/2 entries.
+multipliers stops where every beta reaches it (`tabled_multipliers`):
+ceil(D/4) - 1 entries when D = 1 (mod 4), ceil(D/2) - 1 otherwise.
 
 The witness constructions pick concrete elements that certify negative
 results: the doubling witness k + sqrt(D) (minimal k making it totally
@@ -36,7 +37,7 @@ from typing import Iterator
 
 from ._record import Record
 from .errors import NotOdd, NotRamified, NotTotallyPositive
-from .quadfield import DyadicClass, QuadInt, RingContext
+from .quadfield import QuadInt, RingContext
 from .residues import is_square_mod_two
 
 
@@ -44,7 +45,8 @@ class PetersInterval(Record):
     """Exact record of one interval test.
 
     The admissible integers are the n with (scale*n - center)^2 <= radicand
-    (and the required parity, when the ring imposes one); the real interval
+    (and the required parity, when the ring imposes one), and `n in
+    interval.admissible` tests one of them; the real interval
     [(center - sqrt(radicand))/scale, (center + sqrt(radicand))/scale] is
     recoverable from the fields, closed endpoints included.
     """
@@ -62,9 +64,6 @@ class PetersInterval(Record):
         self._set("center", center)
         self._set("radicand", radicand)
         self._set("parity_required", parity_required)
-
-    def contains(self, n: int) -> bool:
-        return n in self.admissible
 
     @property
     def admissible(self) -> range:
@@ -142,6 +141,17 @@ def peters_guaranteed(alpha: QuadInt) -> bool:
     return shape is not None and _radicand_hits(alpha.ctx, shape[2])
 
 
+def tabled_multipliers(ctx: RingContext, m_max: int) -> int:
+    """How many multipliers `multiple_misses` tables: m = 1, 2, ... up to
+    min(m_max, ceil(kappa*D/4) - 1).
+
+    1's radicand is 4/kappa^2 in units of its interval (`_interval(1)`), so
+    2m's is (4m/kappa)^2, which reaches D^2 exactly when m >= kappa*D/4.
+    From there on every 2m*beta hits (`_radicand_hits`), as N(beta) >= 1.
+    """
+    return min(m_max, -(-ctx.kappa * ctx.D // 4) - 1)
+
+
 def multiple_misses(
     ctx: RingContext, betas: list[QuadInt], m_max: int
 ) -> Iterator[tuple[int, int]]:
@@ -155,8 +165,8 @@ def multiple_misses(
     no multiple is built.  Where the radicand reaches D^2 the test hits
     (`_radicand_hits`), and it grows with m, so each beta's walk stops at
     the first m whose reach, the least norm at which it gets there, is at
-    most N(beta).  The table of multipliers stops at the first m whose reach
-    is 1, since every beta has N(beta) >= 1: at most about D/2 entries,
+    most N(beta).  The table of multipliers stops before the first m whose
+    reach is 1, since every beta has N(beta) >= 1 (`tabled_multipliers`),
     whatever m_max.
     """
     scale, unit_center, unit_radicand, parity = _interval(ctx.one)
@@ -164,10 +174,8 @@ def multiple_misses(
     # In m order: m, its reach, and the center and radicand per unit of
     # tr(beta) and N(beta).
     table = []
-    for m in range(1, m_max + 1):
+    for m in range(1, tabled_multipliers(ctx, m_max) + 1):
         radicand = 4 * m * m * unit_radicand
-        if radicand >= bound:
-            break
         table.append((m, -(-bound // radicand), m * unit_center, radicand))
     for i, beta in enumerate(betas):
         trace, norm = beta.trace, beta.norm
@@ -201,7 +209,7 @@ def ramified_obstruction_witness(ctx: RingContext) -> QuadInt:
     square mod 2*O, which blocks sums of squares even after inverting any
     odd modulus.
     """
-    if ctx.dyadic is not DyadicClass.RAMIFIED:
+    if ctx.kappa == 1:
         raise NotRamified(f"2 does not ramify for D={ctx.D}")
     base = ctx.sqrt_d if ctx.D % 2 == 0 else ctx.one + ctx.sqrt_d
     shift = isqrt(ctx.D) + 1 - ctx.D % 2  # at least 1, as D >= 2
@@ -236,7 +244,7 @@ def odd_multiple_witness(ctx: RingContext, m: int) -> QuadInt:
     The product keeps an odd sqrt(D)-coefficient, hence is not a square
     mod 2*O and not a sum of squares -- for every odd m, however large.
     """
-    if ctx.dyadic is not DyadicClass.RAMIFIED:
+    if ctx.kappa == 1:
         raise NotRamified(f"2 does not ramify for D={ctx.D}")
     if m % 2 == 0:
         raise NotOdd(f"multiplier must be odd, got {m}")

@@ -16,7 +16,6 @@ point is used anywhere.
 
 from __future__ import annotations
 
-import enum
 from math import isqrt
 from typing import TYPE_CHECKING, Iterator, Union
 
@@ -28,14 +27,6 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
     Rational = Union[int, Fraction]
-
-
-class DyadicClass(enum.Enum):
-    """Splitting behaviour of the rational prime 2 in the ring."""
-
-    RAMIFIED = "ramified"  # D = 2, 3 (mod 4): 2*O = p^2
-    SPLIT = "split"  # D = 1 (mod 8)
-    INERT = "inert"  # D = 5 (mod 8)
 
 
 def _sign(x: Rational) -> int:
@@ -78,14 +69,17 @@ class RingContext(Record):
     """Validated container for everything derived from a squarefree D >= 2.
 
     Construction checks that D is squarefree (see `square_factor`), so
-    holding a context is proof the parameters are coherent.  `kappa` and
-    `dyadic` follow from D, so two contexts are equal when their D are.
+    holding a context is proof the parameters are coherent.  `kappa` is 1
+    when D = 1 (mod 4) and 2 otherwise, so w = (2 - kappa + kappa*sqrt(D))/2,
+    and it is the one statement of whether 2 ramifies: exactly when kappa
+    is 2, where 2*O = p^2.  Whether an unramified 2 splits or stays inert
+    (D mod 8) decides no verdict, so it is not kept.  `kappa` follows from
+    D, so two contexts are equal when their D are.
     """
 
-    __slots__ = ("D", "kappa", "dyadic")
+    __slots__ = ("D", "kappa")
     D: int
     kappa: int
-    dyadic: DyadicClass
 
     def __init__(self, D: int) -> None:
         self._set("D", D)
@@ -100,15 +94,7 @@ class RingContext(Record):
         p = square_factor(d)
         if p is not None:
             raise NotSquarefree(d, p)
-        mod4 = d % 4
-        if mod4 != 1:
-            dyadic = DyadicClass.RAMIFIED
-        elif d % 8 == 1:
-            dyadic = DyadicClass.SPLIT
-        else:
-            dyadic = DyadicClass.INERT
-        self._set("kappa", 1 if mod4 == 1 else 2)
-        self._set("dyadic", dyadic)
+        self._set("kappa", 1 if d % 4 == 1 else 2)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is RingContext:

@@ -4,6 +4,8 @@ O/2O has exactly four classes, represented by coordinate parities
 (u mod 2, v mod 2).  Which are squares is one closed form on the stored
 pair (A, B), proved in `is_square_mod_two`; `squares_mod_two` squares the
 four representatives in the ring, the reference the tests hold it to.
+Where 2 ramifies (kappa = 2), `dyadic_valuation` gives an element's
+valuation at the prime p over 2.
 
 The local criterion: a totally positive element is a sum of r >= 5 squares
 at every completion of O if and only if it is congruent to a square mod
@@ -14,11 +16,10 @@ squares modulo 2*O because cross terms vanish.)
 
 from __future__ import annotations
 
-import enum
 from typing import NamedTuple
 
 from .errors import NotRamified, ZeroElement
-from .quadfield import DyadicClass, QuadInt, RingContext
+from .quadfield import QuadInt, RingContext
 
 
 class Residue2(NamedTuple):
@@ -26,15 +27,6 @@ class Residue2(NamedTuple):
 
     e0: int
     e1: int
-
-
-class ValuationClass(enum.Enum):
-    """Position of an element relative to the ramified prime p over 2."""
-
-    UNIT = "unit"  # valuation 0
-    IN_P_NOT_P2 = "in_p_not_p2"  # valuation exactly 1
-    IN_P2 = "in_p2"  # valuation >= 2
-    NOT_APPLICABLE = "not_applicable"  # 2 does not ramify
 
 
 def residue_mod_two(alpha: QuadInt) -> Residue2:
@@ -62,13 +54,14 @@ def is_square_mod_two(alpha: QuadInt) -> bool:
 
 
 def dyadic_valuation(alpha: QuadInt) -> int:
-    """Valuation of alpha at the ramified prime p over 2 (p^2 = 2*O).
+    """Valuation of alpha at the prime p over 2 where 2 ramifies (kappa = 2,
+    p^2 = 2*O); NotRamified where kappa = 1, ZeroElement for 0.
 
     Strips powers of 2 (worth 2 each) while A = B = 0 (mod 4); what is left
     lies in p exactly when its norm is even, as p is the only prime over 2
     and N(p) = 2.
     """
-    if alpha.ctx.dyadic is not DyadicClass.RAMIFIED:
+    if alpha.ctx.kappa == 1:
         raise NotRamified(f"2 does not ramify for D={alpha.ctx.D}")
     if not alpha:
         raise ZeroElement("the zero element has no finite valuation")
@@ -80,15 +73,3 @@ def dyadic_valuation(alpha: QuadInt) -> int:
         t += 1
     norm = (big_a * big_a - alpha.ctx.D * big_b * big_b) // 4
     return 2 * t + (1 if norm % 2 == 0 else 0)
-
-
-def dyadic_valuation_class(alpha: QuadInt) -> ValuationClass:
-    """Coarse dyadic position: unit, exactly once in p, or in p^2 = 2*O."""
-    if alpha.ctx.dyadic is not DyadicClass.RAMIFIED:
-        return ValuationClass.NOT_APPLICABLE
-    val = dyadic_valuation(alpha)  # raises ZeroElement for 0
-    if val == 0:
-        return ValuationClass.UNIT
-    if val == 1:
-        return ValuationClass.IN_P_NOT_P2
-    return ValuationClass.IN_P2

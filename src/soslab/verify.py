@@ -22,15 +22,18 @@ integers, in one beta-major pass, `criteria.multiple_misses`: it reads
 each beta's trace and norm once and walks m = 1, 2, ..., m_max up to the
 first 2m*beta whose radicand reaches D^2 (the bound `peters_guaranteed`
 states), past which every multiple hits; the admissible range is computed
-only below it, and no multiplier past about D/2 is tabled, so its work and
-memory do not grow with m_max.  For a large m, `thresholds`
-tests no interval at all: kappa*m's own radicand reaches D^2
-(`large_multiplier_guaranteed`), so every kappa*m*beta hits by the same
-bound, and the harness relies on that proof instead of checking it; the
-sweep still confirms each multiple it reaches.  Both charge one budget
-unit per multiple first.  Reports serialize to canonical JSONL (a schema
-header, sorted keys, no timestamps), so a rerun with the same parameters
-is byte-identical.
+only below it, and the multiplier table stops where every beta reaches
+it, at ceil(D/4) - 1 entries when D = 1 (mod 4) and ceil(D/2) - 1
+otherwise (`criteria.tabled_multipliers`), so its work and memory do not
+grow with m_max.  For a large m, `thresholds` tests no interval at all:
+kappa*m's own radicand reaches D^2 (`large_multiplier_guaranteed`), so
+every kappa*m*beta hits by the same bound, and the harness relies on that
+proof instead of checking it; the sweep still confirms each multiple it
+reaches.  Both charge one budget unit per multiple they can test first:
+`thresholds` each multiple of its range, `stable-multiplier` each beta
+times each tabled multiplier.  Reports serialize to canonical JSONL (a
+schema header, sorted keys, no timestamps), so a rerun with the same
+parameters is byte-identical.
 
 Failures are the load-bearing part: an empty failure list from an honest
 oracle is the whole point of the harness.  Mismatches in directions that
@@ -54,11 +57,11 @@ from .criteria import (
     odd_multiple_witness,
     peters_five_squares,
     small_multiplier_obstructed,
+    tabled_multipliers,
 )
 from .decompose import DEFAULT_NODE_BUDGET, VerdictKind, decompose_sos
 from .errors import WrongField, charge
 from .quadfield import (
-    DyadicClass,
     QuadInt,
     RingContext,
     charge_scan,
@@ -262,7 +265,7 @@ def verify_pythagoras(
 ) -> Report:
     """Shortest representations never need more than five squares; for
     D in {2, 3, 5} never more than three, and three really occurs."""
-    cap = 3 if ctx.D in (2, 3, 5) else 5
+    cap = 3 if ctx.D in (2, 3, 5) else PYTHAGORAS_CAP
     found = [n for n in lengths if n is not None]
     failures = [
         _failure(alpha, f"length <= {cap}", f"length {n}")
@@ -355,7 +358,7 @@ def verify_multiplier_thresholds(
             instances += len(betas)
             case["large_multiplier_checked"] = len(betas)
             case["oracle_confirmed"] = fits
-        if m % 2 == 1 and ctx.dyadic is DyadicClass.RAMIFIED:
+        if m % 2 == 1 and ctx.kappa == 2:
             target = odd_multiple_witness(ctx, m)
             instances += 1
             if is_square_mod_two(target):
@@ -387,11 +390,15 @@ def estimate_stable_multiplier(
     m exists (any m >= D/2 qualifies), and the report records the largest
     multiplier below m* that still fails, with a failing element: the
     first scanned beta at which it misses.  `instances_checked` counts, for
-    each m, the betas up to and including that first miss.
+    each m, the betas up to and including that first miss.  The pass is
+    charged first, one unit per beta and tabled multiplier
+    (`criteria.tabled_multipliers`), so an m_max past the table costs no
+    more than one at its end.
     """
     m_max = spec.m_range[1] if spec.m_range else -(-ctx.D // 2) + 1
     claim_id = f"stable-multiplier/D={ctx.D}/m_max={m_max}"
-    charge(m_max * len(betas), spec.node_budget, f"the multiples of {claim_id}")
+    work = tabled_multipliers(ctx, m_max) * len(betas)
+    charge(work, spec.node_budget, f"the multiples of {claim_id}")
     first_bad: dict[int, int] = {}
     for i, m in multiple_misses(ctx, betas, m_max):
         first_bad.setdefault(m, i)

@@ -4,9 +4,11 @@ import pytest
 
 from soslab import RingContext
 
-# Squarefree D covering all three dyadic splitting classes and both
-# integral bases: 2, 3, 6 ramified (kappa = 2); 5, 13, 21 inert and
-# 17 split (kappa = 1).
+# Squarefree D covering every class of D mod 8 a squarefree D takes, so
+# both integral bases and all three ways 2 factors: 2, 3, 6, 7 ramified
+# (kappa = 2); 5, 13, 21 inert (D = 5 mod 8) and 17 split (D = 1 mod 8),
+# both kappa = 1.  The library keeps only kappa; the rings still cover
+# the split and the inert case.
 STANDARD_DS = (2, 3, 5, 6, 7, 13, 17, 21)
 
 

@@ -163,14 +163,31 @@ def test_shortest_and_max_terms_exclude_each_other(capsys):
         ["decompose", "--D", "2", "--elem", "6+2sqrt2", "--max-terms", "-1"],
         ["decompose", "--D", "2", "--elem", "6+2sqrt2", "--max-terms", "0"],
         ["decompose", "--D", "2", "--elem", "6+2sqrt2", "--max-terms", "two"],
-        ["sint", "--D", "6", "--elem", "3+sqrt6", "--m", "2", "--j-budget", "-1"],
     ],
 )
 def test_out_of_range_search_limits_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--format", "json"])
     assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments" not in err
+
+
+@pytest.mark.parametrize(
+    "option,message",
+    [
+        (["--m", "1"], "modulus must be an integer > 1, got 1"),
+        (["--m", "-2"], "modulus must be an integer > 1, got -2"),
+        (["--m", "2", "--j", "-1"], "denominator exponent must be >= 0, got -1"),
+    ],
+)
+def test_sint_rejects_a_bad_modulus_or_exponent(capsys, option, message):
+    code = main(["sint", "--D", "6", "--elem", "3+sqrt6", *option, "--format", "json"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_check_reports_local_information(capsys):
@@ -474,9 +491,13 @@ def test_verify_budget_error_names_the_sweep(capsys, argv, ring):
             ["thresholds", "--D", "5", "--trace-bound", "4", "--m-range", "1..100000000000"],
             "the multiples of thresholds/D=5/m=1..100000000000",
         ),
+        # kappa = 2, so about 5*10^8 multipliers are tabled, for each beta.
         (
-            ["stable-multiplier", "--D", "5", "--trace-bound", "4", "--m-range", "1..100000000000"],
-            "the multiples of stable-multiplier/D=5/m_max=100000000000",
+            [
+                "stable-multiplier", "--D", "1000000007", "--trace-bound", "4",
+                "--m-range", "1..100000000000",
+            ],
+            "the multiples of stable-multiplier/D=1000000007/m_max=100000000000",
         ),
         # A D range is charged one unit per D before any D is listed.
         (
@@ -491,6 +512,19 @@ def test_verify_budget_error_names_the_scan_or_the_multiples(capsys, argv, scope
     assert time.perf_counter() - start < 5
     assert code == 3
     assert f"no verdict for {scope} within the node budget" in capsys.readouterr().err
+
+
+def test_stable_multiplier_charges_only_the_tabled_multiples(capsys):
+    # D = 5 tables m = 1 alone, so an m_max of 2*10^8 is charged one unit
+    # per beta, not 2*10^8.
+    argv = ["stable-multiplier", "--D", "5", "--trace-bound", "2", "--m-range", "1..200000000"]
+    start = time.perf_counter()
+    code = main(["verify", *argv])
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out.split("\n")[1])["details"]["m_star"] == 1
 
 
 HUGE_D = "1000000000000000000000000000057"

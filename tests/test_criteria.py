@@ -13,11 +13,9 @@ from soslab import (
     NotTotallyPositive,
     RingContext,
     ScanSpec,
-    ValuationClass,
     decompose_sos,
     doubling_witness,
     dyadic_valuation,
-    dyadic_valuation_class,
     is_square_mod_two,
     is_sum_of_squares,
     large_multiplier_guaranteed,
@@ -44,7 +42,7 @@ def test_interval_worked_example_d5(ctx5):
     assert (iv.scale, iv.center, iv.radicand) == (5, 6, 16)
     assert iv.parity_required == 0  # n must be even, like v = 2
     assert tuple(iv.admissible) == (2,)
-    assert iv.contains(2) and not iv.contains(1) and not iv.contains(3)
+    assert 2 in iv.admissible and 1 not in iv.admissible and 3 not in iv.admissible
     assert peters_five_squares(alpha)
 
 
@@ -177,6 +175,19 @@ def test_radicand_bound_leaves_every_multiple_interval_nonempty():
     assert checked > 0
 
 
+def test_the_table_stops_where_2m_is_guaranteed():
+    # The closed form ceil(kappa*D/4) against the first m whose 2m passes
+    # peters_guaranteed, from which on every 2m*beta hits.
+    for d in range(2, 201):
+        if square_factor(d) is not None:
+            continue
+        ctx = RingContext(d)
+        first = next(m for m in range(1, d + 1) if peters_guaranteed(ctx.from_int(2 * m)))
+        assert first == (-(-d // 4) if d % 4 == 1 else -(-d // 2)), d
+        for m_max in (1, first - 1, first, 10**12):
+            assert criteria.tabled_multipliers(ctx, m_max) == min(m_max, first - 1), d
+
+
 @pytest.mark.parametrize("d", GUARANTEE_DS)
 def test_large_multiples_compute_no_interval(d, monkeypatch):
     # Past the radicand bound the pass computes no interval and finds no
@@ -255,7 +266,7 @@ def test_interval_endpoints_are_closed(ctx5):
     # [(6 - 4)/5, (6 + 4)/5]: n = 2 sits on the upper endpoint and counts.
     iv = peters_interval(ctx5.from_sqrt_pair(3, 1))
     assert (iv.scale * 2 - iv.center) ** 2 == iv.radicand
-    assert iv.contains(2)
+    assert 2 in iv.admissible
 
 
 @given(st.sampled_from([5, 13, 17, 21, 29]), st.integers(1, 60))
@@ -315,7 +326,7 @@ def test_ramified_witness_examples(d, expected):
     w = ramified_obstruction_witness(RingContext(d))
     assert str(w) == expected
     assert w.is_totally_positive()
-    assert dyadic_valuation_class(w) is ValuationClass.IN_P_NOT_P2
+    assert dyadic_valuation(w) == 1
     assert not is_square_mod_two(w)
 
 
@@ -357,7 +368,7 @@ def test_witnesses_are_obstructed_in_every_ramified_ring():
         ctx = RingContext(d)
         w = ramified_obstruction_witness(ctx)
         assert w.is_totally_positive(), d
-        assert dyadic_valuation_class(w) is ValuationClass.IN_P_NOT_P2, d
+        assert dyadic_valuation(w) == 1, d
         assert not is_square_mod_two(w), d
         for m in range(1, 16, 2):
             assert not is_square_mod_two(odd_multiple_witness(ctx, m)), (d, m)
@@ -370,6 +381,40 @@ def test_odd_multiple_witness_guards(ctx5, ctx6):
         odd_multiple_witness(ctx6, 2)
     with pytest.raises(ValueError):
         odd_multiple_witness(ctx6, -3)
+
+
+SQUAREFREE_DS = [d for d in range(2, 201) if square_factor(d) is None]
+
+
+def _raises_not_ramified(call, *args):
+    try:
+        call(*args)
+    except NotRamified:
+        return True
+    return False
+
+
+def test_the_ramified_names_raise_exactly_where_2_is_unramified():
+    # Split rings (D = 1 mod 8, such as 17) as well as inert ones refuse.
+    assert {d % 8 for d in SQUAREFREE_DS if RingContext(d).kappa == 1} == {1, 5}
+    for d in SQUAREFREE_DS:
+        ctx = RingContext(d)
+        unramified = ctx.kappa == 1
+        assert _raises_not_ramified(ramified_obstruction_witness, ctx) == unramified, d
+        assert _raises_not_ramified(odd_multiple_witness, ctx, 3) == unramified, d
+        assert _raises_not_ramified(dyadic_valuation, ctx.from_int(6)) == unramified, d
+
+
+def test_thresholds_refutes_odd_multiples_only_where_2_ramifies():
+    # Trace 30 reaches the first odd multiple witness 2*(isqrt(D) + 1) of
+    # every ramified D here, so each ramified ring writes at least one.
+    spec = ScanSpec(tuple(SQUAREFREE_DS), 30, m_range=(1, 3))
+    reports = run_claims(spec, ["thresholds"])
+    for ctx, report in zip(spec.contexts, reports, strict=True):
+        odd = [case["m"] for case in report.details["cases"] if "odd_multiple_refuted" in case]
+        assert bool(odd) == (ctx.kappa == 2), ctx.D
+        assert all(m % 2 == 1 for m in odd), ctx.D
+        assert report.passed, ctx.D
 
 
 # ---------------------------------------------------------------------------

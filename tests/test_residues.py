@@ -1,18 +1,17 @@
 """Squares modulo 2*O and the dyadic valuation."""
 
+import enum
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from soslab import (
-    DyadicClass,
     NotRamified,
     Residue2,
     RingContext,
-    ValuationClass,
     ZeroElement,
     dyadic_valuation,
-    dyadic_valuation_class,
     is_square_mod_two,
     residue_mod_two,
     squares_mod_two,
@@ -25,6 +24,15 @@ COORDS = st.integers(min_value=-30, max_value=30)
 
 # ---------------------------------------------------------------------------
 # splitting of 2 and the square classes
+
+
+class DyadicClass(enum.Enum):
+    """How 2 factors in O, as the tests name it: the ring itself keeps only
+    whether 2 ramifies, as kappa, since no verdict reads the rest."""
+
+    RAMIFIED = "ramified"  # D = 2, 3 (mod 4): 2*O = p^2
+    SPLIT = "split"  # D = 1 (mod 8)
+    INERT = "inert"  # D = 5 (mod 8)
 
 
 @pytest.mark.parametrize(
@@ -43,7 +51,14 @@ COORDS = st.integers(min_value=-30, max_value=30)
     ],
 )
 def test_dyadic_splitting(d, expected):
-    assert RingContext(d).dyadic is expected
+    # kappa = 2 exactly where 2 ramifies.  The rest is read off O/2O: it is
+    # F2 x F2, with four idempotents, where 2 splits, and F2[t]/(t^2) or
+    # the field F4, with two, where it ramifies or stays inert.
+    ctx = RingContext(d)
+    assert ctx.kappa == (2 if expected is DyadicClass.RAMIFIED else 1)
+    classes = [ctx.element(u, v) for u in (0, 1) for v in (0, 1)]
+    idempotents = sum(residue_mod_two(x.square()) == residue_mod_two(x) for x in classes)
+    assert idempotents == (4 if expected is DyadicClass.SPLIT else 2)
 
 
 @pytest.mark.parametrize(
@@ -150,7 +165,7 @@ def _reference_valuation(alpha):
 def test_valuation_matches_the_enumerated_prime():
     for d in GRID_DS:
         ctx = RingContext(d)
-        if ctx.dyadic is not DyadicClass.RAMIFIED:
+        if ctx.kappa == 1:
             continue
         for u in GRID:
             for v in GRID:
@@ -180,13 +195,6 @@ def test_valuation_of_square_is_even(d, u, v):
     alpha = ctx.element(u, v)
     if bool(alpha):
         assert dyadic_valuation(alpha.square()) == 2 * dyadic_valuation(alpha)
-
-
-def test_valuation_classes(ctx6):
-    assert dyadic_valuation_class(ctx6.one) is ValuationClass.UNIT
-    assert dyadic_valuation_class(ctx6.sqrt_d) is ValuationClass.IN_P_NOT_P2
-    assert dyadic_valuation_class(ctx6.from_int(2)) is ValuationClass.IN_P2
-    assert dyadic_valuation_class(ctx6.from_sqrt_pair(4, 1)) is ValuationClass.IN_P_NOT_P2
 
 
 # ---------------------------------------------------------------------------

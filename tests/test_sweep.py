@@ -72,7 +72,8 @@ def test_run_claims_sweep_honours_the_budget():
     # A claim that reads no sweep is still charged for its scan.
     with pytest.raises(BudgetExceeded, match=f"the scan of D=2 to trace {TRACE}"):
         run_claims(spec, ["stable-multiplier"])
-    # The box holds 169 elements, and m = 1, 2 test each once.
+    # The box holds 169 elements; D = 2 tables no multiplier (every 2m*beta
+    # hits from m = ceil(D/2) = 1 on), so its multiples cost nothing.
     spec = ScanSpec(d_list=(2,), trace_bound=TRACE, node_budget=2 * 169)
     assert run_claims(spec, ["stable-multiplier"])[0].passed
 

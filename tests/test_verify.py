@@ -312,20 +312,22 @@ def test_local_necessity():
 
 
 @pytest.mark.parametrize(
-    "name,scope",
+    "name,scope,d",
     [
-        ("thresholds", "the multiples of thresholds/D=5/m=1..10"),
-        ("stable-multiplier", "the multiples of stable-multiplier/D=5/m_max=10"),
+        ("thresholds", "the multiples of thresholds/D=5/m=1..10", 5),
+        # stable-multiplier tables m up to ceil(D/4) - 1 for D = 1 (mod 4):
+        # D = 41 tables all ten.
+        ("stable-multiplier", "the multiples of stable-multiplier/D=41/m_max=10", 41),
     ],
 )
-def test_multiplier_claims_charge_every_multiple_first(monkeypatch, name, scope):
-    betas = len(list(scan_totally_positive(RingContext(5), 12)))
-    spec = ScanSpec((5,), 12, m_range=(1, 10), node_budget=10 * betas - 1)
+def test_multiplier_claims_charge_every_multiple_first(monkeypatch, name, scope, d):
+    betas = len(list(scan_totally_positive(RingContext(d), 12)))
+    spec = ScanSpec((d,), 12, m_range=(1, 10), node_budget=10 * betas - 1)
     monkeypatch.setattr(verify, "multiple_misses", None)  # nothing may run first
     with pytest.raises(BudgetExceeded, match=scope):
         run_claims(spec, [name])
     monkeypatch.undo()
-    spec = ScanSpec((5,), 12, m_range=(1, 10), node_budget=10 * betas)
+    spec = ScanSpec((d,), 12, m_range=(1, 10), node_budget=10 * betas)
     assert run_claims(spec, [name])[0].passed
 
 
