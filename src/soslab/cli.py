@@ -192,19 +192,15 @@ def _parse_d_spec(spec: str, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[in
     return tuple(int(part) for part in spec.split(","))
 
 
-def _int_at_least(text: str, low: int, what: str) -> int:
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1, anything else is a usage error."""
     try:
         value = int(text)
     except ValueError:
-        value = None
-    if value is None or value < low:
-        raise argparse.ArgumentTypeError(f"must be a {what} integer, got {text!r}")
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
-
-
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1, anything else is a usage error."""
-    return _int_at_least(text, 1, "positive")
 
 
 def _parse_m_range(spec: str) -> tuple[int, int]:

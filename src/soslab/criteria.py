@@ -57,14 +57,6 @@ class PetersInterval(Record):
     radicand: int
     parity_required: int | None
 
-    def __init__(
-        self, scale: int, center: int, radicand: int, parity_required: int | None
-    ) -> None:
-        self._set("scale", scale)
-        self._set("center", center)
-        self._set("radicand", radicand)
-        self._set("parity_required", parity_required)
-
     @property
     def admissible(self) -> range:
         """The admissible integers in closed form, at no cost however many."""

@@ -107,10 +107,6 @@ class SearchVerdict(Record):
         self._set("decomposition", decomposition)
         self._set("nodes", nodes)
 
-    @property
-    def found(self) -> bool:
-        return self.kind is VerdictKind.FOUND
-
 
 def _search(
     alpha: QuadInt, max_terms: int | None, node_budget: int, shortest: bool
@@ -165,7 +161,7 @@ def is_sum_of_squares(alpha: QuadInt, *, node_budget: int = DEFAULT_NODE_BUDGET)
     verdict = decompose_sos(alpha, node_budget=node_budget)
     if verdict.kind is VerdictKind.BUDGET_EXCEEDED:
         raise BudgetExceeded(verdict.nodes, node_budget)
-    return verdict.found
+    return verdict.kind is VerdictKind.FOUND
 
 
 def shortest_decomposition(

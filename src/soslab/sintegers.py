@@ -58,6 +58,9 @@ class SElement(Record):
         if j < 0:
             raise ValueError(f"denominator exponent must be >= 0, got {j}")
         gamma, m2 = numerator, m * m
+        if not gamma:
+            # Every power of m divides 0, so its canonical exponent is 0.
+            j = 0
         while j > 0 and gamma.u % m2 == 0 and gamma.v % m2 == 0:
             gamma = gamma.ctx.element(gamma.u // m2, gamma.v // m2)
             j -= 1
@@ -88,11 +91,6 @@ class ObstructionCert(Record):
     ctx: RingContext
     residue: Residue2
     reason: str
-
-    def __init__(self, ctx: RingContext, residue: Residue2, reason: str) -> None:
-        self._set("ctx", ctx)
-        self._set("residue", residue)
-        self._set("reason", reason)
 
 
 class SKind(enum.Enum):
@@ -164,12 +162,10 @@ def s_obstruction(xi: SElement) -> ObstructionCert | None:
         return ObstructionCert(
             xi.ctx,
             residue,
-            reason=(
-                f"m={xi.m} is odd, so denominators are units mod 2*O and "
-                f"escalation by m^2 fixes the residue {tuple(residue)}; that "
-                "class is not a square mod 2*O, but any sum of squares lies "
-                "in a square class"
-            ),
+            f"m={xi.m} is odd, so denominators are units mod 2*O and "
+            f"escalation by m^2 fixes the residue {tuple(residue)}; that "
+            "class is not a square mod 2*O, but any sum of squares lies "
+            "in a square class",
         )
     return None
 

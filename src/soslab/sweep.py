@@ -68,7 +68,8 @@ class Sweep:
     `node_budget` (`errors.charge`), which raises BudgetExceeded naming
     D and the trace bound above it.  It keeps one row of 2W + 1 length
     bytes for each trace that holds a sum of squares, about 2*T^2/sqrt(D)
-    bytes in all.
+    bytes in all.  `length` is the lookup; `is_sum_of_squares` and
+    `decomposition` read through it.
     """
 
     def __init__(
@@ -127,7 +128,9 @@ class Sweep:
                             row_bytes[low.bit_length() - 1] = length
                             bits ^= low
 
-    def _lookup(self, alpha: QuadInt) -> int | None:
+    def length(self, alpha: QuadInt) -> int | None:
+        """Shortest length of alpha as a sum of squares; None is a proof that
+        it is none."""
         if alpha.ctx.D != self.ctx.D:
             raise ContextMismatch(f"sweep of D={self.ctx.D} asked about a D={alpha.ctx.D} element")
         big_a, big_b = alpha.half_coords
@@ -140,20 +143,15 @@ class Sweep:
         # A negative index would wrap round to another slot.
         return (row[pos] or None) if 0 <= pos < len(row) else None
 
-    def length(self, alpha: QuadInt) -> int | None:
-        """Shortest length of alpha as a sum of squares; None is a proof that
-        it is none."""
-        return self._lookup(alpha)
-
     def is_sum_of_squares(self, alpha: QuadInt) -> bool:
-        return self._lookup(alpha) is not None
+        return self.length(alpha) is not None
 
     def decomposition(self, alpha: QuadInt) -> Decomposition | None:
         """A verified decomposition of alpha of shortest length, or None.
 
         Each step takes the first square, in the order of the roots, that
         leaves an element one shorter."""
-        length = self._lookup(alpha)
+        length = self.length(alpha)
         if length is None:
             return None
         terms = []
@@ -162,7 +160,7 @@ class Sweep:
             a, b, sa, sb = next(
                 r
                 for r in self._roots
-                if self._lookup(self.ctx.from_half_pair(big_a - r[2], big_b - r[3])) == shorter
+                if self.length(self.ctx.from_half_pair(big_a - r[2], big_b - r[3])) == shorter
             )
             terms.append(self.ctx.from_half_pair(a, b))
             big_a, big_b = big_a - sa, big_b - sb

@@ -125,12 +125,7 @@ class ScanSpec(Record):
         charge(tests, node_budget, f"the squarefree tests of the D list {listed}")
         # Each raises unless its D is squarefree and >= 2.
         contexts = tuple(RingContext(d) for d in d_list)
-        self._set("d_list", d_list)
-        self._set("trace_bound", trace_bound)
-        self._set("m_range", m_range)
-        self._set("node_budget", node_budget)
-        self._set("workers", workers)
-        self._set("contexts", contexts)
+        super().__init__(d_list, trace_bound, m_range, node_budget, workers, contexts)
 
     def __repr__(self) -> str:
         # The parameters alone: the contexts follow from d_list.

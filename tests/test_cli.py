@@ -190,6 +190,15 @@ def test_sint_rejects_a_bad_modulus_or_exponent(capsys, option, message):
     assert err == f"error: {message}\n"
 
 
+def test_sint_rejects_zero_before_any_work(capsys):
+    # 0's canonical exponent is 0, so a huge --j costs nothing before the check.
+    code = main(["sint", "--D", "6", "--elem", "0", "--m", "2", "--j", "1000000000000"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: numerator 0 is not totally positive\n"
+
+
 def test_check_reports_local_information(capsys):
     code, out = run_cli(capsys, "check", "--D", "6", "--elem", "3+sqrt6", "--format", "json")
     assert code == 0

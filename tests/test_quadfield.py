@@ -15,13 +15,17 @@ import soslab
 from soslab import (
     ContextMismatch,
     NotSquarefree,
+    PetersInterval,
     QuadInt,
     RingContext,
     ScanSpec,
     TooSmall,
     decompose_sos,
     doubling_witness,
+    peters_interval,
     real_sign,
+    s_element,
+    s_obstruction,
     scan_totally_positive,
 )
 from soslab.quadfield import count_totally_positive, cube_root, square_factor, squares_sum_to
@@ -407,6 +411,20 @@ def test_eq_hash_contract():
     assert ctx.element(1, 1) != RingContext(13).element(1, 1)
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 6, 13, 101])
+def test_an_integer_element_hashes_as_its_int(d):
+    # Equal objects must hash equal, or sets and dicts hold both.
+    ctx = RingContext(d)
+    for k in range(-3, 4):
+        alpha = ctx.from_int(k)
+        assert alpha == k and hash(alpha) == hash(k)
+        assert len({alpha, k}) == 1 and len({k, alpha}) == 1
+        assert {k: "int"}.get(alpha) == "int"
+        assert {alpha: "element"}.get(k) == "element"
+        assert hash(ctx.from_half_pair(2 * k, 0)) == hash(ctx.element(k)) == hash(alpha)
+    assert hash(ctx.element(3, 1)) == hash(QuadInt(ctx, 3, 1))
+
+
 def test_str_canonical_forms():
     ctx6 = RingContext(6)
     assert str(ctx6.element(3, 1)) == "3+sqrt6"
@@ -437,6 +455,8 @@ def test_records_are_immutable_values(ctx6):
         RingContext(5).element(2, -3),
         decompose_sos(ctx6.element(7, 2)).decomposition,  # (1+sqrt6)^2
         ScanSpec((2, 6), 10, m_range=(1, 3)),
+        peters_interval(ctx6.element(7, 2)),
+        s_obstruction(s_element(alpha, 0, 3)),
     ]
     for record in records:
         field = record.__slots__[0]
@@ -452,6 +472,10 @@ def test_records_are_immutable_values(ctx6):
     assert repr(ScanSpec((2,), 10)) == (
         "ScanSpec(d_list=(2,), trace_bound=10, m_range=None, node_budget=100000000, workers=1)"
     )
+    assert PetersInterval(1, 2, 3, None) == PetersInterval(1, 2, 3, None)
+    for fields in [(1, 2, 3), (1, 2, 3, None, 5)]:
+        with pytest.raises(TypeError, match="PetersInterval"):
+            PetersInterval(*fields)
 
 
 def test_import_leaves_dataclasses_and_inspect_unloaded():

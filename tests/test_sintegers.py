@@ -51,6 +51,12 @@ def test_canonical_form_strips_square_factors(ctx6):
     assert xi.numerator == ctx6.sqrt_d
 
 
+def test_zero_takes_exponent_zero_at_once(ctx6):
+    # Every power of m divides 0; stripping them one by one would take j steps.
+    xi = s_element(ctx6.zero, 10**18, 2)
+    assert xi.j == 0 and xi.numerator == 0
+
+
 def test_str_form(ctx6):
     assert str(s_element(ctx6.element(3, 1), 0, 2)) == "3+sqrt6"
     assert str(s_element(ctx6.element(3, 1), 2, 5)) == "(3+sqrt6)/5^4"

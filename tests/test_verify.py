@@ -217,10 +217,10 @@ def test_run_claims_reads_the_sweep_once_per_scanned_element(monkeypatch):
     # other lookup is made for the box claims, at most one per element.
     lookups = Counter()
     caller = [None]
-    lookup = verify.Sweep._lookup
+    lookup = verify.Sweep.length
 
     class CountingSweep(verify.Sweep):
-        def _lookup(self, alpha):
+        def length(self, alpha):
             lookups[caller[0]] += 1
             return lookup(self, alpha)
 
@@ -252,10 +252,10 @@ def test_a_wrong_length_reaches_every_box_claim(monkeypatch, d, target):
     spec = ScanSpec((d,), 14)
     elements = list(scan_totally_positive(ctx, 14))
     (alpha,) = [beta for beta in elements if str(beta) == target]
-    lookup = verify.Sweep._lookup
+    lookup = verify.Sweep.length
 
     class HidingSweep(verify.Sweep):
-        def _lookup(self, beta):
+        def length(self, beta):
             return None if beta == alpha else lookup(self, beta)
 
     def reports():
