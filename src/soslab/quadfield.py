@@ -297,7 +297,13 @@ class QuadInt(Record):
         if isinstance(other, int):
             return self._b == 0 and self._a == 2 * other
         if isinstance(other, QuadInt):
-            return self.ctx == other.ctx and self._a == other._a and self._b == other._b
+            # An integer is one number in every ring, as its hash says, so only
+            # elements with B != 0 need equal rings.
+            return (
+                self._a == other._a
+                and self._b == other._b
+                and (not self._b or self.ctx == other.ctx)
+            )
         return NotImplemented
 
     def __hash__(self) -> int:

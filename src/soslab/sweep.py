@@ -11,19 +11,17 @@ pass therefore sees every decomposition of every element of the box, and
 its negative answers need no representability theorem, as the search
 oracle's do not.
 
-The elements of trace A form a row.  While the pass runs, a row is one
-integer with bit B + W set for each reached (A, B), where
-W = isqrt(T^2 // D) + 1, so adding the square (SA, SB) to every element
-of a row is one shift by SB, or-ed into row A + SA.  (The pass shifts
-every row left, by SB + L with L the largest |SB|, and shifts each sum
-back by L once its layer is done.)  No bit leaves its row: each shifted
-bit is a reached element, 0 or totally positive, so D*B^2 < A^2 <= T^2
-and |B| < W.  Each reached row past 0 also keeps one byte per slot,
-2W + 1 in all, allocated when the row first gets a bit: the shortest
-length of (A, B), written by the layer that first reaches it, or 0 where
-nothing does (the ring's Pythagoras number is at most 5, so a byte holds
-any length).  The element 0, of length 0, is answered apart, and the bits
-are dropped after the last layer.
+The elements of trace A form a row, and a set of them is one integer with
+bit B + W set for each (A, B) in it, where W = isqrt(T^2 // D) + 1, so
+adding the square (SA, SB) to every element of a row is one shift by SB,
+or-ed into row A + SA.  (The pass shifts every row left, by SB + L with L
+the largest |SB|, and shifts each sum back by L once its layer is done.)
+No bit leaves its row: each shifted bit is a reached element, 0 or
+totally positive, so D*B^2 < A^2 <= T^2 and |B| < W.  The sweep keeps,
+for each row, the bits each layer reached first, with their layer, in
+layer order; layer 0 is the bit of 0 in row 0.  These are the only
+record: the length of (A, B) is the first layer of row A whose bits hold
+B + W, and no layer's bits hold it when it is no sum of squares.
 
 A verified `Decomposition` of shortest length is rebuilt on demand by
 walking down the lengths.  The search oracle in `decompose` stays the
@@ -66,10 +64,11 @@ class Sweep:
     Construction does all the work.  Before it starts, the work bound (the
     box's elements, 0 included, times the number of squares) is charged to
     `node_budget` (`errors.charge`), which raises BudgetExceeded naming
-    D and the trace bound above it.  It keeps one row of 2W + 1 length
-    bytes for each trace that holds a sum of squares, about 2*T^2/sqrt(D)
-    bytes in all.  `length` is the lookup; `is_sum_of_squares` and
-    `decomposition` read through it.
+    D and the trace bound above it.  It keeps, for each trace that holds a
+    sum of squares, one (layer, new bits) pair per layer that reaches it,
+    each int at most 2W + 1 bits wide.  `length` is the lookup, testing at
+    most one bit per layer; `is_sum_of_squares` and `decomposition` read
+    through it.
     """
 
     def __init__(
@@ -99,12 +98,10 @@ class Sweep:
         traces = [r[2] for r in roots]
         shifts = [(sa, sb + lift) for _, _, sa, sb in roots]
         # Row A's reached bits, and the rows of bits the last layer reached
-        # first.  Each new bit's slot gets that layer's number at once; a
-        # row's bytes are allocated when it first gets a bit.
-        slots = 2 * width + 1
+        # first.  Each row keeps its new bits with the layer that found them.
         reached = [0] * (trace_bound + 1)
         reached[0] = 1 << width
-        self._rows = rows = {}
+        self._rows = rows = {0: [(0, reached[0])]}
         frontier = {0: reached[0]}
         length = 0
         while frontier:
@@ -120,13 +117,7 @@ class Sweep:
                     if bits:
                         reached[big_a] |= bits
                         frontier[big_a] = bits
-                        row_bytes = rows.get(big_a)
-                        if row_bytes is None:
-                            row_bytes = rows[big_a] = bytearray(slots)
-                        while bits:
-                            low = bits & -bits
-                            row_bytes[low.bit_length() - 1] = length
-                            bits ^= low
+                        rows.setdefault(big_a, []).append((length, bits))
 
     def length(self, alpha: QuadInt) -> int | None:
         """Shortest length of alpha as a sum of squares; None is a proof that
@@ -136,12 +127,13 @@ class Sweep:
         big_a, big_b = alpha.half_coords
         if big_a > self.trace_bound:
             raise ValueError(f"{alpha} lies outside the swept box (trace <= {self.trace_bound})")
-        row = self._rows.get(big_a)
-        if row is None:
-            return 0 if big_a == big_b == 0 else None
         pos = big_b + self._width
-        # A negative index would wrap round to another slot.
-        return (row[pos] or None) if 0 <= pos < len(row) else None
+        # A negative shift raises ValueError.
+        if pos >= 0:
+            for layer, bits in self._rows.get(big_a, ()):
+                if bits >> pos & 1:
+                    return layer
+        return None
 
     def is_sum_of_squares(self, alpha: QuadInt) -> bool:
         return self.length(alpha) is not None

@@ -125,7 +125,7 @@ class ScanSpec(Record):
         charge(tests, node_budget, f"the squarefree tests of the D list {listed}")
         # Each raises unless its D is squarefree and >= 2.
         contexts = tuple(RingContext(d) for d in d_list)
-        super().__init__(d_list, trace_bound, m_range, node_budget, workers, contexts)
+        super().__init__(tuple(d_list), trace_bound, m_range, node_budget, workers, contexts)
 
     def __repr__(self) -> str:
         # The parameters alone: the contexts follow from d_list.

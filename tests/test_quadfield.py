@@ -411,6 +411,15 @@ def test_eq_hash_contract():
     assert ctx.element(1, 1) != RingContext(13).element(1, 1)
 
 
+def test_integers_are_equal_across_rings():
+    a6, a5 = RingContext(6).from_int(3), RingContext(5).from_int(3)
+    assert a6 == a5 == 3
+    assert len({3, a6, a5}) == len({a6, a5, 3}) == 1
+    with pytest.raises(ContextMismatch):
+        a6 + a5
+    assert RingContext(6).from_sqrt_pair(3, 1) != RingContext(7).from_sqrt_pair(3, 1)
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 6, 13, 101])
 def test_an_integer_element_hashes_as_its_int(d):
     # Equal objects must hash equal, or sets and dicts hold both.
@@ -476,6 +485,13 @@ def test_records_are_immutable_values(ctx6):
     for fields in [(1, 2, 3), (1, 2, 3, None, 5)]:
         with pytest.raises(TypeError, match="PetersInterval"):
             PetersInterval(*fields)
+
+
+def test_scan_spec_keeps_its_d_list_as_a_tuple():
+    spec = ScanSpec(d_list=[2, 3], trace_bound=10)
+    assert spec == ScanSpec(d_list=(2, 3), trace_bound=10)
+    assert hash(spec) == hash(ScanSpec(d_list=(2, 3), trace_bound=10))
+    assert repr(spec) == repr(ScanSpec(d_list=(2, 3), trace_bound=10))
 
 
 def test_import_leaves_dataclasses_and_inspect_unloaded():

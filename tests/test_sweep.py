@@ -1,5 +1,6 @@
 """Whole-box sweep against the search oracle, element by element."""
 
+import hashlib
 import tracemalloc
 from math import isqrt
 
@@ -16,6 +17,7 @@ from soslab import (
     run_claims,
     scan_totally_positive,
 )
+from soslab.cli import main as cli_main
 
 DIFFERENTIAL_DS = (2, 3, 5, 6, 7, 13)
 TRACE = 30
@@ -120,9 +122,9 @@ def test_sweep_lookups_outside_the_cone_are_none(d):
     assert sweep.length(ctx.from_sqrt_pair(2, -1)) is None  # 2 - sqrt(D) < 0
 
 
-def test_sweep_holds_one_byte_per_box_slot():
-    # One byte per slot of 300 rows of 2W + 1 = 271 slots is about 80 KiB;
-    # an entry per reached element would hold several MiB.
+def test_sweep_holds_no_entry_per_element():
+    # Each of 300 rows keeps at most one int of 2W + 1 = 271 bits per layer,
+    # well under 1 MiB; an entry per reached element would hold several MiB.
     ctx = RingContext(5)
     tracing = tracemalloc.is_tracing()
     if not tracing:
@@ -136,3 +138,43 @@ def test_sweep_holds_one_byte_per_box_slot():
             tracemalloc.stop()
     assert sweep.length(ctx.from_int(150)) is not None
     assert held < 2**20
+
+
+def test_sweep_keeps_only_the_new_bits_of_each_layer():
+    # About 0.49 MiB: one int per (row, layer) and no second copy of the
+    # lengths, which at one byte per box slot would add about 0.5 MiB.
+    ctx = RingContext(7)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sweep = Sweep(ctx, 1500)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert sweep.length(ctx.from_int(27 * 27)) == 1
+    assert held < 0.75 * 2**20
+
+
+@pytest.mark.parametrize(
+    "d,expected",
+    [
+        (2, "6bde59e2a7eb7959f6534de88f69e4631483e0ba8fc44b020b05d908b0c321b4"),
+        (3, "86ef36fdec245535a9e5235626c4ccdca47723dd3964ba92851621be85103adf"),
+        (5, "f6ee127088fbd275159d1da8113aaca202a9979a1772fd20c6d1eb7da45657f5"),
+        (6, "d31af157a5d750e5e9cb3bc3824adb57c77bacef9e0176f6fd4c3bddf3a2caeb"),
+        (7, "95ce9f8cf1fdbac089ca7cc2e173dad24cbf83cbeb15e0b7b956e680a66f4c64"),
+        (10, "04b2a4717cbe895b517758b6ed30a6f4eed16531b2e83fd727a87e3937f593fd"),
+        (13, "c7c6c138ee71c50faddad776d17f3fa78399cc5b77d0240db613026242044c02"),
+        (17, "df4f4d06d4e7ba8305cd8e432e136fc58f43e2afa10394bb532bad744f67c57e"),
+    ],
+)
+def test_whole_box_scan_bytes_are_pinned(capsys, d, expected):
+    # Every element of the box with its sweep length beside the oracle's: a
+    # sweep that is deterministic but wrong changes these bytes.
+    code = cli_main(["scan", "--D", str(d), "--trace-bound", "200", "--with-oracle"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert code == 0
+    assert digest == expected
