@@ -3,21 +3,40 @@
 Everything here works on the doubled pairs (A, B) that `quadfield` stores,
 meaning (A + B*sqrt(D))/2, so one integer kernel serves both shapes of w.
 
+Candidates come from the ring's root table (`root_table`): every
+canonical root (A, B) with the pair (SA, SB) of its square, sorted by
+(SA, B, A) and grown on demand.  A root fits under a target of trace A
+only if SA <= A, so a search's candidates are the roots of one prefix of
+the table that pass the exact fit test, sorted descending.  The table is
+built on a ring's first search, grown only by appending and only to the
+trace a search asks for, and kept as long as its context.  The budget
+unit is unchanged: each call is charged one unit per row b of roots with
+SA <= A, plus one per such root, whether the table holds it already or
+not, before any root is added, so every budget boundary stays where it
+was when each search listed its roots afresh.
+
 The traversal enumerates multisets of candidate roots: candidates are kept
 in one fixed list (descending canonical order), and a child may only pick
 candidates at or after its parent's position, so each multiset of terms is
-visited exactly once.  A candidate stays in a child's list only while its
-square still fits under the remainder in both real embeddings -- X + Y*sqrt(D)
-is totally nonnegative exactly when X >= 0 and X^2 >= D*Y^2 -- so remainders
-stay totally nonnegative at every node.  Each nonzero square has trace >= 2,
-so depth is bounded by trace/2 and the traversal is finite.
+visited exactly once.  A node picks only candidates whose square fits under
+its remainder in both real embeddings -- X + Y*sqrt(D) is totally
+nonnegative exactly when X >= 0 and X^2 >= D*Y^2 -- so remainders stay
+totally nonnegative at every node.  Each node tests fit lazily: it walks
+the one list from its own start position and tests each candidate against
+its own remainder as it reaches it, so no list is built per node, and a
+search that finds a decomposition descends at the first candidate that
+fits.  It visits the nodes that filtering a list for each child would:
+a candidate that fits a child's remainder fits its parent's, which is
+smaller in neither embedding.  Each nonzero square has trace >= 2, so
+depth is bounded by trace/2 and the traversal is finite.
 
 The last term is settled by lookup, not by visiting: with one term left,
 the only completion is a candidate at or after the parent's pick whose
 square equals the remainder, and distinct canonical roots have distinct
-squares, so one dict lookup decides it.  A node with two terms left
-therefore passes its list on unfiltered: each child is one node and one
-lookup.  `nodes` counts every visited node, those children included.
+squares, so one dict lookup decides it.  Such a candidate fits the
+remainder, so the lookup needs no fit test.  A node with two terms left
+therefore visits no child: each child is one node and one lookup.
+`nodes` counts every visited node, those children included.
 
 A plain search stops at its first hit.  A shortest search is the same
 traversal run as branch and bound: each hit lowers the term cap to one
@@ -32,63 +51,116 @@ on any representability theorem.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from math import isqrt
+from operator import itemgetter
+from typing import TYPE_CHECKING
 
 from .errors import charge
+
+if TYPE_CHECKING:
+    from .quadfield import RingContext
 
 STATUS_EXHAUSTED = 0
 STATUS_FOUND = 1
 STATUS_BUDGET = 2
 
-# Candidate tuple layout: (A, B, SA, SB) where (SA, SB) are the doubled
-# coordinates of the candidate's square.
+# Candidate tuple layout: (A, B, SA, SB), a canonical nonzero root
+# (A + B*sqrt(D))/2, a > 0 or a = 0 and b > 0, where (SA, SB) are the
+# doubled coordinates of its square.
 Candidate = tuple[int, int, int, int]
 
+# The root table's sort key: the trace SA of a root's square.
+_square_trace = itemgetter(2)
 
-def generate_candidates(d: int, big_a: int, big_b: int, budget: int) -> list[Candidate]:
+
+def root_table(ctx: RingContext, trace_bound: int, limit: int) -> tuple[list[Candidate], int]:
+    """ctx's root table, and how many of its roots square to a trace <= trace_bound.
+
+    The table lists every canonical nonzero root whose square has trace at
+    most the largest bound asked so far, sorted by (SA, B, A), so the roots
+    asked for are its first `count`; it only ever grows, by appending.  The
+    roots it grows by are all counted, row by row, before any is listed:
+    once the count passes `limit`, the table is left as it was and that
+    count, some number above `limit`, is returned, so a caller that charges
+    the count (`errors.charge`) is charged before any root is listed.
+    Integral means A = B (mod 2), with B even unless D = 1 (mod 4); SA =
+    (A^2 + D*B^2)/2 <= T bounds |B| by isqrt(2T // D) and A by
+    isqrt(2T - D*B^2).
+    """
+    try:
+        roots, done = ctx._roots, ctx._roots_trace
+    except AttributeError:
+        # The ring's first search: no table yet.
+        roots, done = [], -1
+    if trace_bound <= done:
+        return roots, bisect_right(roots, trace_bound, key=_square_trace)
+    d = ctx.D
+    b_max = isqrt(2 * trace_bound // d)
+    step = 1 if ctx.kappa == 1 else 2
+    count = len(roots)
+    rows = []
+    for b in range(-b_max + b_max % step, b_max + 1, step):
+        bbd = b * b * d
+        a_lo = 1 if b <= 0 else 0
+        a_lo += (a_lo - b) % 2
+        # The roots already listed square to a trace <= done.
+        rest = 2 * done - bbd
+        if rest >= 0:
+            first = isqrt(rest) + 1
+            a_lo = max(a_lo, first + (first - b) % 2)
+        a_hi = isqrt(2 * trace_bound - bbd)
+        if a_lo <= a_hi:
+            rows.append((b, bbd, a_lo, a_hi))
+            # Counted in integers: len() of a range fails beyond sys.maxsize.
+            count += (a_hi - a_lo) // 2 + 1
+            if count > limit:
+                return roots, count
+    new: list[Candidate] = []
+    append = new.append
+    for b, bbd, a_lo, a_hi in rows:
+        for a in range(a_lo, a_hi + 1, 2):
+            append((a, b, (a * a + bbd) // 2, a * b))
+    # Listed by (B, A), so a stable sort by SA leaves them in (SA, B, A) order.
+    new.sort(key=_square_trace)
+    roots += new
+    ctx._set("_roots", roots)
+    ctx._set("_roots_trace", trace_bound)
+    return roots, count
+
+
+def generate_candidates(
+    ctx: RingContext, big_a: int, big_b: int, budget: int
+) -> list[Candidate]:
     """All canonical roots whose square fits under (A, B) in both embeddings.
 
     Canonical means a > 0, or a = 0 and b > 0.  The target must be totally
     nonnegative.  Output is sorted descending by (A, B), the order the
-    search consumes.
+    search consumes.  The roots come from ctx's root table
+    (`root_table`): a root can fit only if its square's trace SA
+    is at most A, so the candidates are the fitting roots of the table's
+    prefix with SA <= A, the table first grown to trace A if it stops short.
 
-    The scan is charged against `budget`: one unit per row b, plus the
-    number of a the row tries, counted before the row runs.  Once that
-    work exceeds the budget, `errors.charge` raises BudgetExceeded with 0
-    nodes, so a large target with a small budget stops at once.
+    The call is charged against `budget`: one unit per row b up to the
+    last integral one, |b| <= isqrt(2A // D), plus one per root with
+    SA <= A, whether the table already holds it or not, all before any
+    root is added to the table.  Once that work exceeds
+    the budget, `errors.charge` raises BudgetExceeded with 0 nodes, so a
+    large target with a small budget stops at once.
     """
-    trace = big_a
-    out: list[Candidate] = []
-    if trace <= 0:
-        return out
-    # Any admissible root satisfies trace(root^2) <= trace(target), i.e.
-    # A^2 + B^2*d <= 2*trace; the exact per-embedding test then filters.
-    # Integrality fixes the parity of A: A = B (mod 2) in the half basis,
-    # A and B both even otherwise.
-    b_max = isqrt(2 * trace // d)
-    half_allowed = d % 4 == 1
-    work = 0
-    for b in range(-b_max, b_max + 1):
-        work += 1
-        if not half_allowed and b % 2:
-            continue
-        bbd = b * b * d
-        rest = 2 * trace - bbd
-        if rest < 0:
-            continue
-        a_lo = 1 if b <= 0 else 0
-        a_lo += (a_lo - b) % 2 if half_allowed else a_lo % 2
-        a_hi = isqrt(rest)
-        # The a in range(a_lo, a_hi + 1, 2), counted in integers: len() of
-        # a range fails beyond sys.maxsize.  Never negative, as a_lo <= 2.
-        work += (a_hi - a_lo) // 2 + 1
-        if work > budget:  # compared inline: a call per row would cost the hot scan
-            charge(work, budget)
-        for a in range(a_lo, a_hi + 1, 2):
-            sa, sb = (a * a + bbd) // 2, a * b
-            da, db = big_a - sa, big_b - sb
-            if da >= 0 and da * da >= d * db * db:
-                out.append((a, b, sa, sb))
+    if big_a <= 0:
+        return []
+    d = ctx.D
+    b_max = isqrt(2 * big_a // d)
+    rows = b_max + 1 + (b_max if ctx.kappa == 1 else b_max - b_max % 2)
+    # Compared inline: two calls cost 4 % of this function on `queries`.
+    if rows > budget:
+        charge(rows, budget)
+    roots, count = root_table(ctx, big_a, budget - rows)
+    if rows + count > budget:
+        charge(rows + count, budget)
+    # SA <= A in this prefix, so X = A - SA >= 0 and one test is left.
+    out = [c for c in roots[:count] if (x := big_a - c[2]) * x >= d * (y := big_b - c[3]) * y]
     # (A, B) is unique per candidate, so plain tuple order is (A, B) order.
     out.sort(reverse=True)
     return out
@@ -111,24 +183,26 @@ def run_search(
     completed traversal returns a decomposition of least length; a budget
     overrun after a hit still returns STATUS_BUDGET, never a length that
     is not known to be minimal.  The verdict kind does not depend on the
-    order of `cands`: multisets are enumerated under any fixed order.
+    order of `cands`: multisets are enumerated under any fixed order.  Each
+    candidate must fit under (A, B), as `generate_candidates` returns them.
     """
     nodes = 0
+    n = len(cands)
     path: list[tuple[int, int]] = []
     best: list[tuple[int, int]] | None = None
     limit = max_depth
     # Built on first use: 992 of 2,457 `queries` searches reach a lookup (eager: +4.8 %).
     rank: dict[tuple[int, int], int] | None = None
 
-    def lookup(r_a: int, r_b: int, first: Candidate) -> Candidate | None:
-        """The candidate at or after `first` whose square is (r_a, r_b)."""
+    def lookup(r_a: int, r_b: int, first: int) -> Candidate | None:
+        """The candidate at or after position `first` whose square is (r_a, r_b)."""
         nonlocal rank
         if rank is None:
             # Distinct canonical roots have distinct squares, so the
             # square names its root.
             rank = {(c[2], c[3]): i for i, c in enumerate(cands)}
         i = rank.get((r_a, r_b))
-        if i is None or i < rank[first[2], first[3]]:
+        if i is None or i < first:
             return None
         return cands[i]
 
@@ -139,8 +213,9 @@ def run_search(
         limit = len(terms) - 1
         return not shortest
 
-    def rec(r_a: int, r_b: int, cs: list[Candidate]) -> bool:
-        """Visit one node; True when the traversal should stop."""
+    def rec(r_a: int, r_b: int, start: int) -> bool:
+        """Visit the node of remainder (r_a, r_b) whose picks may start at
+        position `start`; True when the traversal should stop."""
         nonlocal nodes
         nodes += 1
         if nodes > budget:
@@ -148,47 +223,47 @@ def run_search(
         if r_a == 0 and r_b == 0:
             return hit(list(path))
         depth = len(path)
-        for i, c in enumerate(cs):
+        for i in range(start, n):
             left = limit - depth
             if left < 2:
                 if left == 1:
-                    # One term left: the only completion is a candidate in
-                    # cs[i:] whose square is the remainder itself.
-                    last = lookup(r_a, r_b, c)
+                    # One term left: the only completion is a candidate at
+                    # or after i whose square is the remainder itself.
+                    last = lookup(r_a, r_b, i)
                     if last is not None:
                         return hit(path + [(last[0], last[1])])
                 break
-            a, b, sa, sb = c
-            d_a, d_b = r_a - sa, r_b - sb
+            a, b, sa, sb = cands[i]
+            d_a = r_a - sa
+            if d_a < 0:
+                continue
+            d_b = r_b - sb
+            if d_a * d_a < d * d_b * d_b:
+                continue
             if left == 2:
                 # The child has one term left; settle it here by lookup
-                # instead of filtering a list for it.
+                # instead of visiting it.
                 nodes += 1
                 if nodes > budget:
                     return True
                 if d_a == 0 and d_b == 0:
                     stop = hit(path + [(a, b)])
                 else:
-                    last = lookup(d_a, d_b, c)
+                    last = lookup(d_a, d_b, i)
                     if last is None:
                         continue
                     stop = hit(path + [(a, b), (last[0], last[1])])
                 if stop:
                     return True
                 continue
-            sub = [
-                e
-                for e in cs[i:]
-                if (x := d_a - e[2]) >= 0 and x * x >= d * (d_b - e[3]) ** 2
-            ]
             path.append((a, b))
-            stop = rec(d_a, d_b, sub)
+            stop = rec(d_a, d_b, i)
             path.pop()
             if stop:
                 return True
         return False
 
-    rec(big_a, big_b, cands)
+    rec(big_a, big_b, 0)
     if nodes > budget:
         return STATUS_BUDGET, nodes, None
     if best is None:

@@ -24,11 +24,11 @@ import time
 from typing import TYPE_CHECKING, TextIO
 
 from .errors import (
-    DEFAULT_NODE_BUDGET, BasisMismatch, BudgetExceeded, ParseError, SoslabError, charge
+    DEFAULT_NODE_BUDGET, BasisMismatch, BudgetExceeded, NotSquarefree, ParseError, SoslabError,
+    charge,
 )
 from .quadfield import (
     QuadInt, RingContext, charge_scan, charge_square_factor, cube_root, scan_totally_positive,
-    square_factor,
 )
 
 if TYPE_CHECKING:
@@ -176,11 +176,16 @@ class CliConfig:
         self.write(line + "\n")
 
 
-def _parse_d_spec(spec: str, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, ...]:
+def _parse_d_spec(
+    spec: str, node_budget: int = DEFAULT_NODE_BUDGET
+) -> tuple[int, ...] | tuple[RingContext, ...]:
     """'6' | '2,3,5' | '2..50' (ranges keep only squarefree D).  Before any
     D is listed, a range is charged one unit per D, as a scan charges one
     per element, then its largest D's squarefree test, then all its tests,
-    each costing at most that largest D's cube root (BudgetExceeded)."""
+    each costing at most that largest D's cube root (BudgetExceeded).  A
+    range is listed as the RingContext of each D it keeps, so that the one
+    squarefree test that kept it also built its ring (`ScanSpec` takes
+    either); a list is listed as its D, tested by `ScanSpec`."""
     if ".." in spec:
         lo_s, hi_s = spec.split("..", 1)
         lo, hi = max(int(lo_s), 2), int(hi_s)
@@ -188,7 +193,13 @@ def _parse_d_spec(spec: str, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[in
         charge_square_factor(hi, node_budget)
         tests = f"the squarefree tests of the D range {spec}"
         charge((hi - lo + 1) * cube_root(max(hi, 0)), node_budget, tests)
-        return tuple(d for d in range(lo, hi + 1) if square_factor(d) is None)
+        contexts = []
+        for d in range(lo, hi + 1):
+            try:
+                contexts.append(RingContext(d))
+            except NotSquarefree:
+                pass
+        return tuple(contexts)
     return tuple(int(part) for part in spec.split(","))
 
 

@@ -124,7 +124,7 @@ def _search(
     if max_terms is not None:
         depth_cap = min(depth_cap, max(max_terms, 0))
     try:
-        cands = _pysearch.generate_candidates(ctx.D, big_a, big_b, node_budget)
+        cands = _pysearch.generate_candidates(ctx, big_a, big_b, node_budget)
     except BudgetExceeded:
         # Candidate generation alone outran the budget.
         return SearchVerdict(VerdictKind.BUDGET_EXCEEDED, None, 0)

@@ -74,10 +74,13 @@ class RingContext(Record):
     and it is the one statement of whether 2 ramifies: exactly when kappa
     is 2, where 2*O = p^2.  Whether an unramified 2 splits or stays inert
     (D mod 8) decides no verdict, so it is not kept.  `kappa` follows from
-    D, so two contexts are equal when their D are.
+    D, so two contexts are equal when their D are.  The context also holds
+    the ring's root table (`_pysearch.root_table`), a cache of what D
+    determines, unset until a search asks for it; equality, hashing, repr
+    and pickling go by D alone.
     """
 
-    __slots__ = ("D", "kappa")
+    __slots__ = ("D", "kappa", "_roots", "_roots_trace")
     D: int
     kappa: int
 
@@ -104,6 +107,13 @@ class RingContext(Record):
 
     def __hash__(self) -> int:
         return hash(self.D)
+
+    def __getstate__(self) -> tuple:
+        return self.D, self.kappa
+
+    def __setstate__(self, state: tuple) -> None:
+        self._set("D", state[0])
+        self._set("kappa", state[1])
 
     # -- element constructors ------------------------------------------------
 

@@ -157,8 +157,8 @@ def s_element(gamma: QuadInt, j: int, m: int) -> SElement:
 
 def s_obstruction(xi: SElement) -> ObstructionCert | None:
     """Permanent local obstruction certificate, if one exists."""
-    residue = residue_mod_two(xi.numerator)
     if xi.m % 2 == 1 and not is_square_mod_two(xi.numerator):
+        residue = residue_mod_two(xi.numerator)
         return ObstructionCert(
             xi.ctx,
             residue,

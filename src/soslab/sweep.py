@@ -33,29 +33,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from math import isqrt
 
+from ._pysearch import root_table
 from .decompose import DEFAULT_NODE_BUDGET, Decomposition
 from .errors import ContextMismatch, charge
 from .quadfield import QuadInt, RingContext, count_totally_positive
-
-
-def _roots(ctx: RingContext, trace_bound: int) -> list[tuple[int, int, int, int]]:
-    """(A, B, SA, SB) for every canonical nonzero root (A + B*sqrt(D))/2
-    whose square (SA + SB*sqrt(D))/2 has trace SA <= trace_bound, by SA.
-
-    Integral means A = B (mod 2), with B even unless D = 1 (mod 4).
-    """
-    d = ctx.D
-    out = []
-    b_max = isqrt(2 * trace_bound // d)
-    for b in range(-b_max, b_max + 1):
-        if ctx.kappa == 2 and b % 2:
-            continue
-        a_lo = 1 if b <= 0 else 0
-        a_lo += (a_lo - b) % 2
-        for a in range(a_lo, isqrt(2 * trace_bound - b * b * d) + 1, 2):
-            out.append((a, b, (a * a + b * b * d) // 2, a * b))
-    out.sort(key=lambda r: r[2])
-    return out
 
 
 class Sweep:
@@ -84,10 +65,12 @@ class Sweep:
         # and the rational squares alone, keeps listing the roots bounded.
         scope = f"the sweep of D={ctx.D} to trace {trace_bound}"
         charge((trace_bound // 2 + 1) * isqrt(trace_bound // 2), node_budget, scope)
-        roots = _roots(ctx, trace_bound)
-        limit = node_budget // max(len(roots), 1)
-        count = count_totally_positive(ctx, trace_bound, limit)
-        charge((count + 1) * len(roots), node_budget, scope)
+        # The nonzero roots whose squares fit the box, by the trace SA of
+        # their square: the first `squares` of the ring's root table.
+        roots, squares = root_table(ctx, trace_bound, node_budget)
+        count = count_totally_positive(ctx, trace_bound, node_budget // max(squares, 1))
+        charge((count + 1) * squares, node_budget, scope)
+        roots = roots[:squares]
         self.ctx = ctx
         self.trace_bound = trace_bound
         self._roots = roots

@@ -89,7 +89,9 @@ class ScanSpec(Record):
     existing callers keep working.  `contexts` holds the RingContext of
     each D, built here, after each D's squarefree test and then their sum
     are charged to the node budget; `run_claims` reads them, so each D is
-    tested once.
+    tested once.  An entry of `d_list` may already be a RingContext (as
+    `cli`'s D ranges are), which is kept instead of tested again; the
+    charges are the same, and `d_list` holds its D.
     """
 
     __slots__ = ("d_list", "trace_bound", "m_range", "node_budget", "workers", "contexts")
@@ -102,7 +104,7 @@ class ScanSpec(Record):
 
     def __init__(
         self,
-        d_list: tuple[int, ...],
+        d_list: tuple[int | RingContext, ...],
         trace_bound: int,
         m_range: tuple[int, int] | None = None,
         node_budget: int = DEFAULT_NODE_BUDGET,
@@ -118,14 +120,17 @@ class ScanSpec(Record):
             raise ValueError("workers must be at least 1")
         if not d_list:
             raise ValueError("no squarefree D to scan: the D list is empty")
-        for d in d_list:
+        ds = tuple(d.D if isinstance(d, RingContext) else d for d in d_list)
+        for d in ds:
             charge_square_factor(d, node_budget)
-        listed = ",".join(map(str, d_list))
-        tests = sum(cube_root(max(d, 0)) for d in d_list)
+        listed = ",".join(map(str, ds))
+        tests = sum(cube_root(max(d, 0)) for d in ds)
         charge(tests, node_budget, f"the squarefree tests of the D list {listed}")
         # Each raises unless its D is squarefree and >= 2.
-        contexts = tuple(RingContext(d) for d in d_list)
-        super().__init__(tuple(d_list), trace_bound, m_range, node_budget, workers, contexts)
+        contexts = tuple(d if isinstance(d, RingContext) else RingContext(d) for d in d_list)
+        if m_range is not None:
+            m_range = tuple(m_range)
+        super().__init__(ds, trace_bound, m_range, node_budget, workers, contexts)
 
     def __repr__(self) -> str:
         # The parameters alone: the contexts follow from d_list.

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from soslab import BasisMismatch, ParseError, RingContext
+from soslab import BasisMismatch, ParseError, RingContext, quadfield
 from soslab.cli import _parse_d_spec, main, parse_element
 
 # ---------------------------------------------------------------------------
@@ -697,7 +697,25 @@ def test_scan_rejects_trace_bound_below_two(capsys, bound, oracle):
 
 
 def test_d_range_keeps_only_squarefree():
-    assert _parse_d_spec("1..30") == (
+    # A range lists the ring of each D it keeps; a list lists its D.
+    assert tuple(ctx.D for ctx in _parse_d_spec("1..30")) == (
         2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 26, 29, 30,
     )
     assert _parse_d_spec("2,3,5") == (2, 3, 5)
+
+
+def test_verify_tests_each_d_of_a_range_once(capsys, monkeypatch):
+    # Four D of about 10^18, each test about 5 * 10^5 trial divisions: the
+    # range's own test builds the ring that ScanSpec then keeps.
+    calls = []
+    square_factor = quadfield.square_factor
+
+    def counting(d):
+        calls.append(d)
+        return square_factor(d)
+
+    monkeypatch.setattr(quadfield, "square_factor", counting)
+    d_range = "1000000000000000000..1000000000000000003"
+    assert main(["verify", "doubling", "--D", d_range, "--trace-bound", "2"]) == 0
+    assert sorted(calls) == list(range(10**18, 10**18 + 4))
+    assert "doubling" in capsys.readouterr().out

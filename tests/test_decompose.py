@@ -47,7 +47,7 @@ def candidate_roots(gamma):
     """The candidate roots the search consumes for gamma, as ring elements."""
     ctx = gamma.ctx
     big_a, big_b = gamma.half_coords
-    raw = _pysearch.generate_candidates(ctx.D, big_a, big_b, 10**8)
+    raw = _pysearch.generate_candidates(ctx, big_a, big_b, 10**8)
     return [ctx.from_half_pair(a, b) for a, b, _, _ in raw]
 
 
@@ -208,7 +208,7 @@ def test_odd_coefficient_is_refuted_at_the_root(d):
         # Neither independent engine has the rule, and both agree.
         assert not lengths.is_sum_of_squares(alpha), str(alpha)
         big_a, big_b = alpha.half_coords
-        cands = _pysearch.generate_candidates(ctx.D, big_a, big_b, 10**7)
+        cands = _pysearch.generate_candidates(ctx, big_a, big_b, 10**7)
         status, _, _ = _pysearch.run_search(ctx.D, big_a, big_b, cands, big_a // 2, 10**7)
         assert status == _pysearch.STATUS_EXHAUSTED, str(alpha)
 
@@ -265,7 +265,7 @@ def test_verdict_kind_ignores_candidate_order(alpha, data):
     """FOUND/EXHAUSTED_NONE is a property of the element, not the list order."""
     ctx = alpha.ctx
     big_a, big_b = alpha.half_coords
-    cands = _pysearch.generate_candidates(ctx.D, big_a, big_b, 10**6)
+    cands = _pysearch.generate_candidates(ctx, big_a, big_b, 10**6)
     shuffled = data.draw(st.permutations(cands))
     base_status, _, _ = _pysearch.run_search(
         ctx.D, big_a, big_b, cands, big_a // 2, 10**6
@@ -381,7 +381,7 @@ def test_capped_search_matches_the_sweep(kernel_box, k):
 def test_shortest_length_ignores_candidate_order(alpha, data):
     ctx = alpha.ctx
     big_a, big_b = alpha.half_coords
-    cands = _pysearch.generate_candidates(ctx.D, big_a, big_b, 10**6)
+    cands = _pysearch.generate_candidates(ctx, big_a, big_b, 10**6)
     shuffled = data.draw(st.permutations(cands))
     runs = [
         _pysearch.run_search(ctx.D, big_a, big_b, order, big_a // 2, 10**6, True)
@@ -402,7 +402,7 @@ def test_budget_after_a_hit_claims_no_length(kernel_box):
     for alpha, length in overshooting[::5]:
         big_a, big_b = alpha.half_coords
         ctx = alpha.ctx
-        cands = _pysearch.generate_candidates(ctx.D, big_a, big_b, 10**6)
+        cands = _pysearch.generate_candidates(ctx, big_a, big_b, 10**6)
         full = _pysearch.run_search(ctx.D, big_a, big_b, cands, big_a // 2, 10**6, True)
         first_hit = decompose_sos(alpha).nodes
         # Every budget from the first hit up to the last node stops between

@@ -492,6 +492,11 @@ def test_scan_spec_keeps_its_d_list_as_a_tuple():
     assert spec == ScanSpec(d_list=(2, 3), trace_bound=10)
     assert hash(spec) == hash(ScanSpec(d_list=(2, 3), trace_bound=10))
     assert repr(spec) == repr(ScanSpec(d_list=(2, 3), trace_bound=10))
+    # So is its multiplier range.
+    spec = ScanSpec((2,), 10, m_range=[1, 3])
+    assert spec == ScanSpec((2,), 10, m_range=(1, 3))
+    assert hash(spec) == hash(ScanSpec((2,), 10, m_range=(1, 3)))
+    assert repr(spec) == repr(ScanSpec((2,), 10, m_range=(1, 3)))
 
 
 def test_import_leaves_dataclasses_and_inspect_unloaded():

@@ -238,7 +238,7 @@ def test_run_claims_reads_the_sweep_once_per_scanned_element(monkeypatch):
     d_list = _parse_d_spec("2..50")
     reports = run_claims(ScanSpec(d_list, 40), list(CLAIM_NAMES))
     assert all(r.passed for r in reports)
-    scanned = sum(len(list(scan_totally_positive(RingContext(d), 40))) for d in d_list)
+    scanned = sum(len(list(scan_totally_positive(ctx, 40))) for ctx in d_list)
     assert scanned == 3930
     assert lookups["verify_doubling"] > 0 and lookups["verify_multiplier_thresholds"] > 0
     assert lookups[None] <= scanned
