@@ -9,7 +9,10 @@ canonical root (A, B) with the pair (SA, SB) of its square, sorted by
 only if SA <= A, so a search's candidates are the roots of one prefix of
 the table that pass the exact fit test, sorted descending.  The table is
 built on a ring's first search, grown only by appending and only to the
-trace a search asks for, and kept as long as its context.  The budget
+trace a search asks for, and kept as long as its context.  It holds at
+most TABLE_ROOTS roots: a search that would grow it further leaves it as
+it is and scans the rows for the roots that fit, so a thin element of
+huge trace holds only its few candidates, whatever its trace.  The budget
 unit is unchanged: each call is charged one unit per row b of roots with
 SA <= A, plus one per such root, whether the table holds it already or
 not, before any root is added, so every budget boundary stays where it
@@ -59,6 +62,8 @@ from typing import TYPE_CHECKING
 from .errors import charge
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable, Iterator
+
     from .quadfield import RingContext
 
 STATUS_EXHAUSTED = 0
@@ -73,8 +78,61 @@ Candidate = tuple[int, int, int, int]
 # The root table's sort key: the trace SA of a root's square.
 _square_trace = itemgetter(2)
 
+# The most roots a ring's table holds, about 5 MB at 140-155 bytes a
+# root (tracemalloc, Python 3.11): every root to a trace of about 59,000
+# when D = 2, far past the traces the claims and queries search.  A search
+# past it lists no root it does not keep (`generate_candidates`), so a
+# thin element of huge trace costs memory only for the roots that fit it.
+TABLE_ROOTS = 1 << 15
 
-def root_table(ctx: RingContext, trace_bound: int, limit: int) -> tuple[list[Candidate], int]:
+
+def _rows(ctx: RingContext, done: int, trace_bound: int) -> Iterator[tuple[int, int, int, int]]:
+    """Each row b of canonical roots whose square has done < SA <= trace_bound.
+
+    A row is (b, b*b*D, a_lo, a_hi), the roots (a, b) for a in
+    range(a_lo, a_hi + 1, 2); empty rows are skipped.  Integral means
+    A = B (mod 2), with B even unless D = 1 (mod 4); SA = (A^2 + D*B^2)/2
+    <= T bounds |B| by isqrt(2T // D) and A by isqrt(2T - D*B^2).
+    """
+    d = ctx.D
+    b_max = isqrt(2 * trace_bound // d)
+    step = 1 if ctx.kappa == 1 else 2
+    for b in range(-b_max + b_max % step, b_max + 1, step):
+        bbd = b * b * d
+        a_lo = 1 if b <= 0 else 0
+        a_lo += (a_lo - b) % 2
+        # Skip the roots whose squares have trace <= done.
+        rest = 2 * done - bbd
+        if rest >= 0:
+            first = isqrt(rest) + 1
+            a_lo = max(a_lo, first + (first - b) % 2)
+        a_hi = isqrt(2 * trace_bound - bbd)
+        if a_lo <= a_hi:
+            yield b, bbd, a_lo, a_hi
+
+
+def _by_square_trace(rows: Iterable[tuple[int, int, int, int]]) -> list[Candidate]:
+    """The roots of `rows` as (A, B, SA, SB), sorted by (SA, B, A)."""
+    out = [
+        (a, b, (a * a + bbd) // 2, a * b)
+        for b, bbd, a_lo, a_hi in rows
+        for a in range(a_lo, a_hi + 1, 2)
+    ]
+    # Listed by (B, A), so a stable sort by SA leaves them in (SA, B, A) order.
+    out.sort(key=_square_trace)
+    return out
+
+
+def list_roots(ctx: RingContext, trace_bound: int) -> list[Candidate]:
+    """Every canonical nonzero root whose square has trace <= trace_bound,
+    sorted by (SA, B, A): a root table's prefix, listed afresh and kept by
+    no context."""
+    return _by_square_trace(_rows(ctx, -1, trace_bound))
+
+
+def root_table(
+    ctx: RingContext, trace_bound: int, limit: int
+) -> tuple[list[Candidate] | None, int]:
     """ctx's root table, and how many of its roots square to a trace <= trace_bound.
 
     The table lists every canonical nonzero root whose square has trace at
@@ -83,49 +141,30 @@ def root_table(ctx: RingContext, trace_bound: int, limit: int) -> tuple[list[Can
     roots it grows by are all counted, row by row, before any is listed:
     once the count passes `limit`, the table is left as it was and that
     count, some number above `limit`, is returned, so a caller that charges
-    the count (`errors.charge`) is charged before any root is listed.
-    Integral means A = B (mod 2), with B even unless D = 1 (mod 4); SA =
-    (A^2 + D*B^2)/2 <= T bounds |B| by isqrt(2T // D) and A by
-    isqrt(2T - D*B^2).
+    the count (`errors.charge`) is charged before any root is listed.  A
+    count within `limit` but past TABLE_ROOTS also leaves the table as it
+    was, and comes with None for the table: the caller lists what it needs
+    itself.
     """
     try:
-        roots, done = ctx._roots, ctx._roots_trace
+        roots, done = ctx._table
     except AttributeError:
         # The ring's first search: no table yet.
         roots, done = [], -1
     if trace_bound <= done:
         return roots, bisect_right(roots, trace_bound, key=_square_trace)
-    d = ctx.D
-    b_max = isqrt(2 * trace_bound // d)
-    step = 1 if ctx.kappa == 1 else 2
     count = len(roots)
     rows = []
-    for b in range(-b_max + b_max % step, b_max + 1, step):
-        bbd = b * b * d
-        a_lo = 1 if b <= 0 else 0
-        a_lo += (a_lo - b) % 2
-        # The roots already listed square to a trace <= done.
-        rest = 2 * done - bbd
-        if rest >= 0:
-            first = isqrt(rest) + 1
-            a_lo = max(a_lo, first + (first - b) % 2)
-        a_hi = isqrt(2 * trace_bound - bbd)
-        if a_lo <= a_hi:
-            rows.append((b, bbd, a_lo, a_hi))
-            # Counted in integers: len() of a range fails beyond sys.maxsize.
-            count += (a_hi - a_lo) // 2 + 1
-            if count > limit:
-                return roots, count
-    new: list[Candidate] = []
-    append = new.append
-    for b, bbd, a_lo, a_hi in rows:
-        for a in range(a_lo, a_hi + 1, 2):
-            append((a, b, (a * a + bbd) // 2, a * b))
-    # Listed by (B, A), so a stable sort by SA leaves them in (SA, B, A) order.
-    new.sort(key=_square_trace)
-    roots += new
-    ctx._set("_roots", roots)
-    ctx._set("_roots_trace", trace_bound)
+    for row in _rows(ctx, done, trace_bound):
+        rows.append(row)
+        # Counted in integers: len() of a range fails beyond sys.maxsize.
+        count += (row[3] - row[2]) // 2 + 1
+        if count > limit:
+            return roots, count
+    if count > TABLE_ROOTS:
+        return None, count
+    roots += _by_square_trace(rows)
+    ctx._set("_table", (roots, trace_bound))
     return roots, count
 
 
@@ -140,13 +179,16 @@ def generate_candidates(
     (`root_table`): a root can fit only if its square's trace SA
     is at most A, so the candidates are the fitting roots of the table's
     prefix with SA <= A, the table first grown to trace A if it stops short.
+    Where growing it would take the table past TABLE_ROOTS, the rows are
+    scanned instead, one fit test per root, and only the roots that fit
+    are listed.
 
     The call is charged against `budget`: one unit per row b up to the
     last integral one, |b| <= isqrt(2A // D), plus one per root with
     SA <= A, whether the table already holds it or not, all before any
-    root is added to the table.  Once that work exceeds
-    the budget, `errors.charge` raises BudgetExceeded with 0 nodes, so a
-    large target with a small budget stops at once.
+    root is listed.  Once that work exceeds the budget, `errors.charge`
+    raises BudgetExceeded with 0 nodes, so a large target with a small
+    budget stops at once.
     """
     if big_a <= 0:
         return []
@@ -159,8 +201,17 @@ def generate_candidates(
     roots, count = root_table(ctx, big_a, budget - rows)
     if rows + count > budget:
         charge(rows + count, budget)
-    # SA <= A in this prefix, so X = A - SA >= 0 and one test is left.
-    out = [c for c in roots[:count] if (x := big_a - c[2]) * x >= d * (y := big_b - c[3]) * y]
+    # SA <= A for every root here, so X = A - SA >= 0 and one test is left.
+    if roots is None:
+        out = []
+        for b, bbd, a_lo, a_hi in _rows(ctx, -1, big_a):
+            for a in range(a_lo, a_hi + 1, 2):
+                x = big_a - (a * a + bbd) // 2
+                y = big_b - a * b
+                if x * x >= d * y * y:
+                    out.append((a, b, big_a - x, a * b))
+    else:
+        out = [c for c in roots[:count] if (x := big_a - c[2]) * x >= d * (y := big_b - c[3]) * y]
     # (A, B) is unique per candidate, so plain tuple order is (A, B) order.
     out.sort(reverse=True)
     return out

@@ -75,12 +75,13 @@ class RingContext(Record):
     is 2, where 2*O = p^2.  Whether an unramified 2 splits or stays inert
     (D mod 8) decides no verdict, so it is not kept.  `kappa` follows from
     D, so two contexts are equal when their D are.  The context also holds
-    the ring's root table (`_pysearch.root_table`), a cache of what D
-    determines, unset until a search asks for it; equality, hashing, repr
-    and pickling go by D alone.
+    the ring's root table (`_pysearch.root_table`) in one slot, `_table`:
+    a cache of what D determines, unset until a search asks for it and
+    owned by `_pysearch`.  Equality, hashing, repr and pickling go by D
+    alone.
     """
 
-    __slots__ = ("D", "kappa", "_roots", "_roots_trace")
+    __slots__ = ("D", "kappa", "_table")
     D: int
     kappa: int
 

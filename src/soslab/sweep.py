@@ -33,7 +33,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from math import isqrt
 
-from ._pysearch import root_table
+from ._pysearch import list_roots, root_table
 from .decompose import DEFAULT_NODE_BUDGET, Decomposition
 from .errors import ContextMismatch, charge
 from .quadfield import QuadInt, RingContext, count_totally_positive
@@ -66,8 +66,11 @@ class Sweep:
         scope = f"the sweep of D={ctx.D} to trace {trace_bound}"
         charge((trace_bound // 2 + 1) * isqrt(trace_bound // 2), node_budget, scope)
         # The nonzero roots whose squares fit the box, by the trace SA of
-        # their square: the first `squares` of the ring's root table.
+        # their square: the first `squares` of the ring's root table, or
+        # listed for this sweep alone where they would overfill the table.
         roots, squares = root_table(ctx, trace_bound, node_budget)
+        if roots is None:
+            roots = list_roots(ctx, trace_bound)
         count = count_totally_positive(ctx, trace_bound, node_budget // max(squares, 1))
         charge((count + 1) * squares, node_budget, scope)
         roots = roots[:squares]

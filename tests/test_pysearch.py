@@ -25,6 +25,7 @@ from soslab import (
 )
 from soslab import _pysearch
 from soslab.errors import charge
+from soslab.sweep import Sweep
 
 # kappa = 2 (2, 3, 6, 7) and kappa = 1 (5, 13, 17, 21).
 RING_DS = (2, 3, 5, 6, 7, 13, 17, 21)
@@ -252,9 +253,9 @@ def test_building_a_context_builds_no_table():
     # A context's table waits for its first search: `import soslab` and
     # RingContext(d) stay as cheap as before.
     ctx = RingContext(7)
-    assert not hasattr(ctx, "_roots")
+    assert not hasattr(ctx, "_table")
     decompose_sos(ctx.from_int(5))
-    assert hasattr(ctx, "_roots")
+    assert hasattr(ctx, "_table")
 
 
 def test_context_identity_ignores_its_table():
@@ -268,7 +269,7 @@ def test_context_identity_ignores_its_table():
     copy = pickle.loads(data)
     assert copy == ctx and hash(copy) == hash(ctx) and copy.kappa == 2
     # The copy starts a table of its own.
-    assert not hasattr(copy, "_roots")
+    assert not hasattr(copy, "_table")
     roots, count = _pysearch.root_table(copy, 30, 10**8)
     assert roots[:count] == _pysearch.root_table(ctx, 30, 10**8)[0][:count]
 
@@ -292,6 +293,68 @@ def test_a_table_is_freed_with_its_context():
     # About 3,000 roots at some 160 bytes each.
     assert count > 2500 and held > 100 * count
     assert left < 4096
+
+
+@pytest.mark.parametrize("d", RING_DS)
+def test_a_capped_table_gives_the_same_lists_and_boundaries(d, monkeypatch):
+    # The cap holds the roots to trace 24: targets past it are scanned
+    # row by row, the rest come from the table.
+    cap = len(brute_roots(d, 24))
+    monkeypatch.setattr(_pysearch, "TABLE_ROOTS", cap)
+    targets = _targets(d, 44)
+    random.Random(d).shuffle(targets)
+    ctx = RingContext(d)
+    for big_a, big_b in targets:
+        got = _pysearch.generate_candidates(ctx, big_a, big_b, 10**8)
+        assert got == reference_candidates(d, big_a, big_b, 10**8), (big_a, big_b)
+    roots, done = ctx._table
+    assert done < 44 and len(roots) <= cap and roots == brute_roots(d, done)
+    big_a, big_b = 44, 0
+    threshold = work_threshold(d, big_a, big_b)
+    with pytest.raises(BudgetExceeded):
+        _pysearch.generate_candidates(ctx, big_a, big_b, threshold - 1)
+    assert _pysearch.generate_candidates(ctx, big_a, big_b, threshold) == reference_candidates(
+        d, big_a, big_b, threshold
+    )
+
+
+@pytest.mark.parametrize("d", (2, 5, 7))
+def test_a_sweep_past_the_table_cap_lists_its_roots_itself(d, monkeypatch):
+    full = Sweep(RingContext(d), 30)
+    monkeypatch.setattr(_pysearch, "TABLE_ROOTS", len(full._roots) - 1)
+    ctx = RingContext(d)
+    capped = Sweep(ctx, 30)
+    assert capped._roots == full._roots == brute_roots(d, 30)
+    assert not hasattr(ctx, "_table")
+    for alpha in scan_totally_positive(ctx, 30):
+        assert capped.length(alpha) == full.length(alpha)
+
+
+def test_a_thin_element_in_budget_keeps_only_the_roots_that_fit():
+    # 2*eps^12, eps = 1 + sqrt(2), has trace 78,404 and conjugate 3*10^-9:
+    # some 43,000 roots square to a trace below its own, past TABLE_ROOTS,
+    # and only a handful fit it.  Listing them all would hold about 6 MB
+    # for as long as the context.
+    ctx = RingContext(2)
+    alpha = ctx.from_int(2)
+    for _ in range(12):
+        alpha = alpha * ctx.from_sqrt_pair(1, 1)
+    assert alpha.half_coords == (78404, 55440)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        gc.collect()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        verdict = decompose_sos(alpha)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert verdict.kind is VerdictKind.FOUND
+    assert not hasattr(ctx, "_table")
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------
