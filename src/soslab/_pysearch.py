@@ -78,7 +78,7 @@ Candidate = tuple[int, int, int, int]
 # The root table's sort key: the trace SA of a root's square.
 _square_trace = itemgetter(2)
 
-# The most roots a ring's table holds, about 5 MB at 140-155 bytes a
+# The most roots a ring's table holds, about 5 MB at about 145 bytes a
 # root (tracemalloc, Python 3.11): every root to a trace of about 59,000
 # when D = 2, far past the traces the claims and queries search.  A search
 # past it lists no root it does not keep (`generate_candidates`), so a

@@ -23,9 +23,8 @@ layer order; layer 0 is the bit of 0 in row 0.  These are the only
 record: the length of (A, B) is the first layer of row A whose bits hold
 B + W, and no layer's bits hold it when it is no sum of squares.
 
-A verified `Decomposition` of shortest length is rebuilt on demand by
-walking down the lengths.  The search oracle in `decompose` stays the
-independent engine the tests compare this against.
+The sweep answers lengths only; the search oracle in `decompose` stays the
+independent engine the tests compare it against, and builds decompositions.
 """
 
 from __future__ import annotations
@@ -34,22 +33,21 @@ from bisect import bisect_right
 from math import isqrt
 
 from ._pysearch import list_roots, root_table
-from .decompose import DEFAULT_NODE_BUDGET, Decomposition
-from .errors import ContextMismatch, charge
+from .errors import DEFAULT_NODE_BUDGET, ContextMismatch, charge
 from .quadfield import QuadInt, RingContext, count_totally_positive
 
 
 class Sweep:
     """Shortest sum-of-squares lengths of every element of trace <= trace_bound.
 
-    Construction does all the work.  Before it starts, the work bound (the
-    box's elements, 0 included, times the number of squares) is charged to
-    `node_budget` (`errors.charge`), which raises BudgetExceeded naming
-    D and the trace bound above it.  It keeps, for each trace that holds a
-    sum of squares, one (layer, new bits) pair per layer that reaches it,
-    each int at most 2W + 1 bits wide.  `length` is the lookup, testing at
-    most one bit per layer; `is_sum_of_squares` and `decomposition` read
-    through it.
+    Construction does all the work.  Before any root is listed, the work
+    bound (the box's elements, 0 included, times the number of squares,
+    both counted with an early exit) is charged to `node_budget`
+    (`errors.charge`), which raises BudgetExceeded naming D and the trace
+    bound above it.  It keeps, for each trace that holds a sum of squares,
+    one (layer, new bits) pair per layer that reaches it, each int at most
+    2W + 1 bits wide.  `length` is the lookup, testing at most one bit per
+    layer; `is_sum_of_squares` reads through it.
     """
 
     def __init__(
@@ -61,22 +59,17 @@ class Sweep:
     ) -> None:
         if trace_bound < 0:
             raise ValueError(f"trace bound must be nonnegative, got {trace_bound}")
-        # A lower bound on the work, from the rational integers of the box
-        # and the rational squares alone, keeps listing the roots bounded.
-        scope = f"the sweep of D={ctx.D} to trace {trace_bound}"
-        charge((trace_bound // 2 + 1) * isqrt(trace_bound // 2), node_budget, scope)
         # The nonzero roots whose squares fit the box, by the trace SA of
-        # their square: the first `squares` of the ring's root table, or
-        # listed for this sweep alone where they would overfill the table.
+        # their square: the first `squares` of the ring's root table, or,
+        # where they would overfill the table, listed for this sweep alone
+        # once the charge has passed.  Both counts stop past the budget.
         roots, squares = root_table(ctx, trace_bound, node_budget)
-        if roots is None:
-            roots = list_roots(ctx, trace_bound)
         count = count_totally_positive(ctx, trace_bound, node_budget // max(squares, 1))
+        scope = f"the sweep of D={ctx.D} to trace {trace_bound}"
         charge((count + 1) * squares, node_budget, scope)
-        roots = roots[:squares]
+        roots = list_roots(ctx, trace_bound) if roots is None else roots[:squares]
         self.ctx = ctx
         self.trace_bound = trace_bound
-        self._roots = roots
         self._width = width = isqrt(trace_bound * trace_bound // ctx.D) + 1
         # Every shift is taken leftward, by SB + lift, and each sum is set
         # back by lift once a layer is done.
@@ -123,23 +116,3 @@ class Sweep:
 
     def is_sum_of_squares(self, alpha: QuadInt) -> bool:
         return self.length(alpha) is not None
-
-    def decomposition(self, alpha: QuadInt) -> Decomposition | None:
-        """A verified decomposition of alpha of shortest length, or None.
-
-        Each step takes the first square, in the order of the roots, that
-        leaves an element one shorter."""
-        length = self.length(alpha)
-        if length is None:
-            return None
-        terms = []
-        big_a, big_b = alpha.half_coords
-        for shorter in range(length - 1, -1, -1):
-            a, b, sa, sb = next(
-                r
-                for r in self._roots
-                if self.length(self.ctx.from_half_pair(big_a - r[2], big_b - r[3])) == shorter
-            )
-            terms.append(self.ctx.from_half_pair(a, b))
-            big_a, big_b = big_a - sa, big_b - sb
-        return Decomposition(alpha, tuple(terms))

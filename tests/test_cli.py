@@ -433,6 +433,50 @@ def test_verify_human_summary(capsys):
     assert "PASS" in out
 
 
+def test_verify_human_lists_each_failure(capsys, monkeypatch):
+    from soslab import verify
+
+    failure = {"element": "3+sqrt6", "expected": "square mod 2*O", "got": "non-square class"}
+
+    def failing(ctx, spec, elements, lengths):
+        return verify.Report(f"local-necessity/D={ctx.D}", 1, [failure], [], {})
+
+    # run_claims looks each claim up by name on the module.
+    monkeypatch.setattr(verify, "verify_local_necessity", failing)
+    code, out = run_cli(
+        capsys, "verify", "lemma1", "--D", "6", "--trace-bound", "8", "--format", "human"
+    )
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("local-necessity/D=6: FAIL (1 checked, 1 failures, ")
+    assert lines[1:] == [f"  failure: {failure}"]
+
+
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        # A single multiplier is a range of one.
+        (
+            ["verify", "thresholds", "--D", "6", "--trace-bound", "10", "--m-range", "3"],
+            '"m_range":[3,3]',
+        ),
+        (
+            ["decompose", "--D", "6", "--elem", "6+2sqrt6", "--shortest"],
+            "6+2sqrt6 is not a sum of squares in O(sqrt6)",
+        ),
+        (
+            ["peters", "--D", "13", "--elem", "2+w"],
+            "2+w: no admissible integer in the interval",
+        ),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else None,
+)
+def test_a_call_prints_its_line(capsys, argv, line):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert line in out
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

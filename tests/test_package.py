@@ -100,7 +100,10 @@ ELEMENT = ["--D", "6", "--elem", "6+2sqrt6"]
             {"_pysearch", "decompose", "sweep", "verify"},
         ),
         (["sint", *ELEMENT, "--m", "2"], {"sweep", "verify"}),
-        (["scan", "--D", "6", "--trace-bound", "8", "--with-oracle"], set()),
+        (
+            ["scan", "--D", "6", "--trace-bound", "8", "--with-oracle"],
+            {"criteria", "decompose", "sintegers", "verify"},
+        ),
         (["verify", "thm3", "--D", "2..6", "--trace-bound", "8"], set()),
         (
             ["scan", "--D", "6", "--trace-bound", "8"],

@@ -173,6 +173,7 @@ def test_mixed_int_arithmetic():
     assert alpha + 1 == ctx.from_sqrt_pair(4, 1)
     assert 1 + alpha == alpha + 1
     assert alpha - 3 == ctx.sqrt_d
+    assert 3 - ctx.from_sqrt_pair(1, 1) == ctx.from_sqrt_pair(2, -1)  # 2 - sqrt6
     assert (alpha - alpha) == 0
     assert -alpha == ctx.from_sqrt_pair(-3, -1)
 

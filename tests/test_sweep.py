@@ -9,7 +9,6 @@ import pytest
 from soslab import (
     BudgetExceeded,
     ContextMismatch,
-    Decomposition,
     RingContext,
     ScanSpec,
     Sweep,
@@ -17,7 +16,9 @@ from soslab import (
     run_claims,
     scan_totally_positive,
 )
+from soslab._pysearch import list_roots
 from soslab.cli import main as cli_main
+from soslab.quadfield import count_totally_positive
 
 DIFFERENTIAL_DS = (2, 3, 5, 6, 7, 13)
 TRACE = 30
@@ -33,19 +34,11 @@ def test_sweep_lengths_match_the_oracle(d):
         length = sweep.length(alpha)
         assert length == pythagoras_length(alpha), str(alpha)
         assert sweep.is_sum_of_squares(alpha) == (length is not None)
-        dec = sweep.decomposition(alpha)
-        if length is None:
-            assert dec is None
-            continue
-        assert len(dec) == length
-        # Rebuilding from the bare terms re-verifies the identity.
-        assert Decomposition(alpha, dec.terms) == dec
 
 
 def test_sweep_refutes_outside_the_positive_cone(ctx6):
     sweep = Sweep(ctx6, 12)
     assert sweep.length(ctx6.zero) == 0
-    assert sweep.decomposition(ctx6.zero).terms == ()
     assert sweep.length(ctx6.from_sqrt_pair(2, 1)) is None  # 2 - sqrt6 < 0
     assert sweep.length(ctx6.from_int(-1)) is None
 
@@ -65,6 +58,39 @@ def test_sweep_budget_is_checked_before_any_work(ctx5, trace_bound):
     with pytest.raises(BudgetExceeded) as exc:
         Sweep(ctx5, trace_bound, node_budget=50)
     assert exc.value.nodes == 0
+
+
+@pytest.mark.parametrize("d", (2, 5, 6, 13))
+@pytest.mark.parametrize("trace", (2, 7, TRACE))
+def test_the_least_sweep_budget_is_its_box_times_its_squares(d, trace):
+    # The box's elements, 0 included, times its squares passes; one unit
+    # less stops with no node searched.
+    ctx = RingContext(d)
+    work = (count_totally_positive(ctx, trace, 10**8) + 1) * len(list_roots(ctx, trace))
+    with pytest.raises(BudgetExceeded) as exc:
+        Sweep(ctx, trace, node_budget=work - 1)
+    assert exc.value.nodes == 0
+    assert Sweep(ctx, trace, node_budget=work).length(ctx.one) == 1
+
+
+def test_a_refused_sweep_lists_no_root():
+    # Some 239,000 roots square to a trace of at most 430,000 when D = 2,
+    # past the root table's cap; they are counted, not listed, before the
+    # charge refuses the sweep.  Listing them would take about 41 MiB.
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(BudgetExceeded, match="the sweep of D=2 to trace 430000") as exc:
+            Sweep(RingContext(2), 430000)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert exc.value.nodes == 0
+    assert peak < 2**20
 
 
 def test_run_claims_sweep_honours_the_budget():
@@ -118,7 +144,6 @@ def test_sweep_lookups_outside_the_cone_are_none(d):
             if not alpha.is_totally_positive() and alpha:
                 assert sweep.length(alpha) is None, str(alpha)
                 assert not sweep.is_sum_of_squares(alpha)
-                assert sweep.decomposition(alpha) is None
     assert sweep.length(ctx.from_sqrt_pair(2, -1)) is None  # 2 - sqrt(D) < 0
 
 

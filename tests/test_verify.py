@@ -289,6 +289,97 @@ def test_a_wrong_length_reaches_every_box_claim(monkeypatch, d, target):
         assert after[name] == expected[name]
 
 
+class _SameAnswer:
+    """A stand-in for the sweep that gives every target the same verdict."""
+
+    def __init__(self, answer):
+        self.answer = answer
+
+    def is_sum_of_squares(self, alpha):
+        return self.answer
+
+
+# Each claim handed one wrong answer, and the one failure it must record.
+# A dict replaces the named elements' lengths in the box claims' length
+# list; a bool is every answer of the sweep that doubling and thresholds
+# read; None hands doubling no sweep, so the search refutes its witness.
+@pytest.mark.parametrize(
+    "function,d,spec,wrong,failure",
+    [
+        pytest.param(
+            "verify_scharlau", 2, {}, {"1": None}, ("1", "sum of squares", "refuted"),
+            id="scharlau",
+        ),
+        pytest.param(
+            "verify_maass_three_squares", 5, {}, {"1": 4}, ("1", "length <= 3", "length 4"),
+            id="maass",
+        ),
+        pytest.param(
+            "verify_pythagoras", 2, {"trace_bound": 12}, {"1": 4},
+            ("1", "length <= 3", "length 4"), id="pythagoras-over-the-cap",
+        ),
+        pytest.param(
+            "verify_pythagoras", 2, {"trace_bound": 12}, {"6-2sqrt2": 2, "6+2sqrt2": 2},
+            ("scan(trace<=12)", "some element of length exactly 3", "max length 2"),
+            id="pythagoras-length-3-not-attained",
+        ),
+        pytest.param(
+            "verify_peters_equivalence", 13, {"trace_bound": 6}, {"2+w": 1},
+            ("2+w", "interval hit (element is a sum of squares)", "empty interval"),
+            id="peters-oracle",
+        ),
+        pytest.param(
+            "verify_local_necessity", 6, {"trace_bound": 6}, {"3+sqrt6": 2},
+            ("3+sqrt6", "square mod 2*O", "non-square class"), id="local-necessity",
+        ),
+        pytest.param(
+            "verify_doubling", 5, {}, False, ("1", "2*alpha sum of squares", "refuted"),
+            id="doubling-sweep",
+        ),
+        pytest.param(
+            "verify_doubling", 6, {"node_budget": 1}, None,
+            ("6+2sqrt6", "exhausted_none", "budget_exceeded"), id="doubling-witness",
+        ),
+        pytest.param(
+            "verify_multiplier_thresholds", 6, {"trace_bound": 12, "m_range": (3, 3)}, False,
+            ("6", "sum of squares", "refuted by exhaustion"), id="thresholds-large-multiplier",
+        ),
+        pytest.param(
+            "verify_multiplier_thresholds", 6, {"trace_bound": 10, "m_range": (1, 1)}, True,
+            ("3+sqrt6", "refuted by exhaustion", "sum of squares"), id="thresholds-odd-multiple",
+        ),
+    ],
+)
+def test_every_claim_fails_on_a_wrong_answer(function, d, spec, wrong, failure):
+    spec = ScanSpec((d,), **{"trace_bound": 2, **spec})
+    ctx = spec.contexts[0]
+    elements = list(scan_totally_positive(ctx, spec.trace_bound))
+    if isinstance(wrong, dict):
+        sweep = Sweep(ctx, spec.trace_bound)
+        lengths = [sweep.length(alpha) for alpha in elements]
+        for i, alpha in enumerate(elements):
+            if str(alpha) in wrong:
+                assert lengths[i] != wrong[str(alpha)]
+                lengths[i] = wrong[str(alpha)]
+        fourth = lengths
+    elif wrong is None:
+        elements = fourth = None
+    else:
+        fourth = _SameAnswer(wrong)
+    report = getattr(verify, function)(ctx, spec, elements, fourth)
+    assert report.passed is False
+    assert report.failures == [dict(zip(("element", "expected", "got"), failure))]
+
+
+def test_thresholds_fail_on_an_odd_multiple_in_a_square_class(monkeypatch):
+    monkeypatch.setattr(verify, "is_square_mod_two", lambda alpha: True)
+    report = claim("thresholds", 6, 10, m_range=(1, 1))
+    assert report.passed is False
+    assert report.failures == [
+        {"element": "3+sqrt6", "expected": "not a square mod 2*O", "got": "square class"}
+    ]
+
+
 def test_run_claims_reports_claims_outer_in_the_named_order():
     spec = ScanSpec(d_list=(6, 2, 5), trace_bound=12)
     reports = run_claims(spec, ["lemma1", "thm3", "m0"])
