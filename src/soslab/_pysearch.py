@@ -5,18 +5,18 @@ meaning (A + B*sqrt(D))/2, so one integer kernel serves both shapes of w.
 
 Candidates come from the ring's root table (`root_table`): every
 canonical root (A, B) with the pair (SA, SB) of its square, sorted by
-(SA, B, A) and grown on demand.  A root fits under a target of trace A
-only if SA <= A, so a search's candidates are the roots of one prefix of
-the table that pass the exact fit test, sorted descending.  The table is
-built on a ring's first search, grown only by appending and only to the
-trace a search asks for, and kept as long as its context.  It holds at
-most TABLE_ROOTS roots: a search that would grow it further leaves it as
-it is and scans the rows for the roots that fit, so a thin element of
-huge trace holds only its few candidates, whatever its trace.  The budget
-unit is unchanged: each call is charged one unit per row b of roots with
-SA <= A, plus one per such root, whether the table holds it already or
-not, before any root is added, so every budget boundary stays where it
-was when each search listed its roots afresh.
+(SA, B, A).  A root fits under a target of trace A only if SA <= A, so a
+search's candidates are the roots of one prefix of the table that pass
+the exact fit test, sorted descending.  The table is built on a ring's
+first search, listed afresh whenever a search asks for a larger trace
+than it holds, and kept as long as its context.  It holds at most
+TABLE_ROOTS roots: a search that would take it further leaves it as it
+is and runs the same fit test over the roots of the rows themselves, so
+a thin element of huge trace holds only its few candidates, whatever its
+trace.  The budget unit is unchanged: each call is charged one unit per
+row b of roots with SA <= A, plus one per such root, whether the table
+holds it already or not, before any root is listed, so every budget
+boundary stays where it was when each search listed its roots afresh.
 
 The traversal enumerates multisets of candidate roots: candidates are kept
 in one fixed list (descending canonical order), and a child may only pick
@@ -33,13 +33,14 @@ a candidate that fits a child's remainder fits its parent's, which is
 smaller in neither embedding.  Each nonzero square has trace >= 2, so
 depth is bounded by trace/2 and the traversal is finite.
 
-The last term is settled by lookup, not by visiting: with one term left,
-the only completion is a candidate at or after the parent's pick whose
-square equals the remainder, and distinct canonical roots have distinct
-squares, so one dict lookup decides it.  Such a candidate fits the
-remainder, so the lookup needs no fit test.  A node with two terms left
-therefore visits no child: each child is one node and one lookup.
-`nodes` counts every visited node, those children included.
+The last term is settled by arithmetic, not by visiting: with one term
+left, the only completion is the canonical root whose square is the
+remainder, and its integer square root (`_root_of`) finds that root or
+shows there is none.  Its position in the list needs no check: a
+completion by a root at an earlier position is a multiset the traversal
+has already visited, where a plain search would have stopped and a
+shortest search would have lowered its cap below it.  A node with one
+term left thus visits no child; `nodes` counts every visited node.
 
 A plain search stops at its first hit.  A shortest search is the same
 traversal run as branch and bound: each hit lowers the term cap to one
@@ -62,7 +63,7 @@ from typing import TYPE_CHECKING
 from .errors import charge
 
 if TYPE_CHECKING:
-    from collections.abc import Iterable, Iterator
+    from collections.abc import Iterator
 
     from .quadfield import RingContext
 
@@ -86,8 +87,8 @@ _square_trace = itemgetter(2)
 TABLE_ROOTS = 1 << 15
 
 
-def _rows(ctx: RingContext, done: int, trace_bound: int) -> Iterator[tuple[int, int, int, int]]:
-    """Each row b of canonical roots whose square has done < SA <= trace_bound.
+def _rows(ctx: RingContext, trace_bound: int) -> Iterator[tuple[int, int, int, int]]:
+    """Each row b of canonical roots whose square has SA <= trace_bound.
 
     A row is (b, b*b*D, a_lo, a_hi), the roots (a, b) for a in
     range(a_lo, a_hi + 1, 2); empty rows are skipped.  Integral means
@@ -101,33 +102,25 @@ def _rows(ctx: RingContext, done: int, trace_bound: int) -> Iterator[tuple[int, 
         bbd = b * b * d
         a_lo = 1 if b <= 0 else 0
         a_lo += (a_lo - b) % 2
-        # Skip the roots whose squares have trace <= done.
-        rest = 2 * done - bbd
-        if rest >= 0:
-            first = isqrt(rest) + 1
-            a_lo = max(a_lo, first + (first - b) % 2)
         a_hi = isqrt(2 * trace_bound - bbd)
         if a_lo <= a_hi:
             yield b, bbd, a_lo, a_hi
 
 
-def _by_square_trace(rows: Iterable[tuple[int, int, int, int]]) -> list[Candidate]:
-    """The roots of `rows` as (A, B, SA, SB), sorted by (SA, B, A)."""
-    out = [
-        (a, b, (a * a + bbd) // 2, a * b)
-        for b, bbd, a_lo, a_hi in rows
-        for a in range(a_lo, a_hi + 1, 2)
-    ]
-    # Listed by (B, A), so a stable sort by SA leaves them in (SA, B, A) order.
-    out.sort(key=_square_trace)
-    return out
+def _roots(ctx: RingContext, trace_bound: int) -> Iterator[Candidate]:
+    """Every canonical nonzero root whose square has trace <= trace_bound,
+    as (A, B, SA, SB), row by row: sorted by (B, A)."""
+    for b, bbd, a_lo, a_hi in _rows(ctx, trace_bound):
+        for a in range(a_lo, a_hi + 1, 2):
+            yield a, b, (a * a + bbd) // 2, a * b
 
 
 def list_roots(ctx: RingContext, trace_bound: int) -> list[Candidate]:
     """Every canonical nonzero root whose square has trace <= trace_bound,
     sorted by (SA, B, A): a root table's prefix, listed afresh and kept by
     no context."""
-    return _by_square_trace(_rows(ctx, -1, trace_bound))
+    # Listed by (B, A), so a stable sort by SA leaves them in (SA, B, A) order.
+    return sorted(_roots(ctx, trace_bound), key=_square_trace)
 
 
 def root_table(
@@ -137,8 +130,8 @@ def root_table(
 
     The table lists every canonical nonzero root whose square has trace at
     most the largest bound asked so far, sorted by (SA, B, A), so the roots
-    asked for are its first `count`; it only ever grows, by appending.  The
-    roots it grows by are all counted, row by row, before any is listed:
+    asked for are its first `count`.  A larger bound lists it afresh
+    (`list_roots`), but only once its roots are all counted, row by row:
     once the count passes `limit`, the table is left as it was and that
     count, some number above `limit`, is returned, so a caller that charges
     the count (`errors.charge`) is charged before any root is listed.  A
@@ -153,17 +146,15 @@ def root_table(
         roots, done = [], -1
     if trace_bound <= done:
         return roots, bisect_right(roots, trace_bound, key=_square_trace)
-    count = len(roots)
-    rows = []
-    for row in _rows(ctx, done, trace_bound):
-        rows.append(row)
+    count = 0
+    for _, _, a_lo, a_hi in _rows(ctx, trace_bound):
         # Counted in integers: len() of a range fails beyond sys.maxsize.
-        count += (row[3] - row[2]) // 2 + 1
+        count += (a_hi - a_lo) // 2 + 1
         if count > limit:
             return roots, count
     if count > TABLE_ROOTS:
         return None, count
-    roots += _by_square_trace(rows)
+    roots = list_roots(ctx, trace_bound)
     ctx._set("_table", (roots, trace_bound))
     return roots, count
 
@@ -178,10 +169,10 @@ def generate_candidates(
     search consumes.  The roots come from ctx's root table
     (`root_table`): a root can fit only if its square's trace SA
     is at most A, so the candidates are the fitting roots of the table's
-    prefix with SA <= A, the table first grown to trace A if it stops short.
-    Where growing it would take the table past TABLE_ROOTS, the rows are
-    scanned instead, one fit test per root, and only the roots that fit
-    are listed.
+    prefix with SA <= A, the table first listed to trace A if it stops short.
+    Where that would take the table past TABLE_ROOTS, the same fit test
+    runs over the roots of the rows (`_roots`) instead, and only the roots
+    that fit are kept.
 
     The call is charged against `budget`: one unit per row b up to the
     last integral one, |b| <= isqrt(2A // D), plus one per root with
@@ -202,19 +193,34 @@ def generate_candidates(
     if rows + count > budget:
         charge(rows + count, budget)
     # SA <= A for every root here, so X = A - SA >= 0 and one test is left.
-    if roots is None:
-        out = []
-        for b, bbd, a_lo, a_hi in _rows(ctx, -1, big_a):
-            for a in range(a_lo, a_hi + 1, 2):
-                x = big_a - (a * a + bbd) // 2
-                y = big_b - a * b
-                if x * x >= d * y * y:
-                    out.append((a, b, big_a - x, a * b))
-    else:
-        out = [c for c in roots[:count] if (x := big_a - c[2]) * x >= d * (y := big_b - c[3]) * y]
+    listed = _roots(ctx, big_a) if roots is None else roots[:count]
+    out = [c for c in listed if (x := big_a - c[2]) * x >= d * (y := big_b - c[3]) * y]
     # (A, B) is unique per candidate, so plain tuple order is (A, B) order.
     out.sort(reverse=True)
     return out
+
+
+def _root_of(d: int, r_a: int, r_b: int) -> tuple[int, int] | None:
+    """The canonical root (A, B) whose square is the element (r_a, r_b) of O,
+    or None.
+
+    A root (a + b*sqrt(D))/2 squares to SA = (a^2 + D*b^2)/2 and SB = a*b,
+    so SA^2 - D*SB^2 = t^2 with t = (a^2 - D*b^2)/2: t is an integer, a^2
+    is SA + t or SA - t, and b = SB/a.  a = 0 only when SB = 0 and
+    D*b^2 = 2*SA.  A guess that squares back to (r_a, r_b) is in O, since
+    O is integrally closed, so it needs no integrality test.
+    """
+    t2 = r_a * r_a - d * r_b * r_b
+    if r_a <= 0 or t2 < 0:
+        return None
+    t = isqrt(t2)
+    if t * t != t2:
+        return None
+    for a in (isqrt(r_a + t), isqrt(r_a - t)):
+        b = r_b // a if a else isqrt(2 * r_a // d)
+        if a * b == r_b and a * a + d * b * b == 2 * r_a:
+            return a, b
+    return None
 
 
 def run_search(
@@ -234,28 +240,16 @@ def run_search(
     completed traversal returns a decomposition of least length; a budget
     overrun after a hit still returns STATUS_BUDGET, never a length that
     is not known to be minimal.  The verdict kind does not depend on the
-    order of `cands`: multisets are enumerated under any fixed order.  Each
-    candidate must fit under (A, B), as `generate_candidates` returns them.
+    order of `cands`: multisets are enumerated under any fixed order.
+    `cands` must hold every canonical root whose square fits under (A, B),
+    as `generate_candidates` returns them, since the last term is any root
+    of the remainder (`_root_of`), listed or not.
     """
     nodes = 0
     n = len(cands)
     path: list[tuple[int, int]] = []
     best: list[tuple[int, int]] | None = None
     limit = max_depth
-    # Built on first use: 992 of 2,457 `queries` searches reach a lookup (eager: +4.8 %).
-    rank: dict[tuple[int, int], int] | None = None
-
-    def lookup(r_a: int, r_b: int, first: int) -> Candidate | None:
-        """The candidate at or after position `first` whose square is (r_a, r_b)."""
-        nonlocal rank
-        if rank is None:
-            # Distinct canonical roots have distinct squares, so the
-            # square names its root.
-            rank = {(c[2], c[3]): i for i, c in enumerate(cands)}
-        i = rank.get((r_a, r_b))
-        if i is None or i < first:
-            return None
-        return cands[i]
 
     def hit(terms: list[tuple[int, int]]) -> bool:
         """Keep a decomposition; True when the traversal should stop."""
@@ -278,11 +272,11 @@ def run_search(
             left = limit - depth
             if left < 2:
                 if left == 1:
-                    # One term left: the only completion is a candidate at
-                    # or after i whose square is the remainder itself.
-                    last = lookup(r_a, r_b, i)
+                    # One term left: the only completion is the root of the
+                    # remainder itself.
+                    last = _root_of(d, r_a, r_b)
                     if last is not None:
-                        return hit(path + [(last[0], last[1])])
+                        return hit(path + [last])
                 break
             a, b, sa, sb = cands[i]
             d_a = r_a - sa
@@ -290,22 +284,6 @@ def run_search(
                 continue
             d_b = r_b - sb
             if d_a * d_a < d * d_b * d_b:
-                continue
-            if left == 2:
-                # The child has one term left; settle it here by lookup
-                # instead of visiting it.
-                nodes += 1
-                if nodes > budget:
-                    return True
-                if d_a == 0 and d_b == 0:
-                    stop = hit(path + [(a, b)])
-                else:
-                    last = lookup(d_a, d_b, i)
-                    if last is None:
-                        continue
-                    stop = hit(path + [(a, b), (last[0], last[1])])
-                if stop:
-                    return True
                 continue
             path.append((a, b))
             stop = rec(d_a, d_b, i)

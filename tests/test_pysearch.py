@@ -3,9 +3,14 @@
 `reference_candidates` is the row scan `generate_candidates` ran before
 each ring kept a root table: every row b, every a of the row, one exact fit
 test each.  `reference_search` is the traversal that built a filtered
-candidate list for each child.  Both stay here as oracles: the table-backed
-candidate lists and the lazy fit tests must give the same lists, the same
-budget boundaries and the same (status, nodes, terms).
+candidate list for each child.  It also keeps the earlier last term: a
+lookup of the remainder's square among the candidates at or after the
+current position, and a separate path for a node with two terms left, so
+it is an independent oracle for the kernel's arithmetic completion
+(`_pysearch._root_of`).  Both stay here as oracles: the table-backed
+candidate lists, the lazy fit tests and the arithmetic last term must give
+the same lists, the same budget boundaries and the same
+(status, nodes, terms).
 """
 
 import gc
@@ -357,6 +362,37 @@ def test_a_thin_element_in_budget_keeps_only_the_roots_that_fit():
 
 
 # ---------------------------------------------------------------------------
+# the last term
+
+
+@pytest.mark.parametrize("d", RING_DS)
+def test_root_of_matches_the_listed_roots(d):
+    by_square = {(r[2], r[3]): (r[0], r[1]) for r in brute_roots(d, 60)}
+    for big_a, big_b in _targets(d, 60):
+        expected = by_square.get((big_a, big_b))
+        assert _pysearch._root_of(d, big_a, big_b) == expected, (big_a, big_b)
+
+
+@pytest.mark.parametrize(
+    "d,a,b",
+    [
+        (2, 2 * 10**39 + 6, -4 * 10**38 - 2),
+        (7, 10**40 + 4, 3 * 10**39 + 8),
+        (13, 9 * 10**39 + 1, -7 * 10**39 - 3),
+        (5, 0, 2 * 10**39 + 2),
+        (17, 10**40 + 12, 0),
+    ],
+)
+def test_root_of_is_exact_past_float_range(d, a, b):
+    ctx = RingContext(d)
+    root = ctx.from_half_pair(a, b)
+    square = root * root
+    assert _pysearch._root_of(d, *square.half_coords) == (a, b)
+    # Totally positive, and no square.
+    assert _pysearch._root_of(d, *(square + 2).half_coords) is None
+
+
+# ---------------------------------------------------------------------------
 # the lazy traversal
 
 
@@ -406,10 +442,13 @@ def test_lazy_traversal_matches_the_reference_on_deep_refutations():
         ]
         for big_a, big_b in deep[:8]:
             cands = _pysearch.generate_candidates(ctx, big_a, big_b, 10**8)
-            for shortest in (False, True):
-                args = (d, big_a, big_b, cands, big_a // 2, 10**8, shortest)
-                result = _pysearch.run_search(*args)
-                assert result[0] == _pysearch.STATUS_EXHAUSTED
-                assert result == reference_search(*args), args
-                nodes += result[1]
+            # Capped at 5 terms, as `sint` searches, many nodes have one
+            # term left.
+            for depth in (big_a // 2, 3, 4, 5):
+                for shortest in (False, True):
+                    args = (d, big_a, big_b, cands, depth, 10**8, shortest)
+                    result = _pysearch.run_search(*args)
+                    assert result[0] == _pysearch.STATUS_EXHAUSTED
+                    assert result == reference_search(*args), args
+                    nodes += result[1]
     assert nodes > 5000
