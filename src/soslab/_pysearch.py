@@ -235,6 +235,12 @@ def run_search(
     """Exhaustive DFS for a decomposition of (A, B) into squares of `cands`.
 
     Returns (status, nodes, terms); terms are (A, B) pairs in pick order.
+    For `generate_candidates`' list these are nonzero canonical roots in
+    non-increasing (A, B) order, which `decompose.Decomposition` keeps:
+    each pick is at or after its parent's position, and the last term
+    (`_root_of`) never precedes the previous pick, since the same multiset
+    in list order is an earlier path of the same length, where a plain
+    search stops and a shortest search lowers its cap below it.
     A plain search stops at its first hit.  With `shortest`, a hit lowers
     the term cap below its own length and the traversal goes on, so a
     completed traversal returns a decomposition of least length; a budget

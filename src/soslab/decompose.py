@@ -48,10 +48,13 @@ class VerdictKind(enum.Enum):
 class Decomposition(Record):
     """A verified equation target = sum(term^2 for term in terms).
 
-    Terms are canonical sign representatives (a > 0, or a = 0 and b > 0),
-    stored in non-increasing (a, b) order; the identity is re-checked on
-    construction, in integers (`quadfield.squares_sum_to`), so holding an
-    instance is holding a proof.
+    The identity is re-checked on construction, in integers
+    (`quadfield.squares_sum_to`), so holding an instance is holding a
+    proof.  Terms are kept as given once that check passes and they number
+    at most trace/2 (each nonzero square has trace >= 2), a bound that
+    also refuses zero padding.  The search gives nonzero canonical sign
+    representatives (a > 0, or a = 0 and b > 0) in non-increasing
+    `half_coords` (A, B) order (`_pysearch.run_search`).
     """
 
     __slots__ = ("target", "terms")
@@ -60,27 +63,21 @@ class Decomposition(Record):
 
     def __init__(self, target: QuadInt, terms: tuple[QuadInt, ...]) -> None:
         ctx = target.ctx
-        normalized = tuple(
-            sorted(
-                (t.canonical() for t in terms if t),
-                key=lambda t: t.half_coords,
-                reverse=True,
-            )
-        )
+        terms = tuple(terms)
         try:
-            verified = squares_sum_to(ctx, normalized, *target.half_coords)
+            verified = squares_sum_to(ctx, terms, *target.half_coords)
         except ContextMismatch:
             raise ValueError("terms and target live in different rings") from None
         if not verified:
-            total = sum((t.square() for t in normalized), ctx.zero)
+            total = sum((t.square() for t in terms), ctx.zero)
             raise ValueError(
                 f"decomposition does not verify: sum of squares is {total}, "
                 f"target is {target}"
             )
-        if len(normalized) > max(target.trace, 0) // 2:
+        if len(terms) > max(target.trace, 0) // 2:
             raise ValueError("more terms than the trace of the target allows")
         self._set("target", target)
-        self._set("terms", normalized)
+        self._set("terms", terms)
 
     def __len__(self) -> int:
         return len(self.terms)

@@ -323,14 +323,6 @@ class QuadInt(Record):
             return hash(self._a // 2)
         return hash((self.ctx.D, self._a, self._b))
 
-    # -- canonical presentation ----------------------------------------------
-
-    def canonical(self) -> QuadInt:
-        """The sign representative with a > 0, or a = 0 and b > 0 (0 maps to 0)."""
-        if self._a > 0 or (self._a == 0 and self._b > 0):
-            return self
-        return -self
-
     def __str__(self) -> str:
         unit = "w" if self.ctx.kappa == 1 else f"sqrt{self.ctx.D}"
         u, v = self.u, self.v

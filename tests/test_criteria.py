@@ -449,6 +449,8 @@ def test_large_multiplier_threshold(d, m, expected):
 def test_small_multiplier_rejects_nonpositive(ctx6):
     with pytest.raises(ValueError):
         small_multiplier_obstructed(ctx6, 0)
+    with pytest.raises(ValueError):
+        large_multiplier_guaranteed(ctx6, 0)
 
 
 @given(st.sampled_from([6, 7, 13, 17, 21]), st.integers(1, 8))

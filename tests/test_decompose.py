@@ -129,6 +129,7 @@ def test_perfect_square_is_found(ctx3):
 def test_zero_and_units(ctx6):
     v = decompose_sos(ctx6.zero)
     assert v.kind is VerdictKind.FOUND and v.decomposition.terms == ()
+    assert str(v.decomposition) == "0 = 0 (empty sum)"
     v = decompose_sos(ctx6.one)
     assert v.kind is VerdictKind.FOUND
     assert [str(t) for t in v.decomposition.terms] == ["1"]
@@ -427,11 +428,16 @@ def test_budget_after_a_hit_claims_no_length(kernel_box):
 
 def test_decomposition_normalizes_and_verifies(ctx2):
     alpha = ctx2.from_int(2)
-    # unsorted, sign-flipped input terms are canonicalized
+    # Terms are kept as given: neither sign-flipped nor sorted.
     dec = Decomposition(alpha, (ctx2.from_int(-1), ctx2.one))
-    assert [str(t) for t in dec.terms] == ["1", "1"]
+    assert [str(t) for t in dec.terms] == ["-1", "1"]
     with pytest.raises(ValueError):
         Decomposition(alpha, (ctx2.one,))
+    # Zero terms are kept too, so the term count refuses padding.
+    padded = (alpha, ctx2.zero)
+    assert Decomposition(ctx2.from_int(4), padded).terms == padded
+    with pytest.raises(ValueError, match="more terms than the trace"):
+        Decomposition(ctx2.from_int(1), (ctx2.one, ctx2.zero, ctx2.zero))
 
 
 def test_decomposition_checks_the_ring_and_both_coordinates(ctx2, ctx3):
@@ -439,6 +445,6 @@ def test_decomposition_checks_the_ring_and_both_coordinates(ctx2, ctx3):
         Decomposition(ctx2.from_int(1), (ctx3.one,))
     # 1 + (1 + sqrt2)^2 = 4 + 2*sqrt2: the rational part alone is not enough.
     root = ctx2.element(1, 1)
-    assert Decomposition(ctx2.element(4, 2), (ctx2.one, root)).terms == (root, ctx2.one)
+    assert Decomposition(ctx2.element(4, 2), (ctx2.one, root)).terms == (ctx2.one, root)
     with pytest.raises(ValueError, match=r"sum of squares is 4\+2sqrt2, target is 4-2sqrt2"):
         Decomposition(ctx2.element(4, -2), (ctx2.one, root))

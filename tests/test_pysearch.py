@@ -195,7 +195,7 @@ def test_candidates_match_the_row_scan(d, order):
 
 
 @pytest.mark.parametrize("d", RING_DS)
-def test_the_table_only_grows_by_appending(d):
+def test_each_table_is_a_prefix_of_the_next_and_equals_brute_roots(d):
     ctx = RingContext(d)
     seen = []
     for trace_bound in (0, 7, 3, 20, 20, 61, 1, 100):
@@ -452,3 +452,31 @@ def test_lazy_traversal_matches_the_reference_on_deep_refutations():
                     assert result == reference_search(*args), args
                     nodes += result[1]
     assert nodes > 5000
+
+
+@pytest.mark.parametrize("d", RING_DS)
+def test_found_terms_are_canonical_and_non_increasing(d):
+    # Each pick starts at its parent's position in the descending list, and
+    # the arithmetic last term never precedes the previous pick, so every
+    # hit lists nonzero canonical roots in non-increasing (A, B) order; a
+    # Decomposition keeps them as they come.
+    ctx = RingContext(d)
+    found = 0
+    for big_a, big_b, cands in _searches(d, 60):
+        plain = None
+        runs = [(big_a // 2, False), (big_a // 2, True)]
+        runs += [(depth, False) for depth in range(1, 6)]
+        for depth, shortest in runs:
+            args = (d, big_a, big_b, cands, depth, 10**8, shortest)
+            status, _, terms = _pysearch.run_search(*args)
+            if status != _pysearch.STATUS_FOUND:
+                continue
+            assert all(a > 0 or (a == 0 and b > 0) for a, b in terms), args
+            assert terms == sorted(terms, reverse=True), args
+            found += 1
+            if (depth, shortest) == runs[0]:
+                plain = terms
+        decomposition = decompose_sos(ctx.from_half_pair(big_a, big_b)).decomposition
+        got = None if decomposition is None else [t.half_coords for t in decomposition.terms]
+        assert got == plain
+    assert found > 500

@@ -491,6 +491,13 @@ def test_scan_spec_validation():
         ScanSpec(d_list=[2], trace_bound=1)
     with pytest.raises(Exception):
         ScanSpec(d_list=[4], trace_bound=10)  # 4 is not squarefree
+    for bad, message in (
+        ({"m_range": (3, 2)}, "bad multiplier range"),
+        ({"m_range": (0, 4)}, "bad multiplier range"),
+        ({"node_budget": 0}, "node budget must be positive"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ScanSpec(d_list=[2], trace_bound=10, **bad)
     spec = ScanSpec(d_list=[2, 3], trace_bound=10)
     assert spec.node_budget > 0
 
