@@ -3,59 +3,58 @@
 Everything here works on the doubled pairs (A, B) that `quadfield` stores,
 meaning (A + B*sqrt(D))/2, so one integer kernel serves both shapes of w.
 
-Candidates come from the ring's root table (`root_table`): every
-canonical root (A, B) with the pair (SA, SB) of its square, sorted by
-(SA, B, A).  A root fits under a target of trace A only if SA <= A, so a
-search's candidates are the roots of one prefix of the table that pass
-the exact fit test, sorted descending.  The table is built on a ring's
-first search, listed afresh whenever a search asks for a larger trace
-than it holds, and kept as long as its context.  It holds at most
-TABLE_ROOTS roots: a search that would take it further leaves it as it
-is and runs the same fit test over the roots of the rows themselves, so
-a thin element of huge trace holds only its few candidates, whatever its
-trace.  The budget unit is unchanged: each call is charged one unit per
-row b of roots with SA <= A, plus one per such root, whether the table
-holds it already or not, before any root is listed, so every budget
-boundary stays where it was when each search listed its roots afresh.
+The traversal enumerates multisets of canonical nonzero roots (a > 0, or
+a = 0 and b > 0): each node picks roots in descending (A, B) order, at or
+below its parent's pick, so each multiset of terms is visited exactly
+once.  A node picks only roots whose square fits under its remainder in
+both real embeddings -- X + Y*sqrt(D) is totally nonnegative exactly when
+X >= 0 and X^2 >= D*Y^2, the one test that accepts a root -- so
+remainders stay totally nonnegative.  Each nonzero square has trace >= 2,
+so depth is bounded by trace/2 and the traversal is finite.
 
-The traversal enumerates multisets of candidate roots: candidates are kept
-in one fixed list (descending canonical order), and a child may only pick
-candidates at or after its parent's position, so each multiset of terms is
-visited exactly once.  A node picks only candidates whose square fits under
-its remainder in both real embeddings -- X + Y*sqrt(D) is totally
-nonnegative exactly when X >= 0 and X^2 >= D*Y^2 -- so remainders stay
-totally nonnegative at every node.  Each node tests fit lazily: it walks
-the one list from its own start position and tests each candidate against
-its own remainder as it reaches it, so no list is built per node, and a
-search that finds a decomposition descends at the first candidate that
-fits.  It visits the nodes that filtering a list for each child would:
-a candidate that fits a child's remainder fits its parent's, which is
-smaller in neither embedding.  Each nonzero square has trace >= 2, so
-depth is bounded by trace/2 and the traversal is finite.
+Each node walks, inline, its own window of roots, listed by no one.  A
+root fits the remainder (RA, RB) only if |a +- b*sqrt(D)| is at most
+sqrt(2*(RA +- RB*sqrt(D))), so a <= isqrt(RA + isqrt(RA^2 - D*RB^2)), and
+for each a, b*sqrt(D) lies in one interval whose ends follow from integer
+bounds above those two roots; b = a (mod 2), and a is even when 2
+ramifies (kappa = 2).  a runs down from that bound, or from the parent's
+a if smaller, and b down its interval.  These are the roots fitting the
+node's remainder that one list of every root fitting the target would
+hold at or after the parent's position, in the same order, so the nodes
+are those that walking such a list visits, in the same order.
+
+The budget bounds nodes plus window steps: each node is charged one unit,
+plus one per a its window will try (a_top // step + 1, step 2 when
+kappa = 2) before it walks them, so no loop runs unguarded, and a huge
+target with a small budget stops before its root counts as a node.  A
+node whose remainder is 0, or with fewer than two terms left, walks
+nothing.  The b-walks need no charge: each interval holds at most two
+roots beyond those that fit, and each root that fits is a node of its
+own.  `nodes` counts nodes only, the count a list-walking traversal gives.
 
 The last term is settled by arithmetic, not by visiting: with one term
 left, the only completion is the canonical root whose square is the
 remainder, and its integer square root (`_root_of`) finds that root or
-shows there is none.  Its position in the list needs no check: a
-completion by a root at an earlier position is a multiset the traversal
-has already visited, where a plain search would have stopped and a
-shortest search would have lowered its cap below it.  A node with one
-term left thus visits no child; `nodes` counts every visited node.
+shows there is none.  It needs no order check: a completion by a root
+above the previous pick is a multiset the traversal has already visited,
+where a plain search would have stopped and a shortest search would have
+lowered its cap below it.
 
 A plain search stops at its first hit.  A shortest search is the same
 traversal run as branch and bound: each hit lowers the term cap to one
-below its length, and the traversal goes on under the lower cap.  Every
-multiset shorter than the final hit is still visited, so a completed
-traversal returns a decomposition of least length.
+below its length, and the traversal goes on under the lower cap, so a
+completed traversal returns a decomposition of least length.  A completed
+traversal with no hit is a proof that no decomposition exists within the
+term bound -- soundness rests only on integer arithmetic, never on any
+representability theorem.
 
-A completed traversal with no hit is a proof that no decomposition exists
-within the term bound -- soundness rests only on integer arithmetic, never
-on any representability theorem.
+`generate_candidates` lists, by a row scan, every root that fits a target
+in the order the windows meet them; no search calls it, and perfbench's
+tracer wraps it by name.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from math import isqrt
 from operator import itemgetter
 from typing import TYPE_CHECKING
@@ -76,15 +75,8 @@ STATUS_BUDGET = 2
 # doubled coordinates of its square.
 Candidate = tuple[int, int, int, int]
 
-# The root table's sort key: the trace SA of a root's square.
+# `list_roots`' sort key: the trace SA of a root's square.
 _square_trace = itemgetter(2)
-
-# The most roots a ring's table holds, about 5 MB at about 145 bytes a
-# root (tracemalloc, Python 3.11): every root to a trace of about 59,000
-# when D = 2, far past the traces the claims and queries search.  A search
-# past it lists no root it does not keep (`generate_candidates`), so a
-# thin element of huge trace costs memory only for the roots that fit it.
-TABLE_ROOTS = 1 << 15
 
 
 def _rows(ctx: RingContext, trace_bound: int) -> Iterator[tuple[int, int, int, int]]:
@@ -115,48 +107,24 @@ def _roots(ctx: RingContext, trace_bound: int) -> Iterator[Candidate]:
             yield a, b, (a * a + bbd) // 2, a * b
 
 
-def list_roots(ctx: RingContext, trace_bound: int) -> list[Candidate]:
-    """Every canonical nonzero root whose square has trace <= trace_bound,
-    sorted by (SA, B, A): a root table's prefix, listed afresh and kept by
-    no context."""
-    # Listed by (B, A), so a stable sort by SA leaves them in (SA, B, A) order.
-    return sorted(_roots(ctx, trace_bound), key=_square_trace)
-
-
-def root_table(
-    ctx: RingContext, trace_bound: int, limit: int
-) -> tuple[list[Candidate] | None, int]:
-    """ctx's root table, and how many of its roots square to a trace <= trace_bound.
-
-    The table lists every canonical nonzero root whose square has trace at
-    most the largest bound asked so far, sorted by (SA, B, A), so the roots
-    asked for are its first `count`.  A larger bound lists it afresh
-    (`list_roots`), but only once its roots are all counted, row by row:
-    once the count passes `limit`, the table is left as it was and that
-    count, some number above `limit`, is returned, so a caller that charges
-    the count (`errors.charge`) is charged before any root is listed.  A
-    count within `limit` but past TABLE_ROOTS also leaves the table as it
-    was, and comes with None for the table: the caller lists what it needs
-    itself.
-    """
-    try:
-        roots, done = ctx._table
-    except AttributeError:
-        # The ring's first search: no table yet.
-        roots, done = [], -1
-    if trace_bound <= done:
-        return roots, bisect_right(roots, trace_bound, key=_square_trace)
+def count_roots(ctx: RingContext, trace_bound: int, limit: int) -> int:
+    """How many canonical nonzero roots square to a trace <= trace_bound,
+    counted row by row without listing one: once the count passes `limit`,
+    that count, some number above `limit`, is returned at once."""
     count = 0
     for _, _, a_lo, a_hi in _rows(ctx, trace_bound):
         # Counted in integers: len() of a range fails beyond sys.maxsize.
         count += (a_hi - a_lo) // 2 + 1
         if count > limit:
-            return roots, count
-    if count > TABLE_ROOTS:
-        return None, count
-    roots = list_roots(ctx, trace_bound)
-    ctx._set("_table", (roots, trace_bound))
-    return roots, count
+            break
+    return count
+
+
+def list_roots(ctx: RingContext, trace_bound: int) -> list[Candidate]:
+    """Every canonical nonzero root whose square has trace <= trace_bound,
+    sorted by (SA, B, A)."""
+    # Listed by (B, A), so a stable sort by SA leaves them in (SA, B, A) order.
+    return sorted(_roots(ctx, trace_bound), key=_square_trace)
 
 
 def generate_candidates(
@@ -165,36 +133,30 @@ def generate_candidates(
     """All canonical roots whose square fits under (A, B) in both embeddings.
 
     Canonical means a > 0, or a = 0 and b > 0.  The target must be totally
-    nonnegative.  Output is sorted descending by (A, B), the order the
-    search consumes.  The roots come from ctx's root table
-    (`root_table`): a root can fit only if its square's trace SA
-    is at most A, so the candidates are the fitting roots of the table's
-    prefix with SA <= A, the table first listed to trace A if it stops short.
-    Where that would take the table past TABLE_ROOTS, the same fit test
-    runs over the roots of the rows (`_roots`) instead, and only the roots
-    that fit are kept.
+    nonnegative.  Output is sorted descending by (A, B), the order in which
+    the search's windows meet them.  A root can fit only if its square's
+    trace SA is at most A, so the rows of roots with SA <= A are scanned
+    and each root of them is tested once.
 
     The call is charged against `budget`: one unit per row b up to the
     last integral one, |b| <= isqrt(2A // D), plus one per root with
-    SA <= A, whether the table already holds it or not, all before any
-    root is listed.  Once that work exceeds the budget, `errors.charge`
-    raises BudgetExceeded with 0 nodes, so a large target with a small
-    budget stops at once.
+    SA <= A, all before any root is listed.  Once that work exceeds the
+    budget, `errors.charge` raises BudgetExceeded with 0 nodes, so a large
+    target with a small budget stops at once.
     """
     if big_a <= 0:
         return []
     d = ctx.D
     b_max = isqrt(2 * big_a // d)
     rows = b_max + 1 + (b_max if ctx.kappa == 1 else b_max - b_max % 2)
-    # Compared inline: two calls cost 4 % of this function on `queries`.
-    if rows > budget:
-        charge(rows, budget)
-    roots, count = root_table(ctx, big_a, budget - rows)
-    if rows + count > budget:
-        charge(rows + count, budget)
+    charge(rows, budget)
+    charge(rows + count_roots(ctx, big_a, budget - rows), budget)
     # SA <= A for every root here, so X = A - SA >= 0 and one test is left.
-    listed = _roots(ctx, big_a) if roots is None else roots[:count]
-    out = [c for c in listed if (x := big_a - c[2]) * x >= d * (y := big_b - c[3]) * y]
+    out = [
+        c
+        for c in _roots(ctx, big_a)
+        if (x := big_a - c[2]) * x >= d * (y := big_b - c[3]) * y
+    ]
     # (A, B) is unique per candidate, so plain tuple order is (A, B) order.
     out.sort(reverse=True)
     return out
@@ -227,32 +189,24 @@ def run_search(
     d: int,
     big_a: int,
     big_b: int,
-    cands: list[Candidate],
     max_depth: int,
     budget: int,
     shortest: bool = False,
 ) -> tuple[int, int, list[tuple[int, int]] | None]:
-    """Exhaustive DFS for a decomposition of (A, B) into squares of `cands`.
+    """Exhaustive DFS for a decomposition of the totally nonnegative (A, B)
+    into at most max_depth squares (see the module docstring).
 
-    Returns (status, nodes, terms); terms are (A, B) pairs in pick order.
-    For `generate_candidates`' list these are nonzero canonical roots in
-    non-increasing (A, B) order, which `decompose.Decomposition` keeps:
-    each pick is at or after its parent's position, and the last term
-    (`_root_of`) never precedes the previous pick, since the same multiset
-    in list order is an earlier path of the same length, where a plain
-    search stops and a shortest search lowers its cap below it.
-    A plain search stops at its first hit.  With `shortest`, a hit lowers
-    the term cap below its own length and the traversal goes on, so a
-    completed traversal returns a decomposition of least length; a budget
-    overrun after a hit still returns STATUS_BUDGET, never a length that
-    is not known to be minimal.  The verdict kind does not depend on the
-    order of `cands`: multisets are enumerated under any fixed order.
-    `cands` must hold every canonical root whose square fits under (A, B),
-    as `generate_candidates` returns them, since the last term is any root
-    of the remainder (`_root_of`), listed or not.
+    Returns (status, nodes, terms); terms are (A, B) pairs in pick order:
+    nonzero canonical roots in non-increasing (A, B) order, which
+    `decompose.Decomposition` keeps.  With `shortest`, a completed
+    traversal returns a decomposition of least length; a budget overrun
+    after a hit still returns STATUS_BUDGET, never a length that is not
+    known to be minimal.  `budget` bounds the nodes plus the a-steps of
+    their windows; `nodes` counts the nodes alone.
     """
+    step = 1 if d % 4 == 1 else 2
     nodes = 0
-    n = len(cands)
+    spent = 0
     path: list[tuple[int, int]] = []
     best: list[tuple[int, int]] | None = None
     limit = max_depth
@@ -264,42 +218,84 @@ def run_search(
         limit = len(terms) - 1
         return not shortest
 
-    def rec(r_a: int, r_b: int, start: int) -> bool:
-        """Visit the node of remainder (r_a, r_b) whose picks may start at
-        position `start`; True when the traversal should stop."""
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            return True
-        if r_a == 0 and r_b == 0:
-            return hit(list(path))
-        depth = len(path)
-        for i in range(start, n):
-            left = limit - depth
-            if left < 2:
-                if left == 1:
-                    # One term left: the only completion is the root of the
-                    # remainder itself.
-                    last = _root_of(d, r_a, r_b)
-                    if last is not None:
-                        return hit(path + [last])
-                break
-            a, b, sa, sb = cands[i]
-            d_a = r_a - sa
-            if d_a < 0:
-                continue
-            d_b = r_b - sb
-            if d_a * d_a < d * d_b * d_b:
-                continue
-            path.append((a, b))
-            stop = rec(d_a, d_b, i)
-            path.pop()
-            if stop:
-                return True
+    def settle(r_a: int, r_b: int) -> bool:
+        """Fewer than two terms left: with one, the only completion is the
+        root of the remainder itself."""
+        if limit - len(path) == 1:
+            last = _root_of(d, r_a, r_b)
+            if last is not None:
+                return hit(path + [last])
         return False
 
-    rec(big_a, big_b, 0)
-    if nodes > budget:
+    def rec(r_a: int, r_b: int, cap_a: int, cap_b: int) -> bool:
+        """Visit the node of remainder (r_a, r_b) whose picks lie at or
+        below (cap_a, cap_b); True when the traversal should stop."""
+        nonlocal nodes, spent
+        depth = len(path)
+        if limit - depth < 2 or not r_a:
+            spent += 1
+            if spent > budget:
+                return True
+            nodes += 1
+            # A remainder is totally nonnegative, so RA = 0 only at 0.
+            if not r_a:
+                return hit(list(path))
+            return settle(r_a, r_b)
+        # The largest a of a fitting root, capped by the parent's.
+        a = isqrt(r_a + isqrt(r_a * r_a - d * r_b * r_b))
+        if a > cap_a:
+            a = cap_a
+        a -= a % step
+        spent += a // step + 2
+        if spent > budget:
+            return True
+        nodes += 1
+        # Integer bounds above the largest |a + b*sqrt(D)| (up) and
+        # |a - b*sqrt(D)| (down) of a fitting root, sqrt(2*(RA +- RB*sqrt(D))),
+        # each at most one above it: t = floor(2*|RB|*sqrt(D)), and
+        # 2*|RB|*sqrt(D) is no integer unless RB = 0.
+        t = isqrt(4 * d * r_b * r_b)
+        wide = isqrt(2 * r_a + t) + 1
+        thin = isqrt(2 * r_a - t - (r_b != 0)) + 1
+        up, down = (wide, thin) if r_b >= 0 else (thin, wide)
+        gap = up - down
+        while a >= 0:
+            # b*sqrt(D) lies in [lo, hi]; floor(|x|/sqrt(D)) = isqrt(x^2 // D),
+            # and x/sqrt(D) is no integer unless x = 0.
+            hi = up - a if 2 * a > gap else a + down
+            lo = a - down if 2 * a > -gap else -up - a
+            if lo <= hi:
+                b_hi = isqrt(hi * hi // d)
+                if hi < 0:
+                    b_hi = -b_hi - 1
+                b_lo = isqrt(lo * lo // d)
+                b_lo = -b_lo if lo <= 0 else b_lo + 1
+                if a == cap_a and b_hi > cap_b:
+                    b_hi = cap_b
+                if a == 0 and b_lo < 1:
+                    b_lo = 1
+                aa = a * a
+                for b in range(b_hi - (b_hi - a) % 2, b_lo - 1, -2):
+                    d_a = r_a - (aa + d * b * b) // 2
+                    if d_a < 0:
+                        continue
+                    d_b = r_b - a * b
+                    if d_a * d_a < d * d_b * d_b:
+                        continue
+                    path.append((a, b))
+                    stop = rec(d_a, d_b, a, b)
+                    path.pop()
+                    if stop:
+                        return True
+                    if limit - depth < 2:
+                        # A shortest search's hit lowered the cap.
+                        return settle(r_a, r_b)
+            a -= step
+        return False
+
+    # No root has a coordinate above A, so (A, A) caps nothing.
+    rec(big_a, big_b, big_a, big_a)
+    if spent > budget:
         return STATUS_BUDGET, nodes, None
     if best is None:
         return STATUS_EXHAUSTED, nodes, None

@@ -17,11 +17,13 @@ The traversal itself is `_pysearch.run_search`, in arbitrary-precision
 Python integers; `sweep.Sweep` is the independent breadth-first engine the
 tests compare it with.  Shortest decompositions (`shortest_decomposition`,
 which `decompose --shortest` prints, and its length `pythagoras_length`)
-come from one run of the same traversal as branch and bound: candidates
-are generated once, and each hit lowers the term cap below its own length.  `nodes` counts the
-nodes of that one traversal, and the node budget bounds them; a budget
-overrun after a hit, before shorter sums are ruled out, is a budget
-verdict, never a length that might not be minimal.
+come from one run of the same traversal as branch and bound: each hit
+lowers the term cap below its own length.  `nodes` counts the nodes of
+that one traversal; the node budget bounds them plus the steps of their
+windows, each node's charged before it walks them, so a huge target with
+a small budget stops with 0 nodes.  A budget overrun after a hit, before
+shorter sums are ruled out, is a budget verdict, never a length that
+might not be minimal.
 """
 
 from __future__ import annotations
@@ -120,13 +122,8 @@ def _search(
     depth_cap = big_a // 2
     if max_terms is not None:
         depth_cap = min(depth_cap, max(max_terms, 0))
-    try:
-        cands = _pysearch.generate_candidates(ctx, big_a, big_b, node_budget)
-    except BudgetExceeded:
-        # Candidate generation alone outran the budget.
-        return SearchVerdict(VerdictKind.BUDGET_EXCEEDED, None, 0)
     status, nodes, raw_terms = _pysearch.run_search(
-        ctx.D, big_a, big_b, cands, depth_cap, node_budget, shortest
+        ctx.D, big_a, big_b, depth_cap, node_budget, shortest
     )
     if status == _pysearch.STATUS_FOUND:
         terms = tuple(ctx.from_half_pair(a, b) for a, b in raw_terms)

@@ -32,7 +32,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from math import isqrt
 
-from ._pysearch import list_roots, root_table
+from ._pysearch import count_roots, list_roots
 from .errors import DEFAULT_NODE_BUDGET, ContextMismatch, charge
 from .quadfield import QuadInt, RingContext, count_totally_positive
 
@@ -59,15 +59,14 @@ class Sweep:
     ) -> None:
         if trace_bound < 0:
             raise ValueError(f"trace bound must be nonnegative, got {trace_bound}")
-        # The nonzero roots whose squares fit the box, by the trace SA of
-        # their square: the first `squares` of the ring's root table, or,
-        # where they would overfill the table, listed for this sweep alone
-        # once the charge has passed.  Both counts stop past the budget.
-        roots, squares = root_table(ctx, trace_bound, node_budget)
+        # The nonzero roots whose squares fit the box, counted row by row
+        # and listed by the trace SA of their square only once the charge
+        # has passed.  Both counts stop past the budget.
+        squares = count_roots(ctx, trace_bound, node_budget)
         count = count_totally_positive(ctx, trace_bound, node_budget // max(squares, 1))
         scope = f"the sweep of D={ctx.D} to trace {trace_bound}"
         charge((count + 1) * squares, node_budget, scope)
-        roots = list_roots(ctx, trace_bound) if roots is None else roots[:squares]
+        roots = list_roots(ctx, trace_bound)
         self.ctx = ctx
         self.trace_bound = trace_bound
         self._width = width = isqrt(trace_bound * trace_bound // ctx.D) + 1

@@ -688,11 +688,22 @@ def test_a_d_list_is_charged_the_sum_of_its_cube_roots(capsys, budget, code):
         ("1000000000000000003", "1000000001+sqrt1000000000000000003"),
     ],
 )
-def test_ramified_witness_of_a_huge_d_is_immediate(capsys, d, witness):
-    start = time.perf_counter()
+def test_ramified_witness_of_a_huge_d_is_immediate(capsys, monkeypatch, d, witness):
+    # Counted in elements built, not in time: the witness builds 5 or 7,
+    # where a search up to sqrt(D) would build about 10^9.  (The call's
+    # time is D's squarefree test, about 0.1 s at this D.)
+    built = 0
+    from_pair = quadfield._from_pair
+
+    def counted(*args):
+        nonlocal built
+        built += 1
+        return from_pair(*args)
+
+    monkeypatch.setattr(quadfield, "_from_pair", counted)
     code, out = run_cli(capsys, "witness", "--D", d, "--kind", "ramified")
-    assert time.perf_counter() - start < 0.5
     assert (code, out) == (0, f"ramified obstruction witness for D={d}: {witness}\n")
+    assert 0 < built <= 20
 
 
 def test_verify_doubling_outside_2_3_5_scans_nothing(capsys):

@@ -1,5 +1,7 @@
 """The exhaustive sum-of-squares oracle: decompositions, refutations, lengths."""
 
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from soslab import (
     shortest_decomposition,
 )
 from soslab import _pysearch
+from test_pysearch import reference_candidates, reference_search
 
 SMALL_DS = st.sampled_from([2, 3, 5, 6, 7, 13, 17, 21])
 
@@ -42,7 +45,8 @@ def tp_elements():
 
 
 def candidate_roots(gamma):
-    """The candidate roots the search consumes for gamma, as ring elements."""
+    """The roots whose squares fit under gamma, as the row scan lists them,
+    as ring elements."""
     ctx = gamma.ctx
     big_a, big_b = gamma.half_coords
     raw = _pysearch.generate_candidates(ctx, big_a, big_b, 10**8)
@@ -154,8 +158,8 @@ def test_budget_verdict(ctx2):
     v = decompose_sos(big, node_budget=3)
     assert v.kind is VerdictKind.BUDGET_EXCEEDED
     assert v.decomposition is None
-    # Candidate generation alone would outrun the budget, so the guard
-    # answers before any node is searched.
+    # The root's window alone (101 a-steps) would outrun the budget, so the
+    # guard answers before the root counts as a node.
     assert v.nodes == 0
     with pytest.raises(BudgetExceeded):
         is_sum_of_squares(big, node_budget=3)
@@ -163,27 +167,27 @@ def test_budget_verdict(ctx2):
 
 @pytest.mark.parametrize("n", [10**20, 10**80])
 def test_candidate_scan_of_a_huge_target_stops_at_once(ctx2, n, monkeypatch):
-    # About sqrt(n) rows of candidates; the rows are charged before any is
-    # walked, so a budget of 10 stops the call before `root_table` counts
-    # the roots of a single row.  At 10**80 a row holds more roots than
-    # sys.maxsize.
-    rows = _pysearch._rows
-    walked = 0
+    # The root's window holds about sqrt(2n)/2 a-steps, charged before the
+    # first is walked: two integer square roots give its top, and a budget
+    # of 10 stops the call there.  At 10**80 the window holds more a-steps
+    # than sys.maxsize.
+    roots = 0
 
-    def counted(*args):
-        nonlocal walked
-        for row in rows(*args):
-            walked += 1
-            yield row
+    def counted(x):
+        nonlocal roots
+        roots += 1
+        if roots > 100:
+            raise AssertionError("the window is being walked")
+        return isqrt(x)
 
-    monkeypatch.setattr(_pysearch, "_rows", counted)
+    monkeypatch.setattr(_pysearch, "isqrt", counted)
     v = decompose_sos(ctx2.from_int(n), node_budget=10)
     assert (v.kind, v.nodes) == (VerdictKind.BUDGET_EXCEEDED, 0)
-    assert walked == 0
+    assert roots == 2
 
 
 def test_budget_message_does_not_overstate_the_nodes():
-    # The candidate-work guard stops before any node is searched.
+    # The root's window charge stops the search before any node is searched.
     with pytest.raises(BudgetExceeded) as exc:
         pythagoras_length(RingContext(13).element(20, 2), node_budget=2)
     assert exc.value.nodes == 0
@@ -217,8 +221,7 @@ def test_odd_coefficient_is_refuted_at_the_root(d):
         # Neither independent engine has the rule, and both agree.
         assert not lengths.is_sum_of_squares(alpha), str(alpha)
         big_a, big_b = alpha.half_coords
-        cands = _pysearch.generate_candidates(ctx, big_a, big_b, 10**7)
-        status, _, _ = _pysearch.run_search(ctx.D, big_a, big_b, cands, big_a // 2, 10**7)
+        status, _, _ = _pysearch.run_search(ctx.D, big_a, big_b, big_a // 2, 10**7)
         assert status == _pysearch.STATUS_EXHAUSTED, str(alpha)
 
 
@@ -271,18 +274,15 @@ def test_sums_of_squares_pass_the_local_test(alpha):
 @given(tp_elements(), st.data())
 @settings(max_examples=25, deadline=None)
 def test_verdict_kind_ignores_candidate_order(alpha, data):
-    """FOUND/EXHAUSTED_NONE is a property of the element, not the list order."""
-    ctx = alpha.ctx
+    """FOUND/EXHAUSTED_NONE is a property of the element, not of the order
+    in which the candidates are walked."""
+    d = alpha.ctx.D
     big_a, big_b = alpha.half_coords
-    cands = _pysearch.generate_candidates(ctx, big_a, big_b, 10**6)
+    cands = reference_candidates(d, big_a, big_b, 10**6)
     shuffled = data.draw(st.permutations(cands))
-    base_status, _, _ = _pysearch.run_search(
-        ctx.D, big_a, big_b, cands, big_a // 2, 10**6
-    )
-    shuf_status, _, _ = _pysearch.run_search(
-        ctx.D, big_a, big_b, shuffled, big_a // 2, 10**6
-    )
-    assert base_status == shuf_status
+    status, _, _ = _pysearch.run_search(d, big_a, big_b, big_a // 2, 10**6)
+    shuf_status, _, _ = reference_search(d, big_a, big_b, shuffled, big_a // 2, 10**6)
+    assert status == shuf_status
 
 
 @given(st.sampled_from([2, 3, 5, 6, 7]), st.integers(1, 10), st.integers(0, 5))
@@ -388,13 +388,13 @@ def test_capped_search_matches_the_sweep(kernel_box, k):
 @given(tp_elements(), st.data())
 @settings(max_examples=25, deadline=None)
 def test_shortest_length_ignores_candidate_order(alpha, data):
-    ctx = alpha.ctx
+    d = alpha.ctx.D
     big_a, big_b = alpha.half_coords
-    cands = _pysearch.generate_candidates(ctx, big_a, big_b, 10**6)
+    cands = reference_candidates(d, big_a, big_b, 10**6)
     shuffled = data.draw(st.permutations(cands))
     runs = [
-        _pysearch.run_search(ctx.D, big_a, big_b, order, big_a // 2, 10**6, True)
-        for order in (cands, shuffled)
+        _pysearch.run_search(d, big_a, big_b, big_a // 2, 10**6, True),
+        reference_search(d, big_a, big_b, shuffled, big_a // 2, 10**6, True),
     ]
     assert [status for status, _, _ in runs] == [runs[0][0]] * 2
     assert [len(terms or ()) for _, _, terms in runs] == [len(runs[0][2] or ())] * 2
@@ -408,25 +408,28 @@ def test_budget_after_a_hit_claims_no_length(kernel_box):
         if length is not None and len(decompose_sos(alpha).decomposition) > length
     ]
     assert len(overshooting) >= 50
+    gap = 0
     for alpha, length in overshooting[::5]:
-        big_a, big_b = alpha.half_coords
-        ctx = alpha.ctx
-        cands = _pysearch.generate_candidates(ctx, big_a, big_b, 10**6)
-        full = _pysearch.run_search(ctx.D, big_a, big_b, cands, big_a // 2, 10**6, True)
-        first_hit = decompose_sos(alpha).nodes
-        # Every budget from the first hit up to the last node stops between
-        # a hit and the proof that nothing shorter exists.
-        for budget in range(first_hit, full[1]):
-            status, _, terms = _pysearch.run_search(
-                ctx.D, big_a, big_b, cands, big_a // 2, budget, True
-            )
-            assert (status, terms) == (_pysearch.STATUS_BUDGET, None), (str(alpha), budget)
+        # The least budget at which the plain search hits: the shortest
+        # search, the same traversal up to its first hit, has hit there too.
+        budget = 1
+        while decompose_sos(alpha, node_budget=budget).kind is VerdictKind.BUDGET_EXCEEDED:
+            budget += 1
+        # Every budget from there until the shortest search completes stops
+        # between a hit and the proof that nothing shorter exists.
+        while (verdict := shortest_decomposition(alpha, node_budget=budget)).kind is (
+            VerdictKind.BUDGET_EXCEEDED
+        ):
+            assert verdict.decomposition is None, (str(alpha), budget)
             with pytest.raises(BudgetExceeded):
                 pythagoras_length(alpha, node_budget=budget)
-        assert full[0] == _pysearch.STATUS_FOUND and len(full[2]) == length
+            budget += 1
+            gap += 1
+        assert len(verdict.decomposition) == length
+    assert gap > 0
 
 
-def test_decomposition_normalizes_and_verifies(ctx2):
+def test_decomposition_keeps_its_terms_as_given_and_verifies(ctx2):
     alpha = ctx2.from_int(2)
     # Terms are kept as given: neither sign-flipped nor sorted.
     dec = Decomposition(alpha, (ctx2.from_int(-1), ctx2.one))

@@ -1,16 +1,16 @@
 """The search kernel against reference copies of its earlier form.
 
-`reference_candidates` is the row scan `generate_candidates` ran before
-each ring kept a root table: every row b, every a of the row, one exact fit
-test each.  `reference_search` is the traversal that built a filtered
-candidate list for each child.  It also keeps the earlier last term: a
+`reference_candidates` is the row scan `generate_candidates` still runs:
+every row b, every a of the row, one exact fit test each.
+`reference_search` is the traversal that walked one list of candidates,
+filtered anew for each child.  It also keeps the earlier last term: a
 lookup of the remainder's square among the candidates at or after the
 current position, and a separate path for a node with two terms left, so
 it is an independent oracle for the kernel's arithmetic completion
-(`_pysearch._root_of`).  Both stay here as oracles: the table-backed
-candidate lists, the lazy fit tests and the arithmetic last term must give
-the same lists, the same budget boundaries and the same
-(status, nodes, terms).
+(`_pysearch._root_of`).  `brute_roots` lists roots by brute force.  All
+three stay here as oracles: the windows each node walks, the arithmetic
+last term and the row scan must give the same lists, the same budget
+boundaries and the same (status, nodes, terms).
 """
 
 import gc
@@ -175,7 +175,7 @@ def _targets(d, trace_bound):
 
 
 # ---------------------------------------------------------------------------
-# the root table
+# the row scan and the root lists
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "random"])
@@ -190,20 +190,24 @@ def test_candidates_match_the_row_scan(d, order):
     for big_a, big_b in targets:
         got = _pysearch.generate_candidates(ctx, big_a, big_b, 10**8)
         assert got == reference_candidates(d, big_a, big_b, 10**8), (big_a, big_b)
-    roots, count = _pysearch.root_table(ctx, 44, 10**8)
-    assert roots[:count] == brute_roots(d, 44)
+    assert _pysearch.list_roots(ctx, 44) == brute_roots(d, 44)
 
 
 @pytest.mark.parametrize("d", RING_DS)
 def test_each_table_is_a_prefix_of_the_next_and_equals_brute_roots(d):
+    # Each bound's root table, as `list_roots` lists it for a sweep, and
+    # its count, which `count_roots` takes without listing a root.
     ctx = RingContext(d)
     seen = []
     for trace_bound in (0, 7, 3, 20, 20, 61, 1, 100):
-        roots, count = _pysearch.root_table(ctx, trace_bound, 10**8)
-        assert roots[:count] == brute_roots(d, trace_bound)
-        assert roots[: len(seen)] == seen
-        seen = list(roots)
-    assert seen == brute_roots(d, 100)
+        roots = _pysearch.list_roots(ctx, trace_bound)
+        assert roots == brute_roots(d, trace_bound)
+        assert _pysearch.count_roots(ctx, trace_bound, 10**8) == len(roots)
+        if len(roots) > len(seen):
+            assert roots[: len(seen)] == seen
+        seen = roots
+    # Counting stops once it passes its limit: at the end of a row.
+    assert 10 < _pysearch.count_roots(ctx, 100, 10) < len(seen)
 
 
 # For D = 3 and 7, b_max = isqrt(2A // D) is odd: the last row is odd, so
@@ -213,136 +217,105 @@ def test_each_table_is_a_prefix_of_the_next_and_equals_brute_roots(d):
 )
 @pytest.mark.parametrize("warm", [None, 10, 40, 200])
 def test_budget_boundaries_match_the_row_scan(d, big_a, big_b, warm):
+    # The scan keeps nothing on its context, so a scan to another trace
+    # first moves no boundary.
     threshold = work_threshold(d, big_a, big_b)
-    for budget in (threshold - 1, threshold):
-        ctx = RingContext(d)
-        if warm is not None:
-            _pysearch.root_table(ctx, warm, 10**8)
-        before = list(_pysearch.root_table(ctx, -1, 0)[0])
-        if budget < threshold:
-            with pytest.raises(BudgetExceeded) as exc:
-                _pysearch.generate_candidates(ctx, big_a, big_b, budget)
-            assert exc.value.nodes == 0
-            # Charged before any root is added.
-            assert _pysearch.root_table(ctx, -1, 0)[0] == before
-        else:
-            got = _pysearch.generate_candidates(ctx, big_a, big_b, budget)
-            assert got == reference_candidates(d, big_a, big_b, budget)
+    ctx = RingContext(d)
+    if warm is not None:
+        _pysearch.generate_candidates(ctx, warm, 0, 10**8)
+    with pytest.raises(BudgetExceeded) as exc:
+        _pysearch.generate_candidates(ctx, big_a, big_b, threshold - 1)
+    assert exc.value.nodes == 0
+    got = _pysearch.generate_candidates(ctx, big_a, big_b, threshold)
+    assert got == reference_candidates(d, big_a, big_b, threshold)
+
+
+def test_building_a_context_builds_no_table():
+    # A context holds D and kappa alone, and a search leaves nothing on it:
+    # it stays equal to a fresh one, and hashes, prints and pickles alike.
+    ctx = RingContext(6)
+    decompose_sos(ctx.from_int(30))
+    fresh = RingContext(6)
+    assert RingContext.__slots__ == ("D", "kappa")
+    assert ctx == fresh and hash(ctx) == hash(fresh)
+    assert repr(ctx) == repr(fresh) == "RingContext(D=6)"
+    assert pickle.dumps(ctx) == pickle.dumps(fresh)
+
+
+# ---------------------------------------------------------------------------
+# large and thin elements
+
+
+def _power(x, n):
+    out = x.ctx.one
+    for _ in range(n):
+        out = out * x
+    return out
 
 
 def test_a_thin_element_with_a_huge_trace_stops_at_once():
     # eps = 24335 + 3588*sqrt(46) is the fundamental unit; the element
-    # (14 + 2*sqrt(46))*eps^2 has trace 6.5*10^10 and norm 12.
-    # Its roots are counted before any is listed: listing the 9 * 10^5
-    # roots the budget admits would hold about 120 MB.
+    # (14 + 2*sqrt(46))*eps^2 has trace 6.5*10^10 and norm 12.  Its root's
+    # window runs even a down from 255,526, and no root fits: one node,
+    # charged its 127,764 a-steps first, refutes it.
     ctx = RingContext(46)
     eps = ctx.from_sqrt_pair(24335, 3588)
     alpha = ctx.from_sqrt_pair(14, 2) * eps * eps
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        verdict = decompose_sos(alpha, node_budget=10**6)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    assert alpha.half_coords == (65294309212, 9627120676)
+    work = 255526 // 2 + 1 + 1
+    verdict = decompose_sos(alpha, node_budget=work - 1)
     assert (verdict.kind, verdict.nodes) == (VerdictKind.BUDGET_EXCEEDED, 0)
-    assert _pysearch.root_table(ctx, -1, 0)[0] == []
-    assert peak < 2**20
+    verdict = decompose_sos(alpha, node_budget=work)
+    assert (verdict.kind, verdict.nodes) == (VerdictKind.EXHAUSTED_NONE, 1)
+    # Squares of units carry sums of squares to sums of squares, and the
+    # sweep agrees that 14 + 2*sqrt(46) is none.
+    assert Sweep(ctx, 28).length(ctx.from_sqrt_pair(14, 2)) is None
 
 
-def test_building_a_context_builds_no_table():
-    # A context's table waits for its first search: `import soslab` and
-    # RingContext(d) stay as cheap as before.
+@pytest.mark.parametrize(
+    "d,root,exponent,budget",
+    [
+        (2, (2, 2), 10, 10**6),
+        (2, (2, 2), 20, None),
+        (13, (3, 1), 15, None),
+    ],
+)
+def test_a_square_of_huge_trace_is_found_at_its_window_top(d, root, exponent, budget):
+    # A square's root tops its target's window, so the search descends at
+    # once: 2 nodes, for (1+sqrt2)^20 at a budget of 10^6 and for
+    # (1+sqrt2)^40 and ((3+sqrt13)/2)^30 at the default budget.
+    ctx = RingContext(d)
+    unit = _power(ctx.from_half_pair(*root), exponent)
+    kwargs = {} if budget is None else {"node_budget": budget}
+    verdict = decompose_sos(unit * unit, **kwargs)
+    assert (verdict.kind, verdict.nodes) == (VerdictKind.FOUND, 2)
+    assert verdict.decomposition.terms == (unit,)
+
+
+@pytest.mark.parametrize(
+    "coords,nodes",
+    [
+        ((1414002, 105610), 9),
+        ((1861168, 251718), 6),
+        ((1225127, -184530), 7),
+        ((1090122, 45668), 7),
+    ],
+)
+def test_a_large_element_is_decided_in_the_nodes_of_its_proof(coords, nodes):
+    # Traces 2.2-3.7*10^6 in D = 7: some 0.4-0.7 M roots fit each, and a
+    # search that listed them would spend its budget of 10^5 before its
+    # first node.  The windows reach the same decomposition in as many nodes.
     ctx = RingContext(7)
-    assert not hasattr(ctx, "_table")
-    decompose_sos(ctx.from_int(5))
-    assert hasattr(ctx, "_table")
-
-
-def test_context_identity_ignores_its_table():
-    ctx = RingContext(6)
-    decompose_sos(ctx.from_int(30))
-    fresh = RingContext(6)
-    assert ctx == fresh and hash(ctx) == hash(fresh)
-    assert repr(ctx) == repr(fresh) == "RingContext(D=6)"
-    data = pickle.dumps(ctx)
-    assert data == pickle.dumps(fresh)
-    copy = pickle.loads(data)
-    assert copy == ctx and hash(copy) == hash(ctx) and copy.kappa == 2
-    # The copy starts a table of its own.
-    assert not hasattr(copy, "_table")
-    roots, count = _pysearch.root_table(copy, 30, 10**8)
-    assert roots[:count] == _pysearch.root_table(ctx, 30, 10**8)[0][:count]
-
-
-def test_a_table_is_freed_with_its_context():
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        gc.collect()
-        before = tracemalloc.get_traced_memory()[0]
-        ctx = RingContext(7)
-        roots, count = _pysearch.root_table(ctx, 20000, 10**8)
-        held = tracemalloc.get_traced_memory()[0] - before
-        del ctx, roots
-        gc.collect()
-        left = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    # 5,931 roots at about 145 bytes each.
-    assert count > 2500 and held > 100 * count
-    assert left < 4096
-
-
-@pytest.mark.parametrize("d", RING_DS)
-def test_a_capped_table_gives_the_same_lists_and_boundaries(d, monkeypatch):
-    # The cap holds the roots to trace 24: targets past it are scanned
-    # row by row, the rest come from the table.
-    cap = len(brute_roots(d, 24))
-    monkeypatch.setattr(_pysearch, "TABLE_ROOTS", cap)
-    targets = _targets(d, 44)
-    random.Random(d).shuffle(targets)
-    ctx = RingContext(d)
-    for big_a, big_b in targets:
-        got = _pysearch.generate_candidates(ctx, big_a, big_b, 10**8)
-        assert got == reference_candidates(d, big_a, big_b, 10**8), (big_a, big_b)
-    roots, done = ctx._table
-    assert done < 44 and len(roots) <= cap and roots == brute_roots(d, done)
-    big_a, big_b = 44, 0
-    threshold = work_threshold(d, big_a, big_b)
-    with pytest.raises(BudgetExceeded):
-        _pysearch.generate_candidates(ctx, big_a, big_b, threshold - 1)
-    assert _pysearch.generate_candidates(ctx, big_a, big_b, threshold) == reference_candidates(
-        d, big_a, big_b, threshold
-    )
-
-
-@pytest.mark.parametrize("d", (2, 5, 7))
-def test_a_sweep_past_the_table_cap_lists_its_roots_itself(d, monkeypatch):
-    full = Sweep(RingContext(d), 30)
-    monkeypatch.setattr(_pysearch, "TABLE_ROOTS", len(brute_roots(d, 30)) - 1)
-    ctx = RingContext(d)
-    capped = Sweep(ctx, 30)
-    assert not hasattr(ctx, "_table")
-    for alpha in scan_totally_positive(ctx, 30):
-        assert capped.length(alpha) == full.length(alpha)
+    verdict = decompose_sos(ctx.from_sqrt_pair(*coords), node_budget=10**5)
+    assert (verdict.kind, verdict.nodes) == (VerdictKind.FOUND, nodes)
 
 
 def test_a_thin_element_in_budget_keeps_only_the_roots_that_fit():
     # 2*eps^12, eps = 1 + sqrt(2), has trace 78,404 and conjugate 3*10^-9:
-    # some 43,000 roots square to a trace below its own, past TABLE_ROOTS,
-    # and only a handful fit it.  Listing them all would hold about 6 MB
-    # for as long as the context.
+    # some 43,000 roots square to a trace below its own, and only a
+    # handful fit it.  Listing them all would hold about 6 MB.
     ctx = RingContext(2)
-    alpha = ctx.from_int(2)
-    for _ in range(12):
-        alpha = alpha * ctx.from_sqrt_pair(1, 1)
+    alpha = ctx.from_int(2) * _power(ctx.from_sqrt_pair(1, 1), 12)
     assert alpha.half_coords == (78404, 55440)
     tracing = tracemalloc.is_tracing()
     if not tracing:
@@ -357,8 +330,14 @@ def test_a_thin_element_in_budget_keeps_only_the_roots_that_fit():
         if not tracing:
             tracemalloc.stop()
     assert verdict.kind is VerdictKind.FOUND
-    assert not hasattr(ctx, "_table")
     assert peak < 2**20
+
+
+def test_a_window_keeps_roots_below_a_negative_upper_end():
+    # (2 - sqrt2)^2 = 6 - 4*sqrt2, searched with two terms allowed so that
+    # the root walks its window: at a = 4 the largest b*sqrt2 is
+    # 2 - 4 < 0, and the root (4, -2) lies below it.
+    assert _pysearch.run_search(2, 12, -8, 2, 100) == (_pysearch.STATUS_FOUND, 2, [(4, -2)])
 
 
 # ---------------------------------------------------------------------------
@@ -393,39 +372,48 @@ def test_root_of_is_exact_past_float_range(d, a, b):
 
 
 # ---------------------------------------------------------------------------
-# the lazy traversal
+# the windowed traversal
+
+# Where the windows are sparse: D = 57 and D = 93, both kappa = 1.
+WINDOW_DS = RING_DS + (57, 93)
 
 
 def _searches(d, trace_bound):
-    ctx = RingContext(d)
+    """Each target to trace_bound, with the row scan's candidates for it."""
     for big_a, big_b in _targets(d, trace_bound):
-        cands = _pysearch.generate_candidates(ctx, big_a, big_b, 10**8)
-        yield big_a, big_b, cands
+        yield big_a, big_b, reference_candidates(d, big_a, big_b, 10**8)
 
 
-@pytest.mark.parametrize("d", RING_DS)
+@pytest.mark.parametrize("d", WINDOW_DS)
 def test_lazy_traversal_matches_the_reference(d):
-    rng = random.Random(d)
-    for big_a, big_b, cands in _searches(d, 32):
-        shuffled = rng.sample(cands, len(cands))
-        for order in (cands, shuffled):
-            for depth in (big_a // 2, 1, 2, 3, 4):
-                for shortest in (False, True):
-                    args = (d, big_a, big_b, order, depth, 10**7, shortest)
-                    assert _pysearch.run_search(*args) == reference_search(*args), args
+    # The same (status, nodes, terms) as the reference over the row scan's
+    # descending list: plain, capped and shortest.
+    for big_a, big_b, cands in _searches(d, 40):
+        for depth in (big_a // 2, 1, 2, 3, 4, 5):
+            for shortest in (False, True):
+                args = (d, big_a, big_b, depth, 10**7, shortest)
+                want = reference_search(d, big_a, big_b, cands, depth, 10**7, shortest)
+                assert _pysearch.run_search(*args) == want, args
 
 
 @pytest.mark.parametrize("d", [2, 5, 6, 13])
 def test_lazy_traversal_stops_at_the_same_node_under_any_budget(d):
-    rng = random.Random(d)
+    # The budget counts nodes plus window steps.  A search stopped after
+    # `nodes` nodes was about to visit one more: the reference, walking the
+    # same nodes in the same order, stops at node nodes + 1 under a node
+    # budget of `nodes`.
     for big_a, big_b, cands in _searches(d, 26):
-        shuffled = rng.sample(cands, len(cands))
-        for order in (cands, shuffled):
-            for shortest in (False, True):
-                full = reference_search(d, big_a, big_b, order, big_a // 2, 10**7, shortest)
-                for budget in range(1, full[1] + 1, max(1, full[1] // 7)):
-                    args = (d, big_a, big_b, order, big_a // 2, budget, shortest)
-                    assert _pysearch.run_search(*args) == reference_search(*args), args
+        for shortest in (False, True):
+            args = (d, big_a, big_b, big_a // 2)
+            full = _pysearch.run_search(*args, 10**7, shortest)
+            budget, last = 1, 0
+            while (got := _pysearch.run_search(*args, budget, shortest)) != full:
+                status, nodes, terms = got
+                assert (status, terms) == (_pysearch.STATUS_BUDGET, None), (args, budget)
+                assert last <= nodes < budget
+                ref = reference_search(d, big_a, big_b, cands, big_a // 2, nodes, shortest)
+                assert ref == (_pysearch.STATUS_BUDGET, nodes + 1, None), (args, budget)
+                budget, last = budget + 1 + budget // 4, nodes
 
 
 def test_lazy_traversal_matches_the_reference_on_deep_refutations():
@@ -441,33 +429,34 @@ def test_lazy_traversal_matches_the_reference_on_deep_refutations():
             if alpha.trace >= 70 and alpha.half_coords[1] % 4 == 2
         ]
         for big_a, big_b in deep[:8]:
-            cands = _pysearch.generate_candidates(ctx, big_a, big_b, 10**8)
+            cands = reference_candidates(d, big_a, big_b, 10**8)
             # Capped at 5 terms, as `sint` searches, many nodes have one
             # term left.
             for depth in (big_a // 2, 3, 4, 5):
                 for shortest in (False, True):
-                    args = (d, big_a, big_b, cands, depth, 10**8, shortest)
+                    args = (d, big_a, big_b, depth, 10**8, shortest)
                     result = _pysearch.run_search(*args)
                     assert result[0] == _pysearch.STATUS_EXHAUSTED
-                    assert result == reference_search(*args), args
+                    want = reference_search(d, big_a, big_b, cands, depth, 10**8, shortest)
+                    assert result == want, args
                     nodes += result[1]
     assert nodes > 5000
 
 
 @pytest.mark.parametrize("d", RING_DS)
 def test_found_terms_are_canonical_and_non_increasing(d):
-    # Each pick starts at its parent's position in the descending list, and
-    # the arithmetic last term never precedes the previous pick, so every
-    # hit lists nonzero canonical roots in non-increasing (A, B) order; a
-    # Decomposition keeps them as they come.
+    # Each window lies at or below its parent's pick, in descending order,
+    # and the arithmetic last term never lies above the previous pick, so
+    # every hit lists nonzero canonical roots in non-increasing (A, B)
+    # order; a Decomposition keeps them as they come.
     ctx = RingContext(d)
     found = 0
-    for big_a, big_b, cands in _searches(d, 60):
+    for big_a, big_b in _targets(d, 60):
         plain = None
         runs = [(big_a // 2, False), (big_a // 2, True)]
         runs += [(depth, False) for depth in range(1, 6)]
         for depth, shortest in runs:
-            args = (d, big_a, big_b, cands, depth, 10**8, shortest)
+            args = (d, big_a, big_b, depth, 10**8, shortest)
             status, _, terms = _pysearch.run_search(*args)
             if status != _pysearch.STATUS_FOUND:
                 continue

@@ -243,13 +243,14 @@ def test_node_budget_bounds_the_whole_ladder(ctx6, monkeypatch):
     assert budgets == [1000, 1000 - spent[0]]
     assert verdict.nodes == sum(spent)
 
-    # Level 1's candidate scan of 24 + 8 sqrt6 costs 23 units (9 rows, 14
-    # roots tried): one unit less than that after level 0 stops the ladder
-    # there, and exactly that much lets its 4-node hit through.
-    verdict = s_is_sum_of_squares(xi, node_budget=spent[0] + 22)
+    # Level 1's search of 24 + 8 sqrt6 costs 13 units (its 4 nodes and the
+    # 9 a-steps of their windows): one unit less than that after level 0's
+    # nodes stops the ladder there, and exactly that much lets its 4-node
+    # hit through.
+    verdict = s_is_sum_of_squares(xi, node_budget=spent[0] + 12)
     assert verdict.kind is SKind.UNKNOWN
     assert verdict.gave_up_at_j == 1
-    verdict = s_is_sum_of_squares(xi, node_budget=spent[0] + 23)
+    verdict = s_is_sum_of_squares(xi, node_budget=spent[0] + 13)
     assert verdict.kind is SKind.REPRESENTABLE
     assert verdict.nodes == spent[0] + 4
 
