@@ -170,7 +170,9 @@ def _root_of(d: int, r_a: int, r_b: int) -> tuple[int, int] | None:
     so SA^2 - D*SB^2 = t^2 with t = (a^2 - D*b^2)/2: t is an integer, a^2
     is SA + t or SA - t, and b = SB/a.  a = 0 only when SB = 0 and
     D*b^2 = 2*SA.  A guess that squares back to (r_a, r_b) is in O, since
-    O is integrally closed, so it needs no integrality test.
+    O is integrally closed.  Its parity is still checked, raising
+    ValueError as `RingContext.from_half_pair` does: this pair is computed
+    rather than walked, and `decompose._search` builds it unchecked.
     """
     t2 = r_a * r_a - d * r_b * r_b
     if r_a <= 0 or t2 < 0:
@@ -181,6 +183,8 @@ def _root_of(d: int, r_a: int, r_b: int) -> tuple[int, int] | None:
     for a in (isqrt(r_a + t), isqrt(r_a - t)):
         b = r_b // a if a else isqrt(2 * r_a // d)
         if a * b == r_b and a * a + d * b * b == 2 * r_a:
+            if (a - b) % 2 or (b % 2 and d % 4 != 1):
+                raise ValueError(f"the root ({a}+{b}*sqrt{d})/2 is not integral")
             return a, b
     return None
 

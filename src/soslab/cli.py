@@ -34,7 +34,6 @@ from .quadfield import (
 if TYPE_CHECKING:
     from typing import Callable, TypeVar
 
-    from .decompose import SearchVerdict
     from .sintegers import SElement
 
     T = TypeVar("T")
@@ -262,85 +261,54 @@ def _timed(call: Callable[..., T], *args: object, **kwargs: object) -> tuple[T, 
     return result, int(1000 * (time.perf_counter() - start))
 
 
-def _search_record(
-    cfg: CliConfig, verdict: SearchVerdict, elapsed_ms: int
-) -> tuple[dict, str, int]:
-    """The JSON record of one check/decompose verdict, its human line where
-    no decomposition was found (the handler writes the one where it was),
-    and its exit code."""
-    from .decompose import VerdictKind
-
-    alpha = cfg.alpha
-    decomposition = verdict.decomposition
-    human = ""
-    if decomposition is not None:
-        if cfg.command == "check":
-            terms = [str(t) for t in decomposition.terms]
-            certificate = {"kind": "decomposition", "terms": terms}
-        else:
-            certificate = {"kind": "decomposition", "length": len(decomposition)}
-        kind, terms, code = "sum_of_squares", decomposition.terms, 0
-    elif verdict.kind is VerdictKind.EXHAUSTED_NONE:
-        certificate = {"kind": "exhaustion", "nodes": verdict.nodes}
-        kind, terms, code = "not_sum_of_squares", None, 0
-        human = f"{alpha} is not a sum of squares [exhausted {verdict.nodes} nodes]"
-    else:
-        certificate = _budget_certificate(cfg)
-        kind, terms, code = "unknown", None, 3
-        human = _no_verdict(cfg, alpha)
-    record = _record(cfg, alpha, kind, certificate, terms, verdict.nodes, elapsed_ms)
-    return record, human, code
-
-
 def _no_verdict(cfg: CliConfig, alpha: QuadInt) -> str:
     return f"no verdict for {alpha}: node budget {cfg.node_budget} exceeded"
 
 
-def cmd_decompose(cfg: CliConfig) -> int:
+def cmd_search(cfg: CliConfig) -> int:
+    """check and decompose: one search, and the record, human line and exit
+    code of its verdict, each decided once (check's parser sets
+    shortest=False and max_terms=None)."""
     from .decompose import VerdictKind, decompose_sos, shortest_decomposition
+    from .residues import is_square_mod_two
 
-    alpha = cfg.alpha
-    shortest, max_terms = cfg.args.shortest, cfg.args.max_terms
+    alpha, shortest, max_terms = cfg.alpha, cfg.args.shortest, cfg.args.max_terms
     if shortest:
         verdict, elapsed_ms = _timed(shortest_decomposition, alpha, node_budget=cfg.node_budget)
     else:
         verdict, elapsed_ms = _timed(
             decompose_sos, alpha, max_terms=max_terms, node_budget=cfg.node_budget
         )
-    record, human, code = _search_record(cfg, verdict, elapsed_ms)
-    exhausted = verdict.kind is VerdictKind.EXHAUSTED_NONE
-    decomposition = verdict.decomposition
+    decomposition, nodes = verdict.decomposition, verdict.nodes
+    terms = None if decomposition is None else decomposition.terms
     if decomposition is not None:
-        human = str(decomposition)
-        if shortest:
-            human += f"  [shortest: {len(decomposition)} squares]"
-    elif exhausted and shortest:
-        human = f"{alpha} is not a sum of squares in O(sqrt{cfg.ctx.D})"
-    elif exhausted and max_terms is not None:
+        kind, length = "sum_of_squares", len(decomposition)
+        if cfg.command == "check":
+            certificate = {"kind": "decomposition", "terms": [str(t) for t in decomposition.terms]}
+            human = f"{alpha} is a sum of {length} squares"
+        else:
+            certificate = {"kind": "decomposition", "length": length}
+            shown = f"  [shortest: {length} squares]" if shortest else ""
+            human = f"{decomposition}{shown}"
+    elif verdict.kind is VerdictKind.BUDGET_EXCEEDED:
+        kind, certificate, human = "unknown", _budget_certificate(cfg), _no_verdict(cfg, alpha)
+    elif max_terms is not None:
         # Exhausting a capped search says nothing about longer sums.
-        record["verdict"] = "none_within_max_terms"
-        record["certificate"]["max_terms"] = max_terms
-        human = (
-            f"{alpha} is not a sum of at most {max_terms} squares "
-            f"[exhausted {verdict.nodes} nodes]"
-        )
+        kind = "none_within_max_terms"
+        certificate = {"kind": "exhaustion", "nodes": nodes, "max_terms": max_terms}
+        human = f"{alpha} is not a sum of at most {max_terms} squares [exhausted {nodes} nodes]"
+    else:
+        kind, certificate = "not_sum_of_squares", {"kind": "exhaustion", "nodes": nodes}
+        if shortest:
+            human = f"{alpha} is not a sum of squares in O(sqrt{cfg.ctx.D})"
+        else:
+            human = f"{alpha} is not a sum of squares [exhausted {nodes} nodes]"
+    record = _record(cfg, alpha, kind, certificate, terms, nodes, elapsed_ms)
+    if cfg.command == "check":
+        record["totally_positive"] = alpha.is_totally_positive()
+        record["square_mod_2O"] = is_square_mod_two(alpha)
     cfg.emit(record, human)
-    return code
-
-
-def cmd_check(cfg: CliConfig) -> int:
-    from .decompose import decompose_sos
-    from .residues import is_square_mod_two
-
-    alpha = cfg.alpha
-    verdict, elapsed_ms = _timed(decompose_sos, alpha, node_budget=cfg.node_budget)
-    record, human, code = _search_record(cfg, verdict, elapsed_ms)
-    record["totally_positive"] = alpha.is_totally_positive()
-    record["square_mod_2O"] = is_square_mod_two(alpha)
-    if verdict.decomposition is not None:
-        human = f"{alpha} is a sum of {len(verdict.decomposition)} squares"
-    cfg.emit(record, human)
-    return code
+    return 3 if kind == "unknown" else 0
 
 
 def cmd_peters(cfg: CliConfig) -> int:
@@ -528,6 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="decide sum-of-squares representability")
     common(p)
+    p.set_defaults(shortest=False, max_terms=None)
 
     p = sub.add_parser("peters", help="five-square interval test")
     common(p)
@@ -572,8 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 HANDLERS = {
-    "decompose": cmd_decompose,
-    "check": cmd_check,
+    "decompose": cmd_search,
+    "check": cmd_search,
     "peters": cmd_peters,
     "witness": cmd_witness,
     "sint": cmd_sint,

@@ -33,7 +33,7 @@ import enum
 from . import _pysearch
 from ._record import Record
 from .errors import DEFAULT_NODE_BUDGET, BudgetExceeded, ContextMismatch
-from .quadfield import QuadInt, squares_sum_to
+from .quadfield import QuadInt, _from_pair, squares_sum_to
 from .residues import is_square_mod_two
 
 # No compiled kernel exists; perfbench still reads this attribute to report
@@ -56,7 +56,10 @@ class Decomposition(Record):
     at most trace/2 (each nonzero square has trace >= 2), a bound that
     also refuses zero padding.  The search gives nonzero canonical sign
     representatives (a > 0, or a = 0 and b > 0) in non-increasing
-    `half_coords` (A, B) order (`_pysearch.run_search`).
+    `half_coords` (A, B) order (`_pysearch.run_search`).  Integrality is
+    not checked here: a `QuadInt` is integral when built, and `_search`
+    builds the search's terms unchecked, since a window's pairs are
+    integral as walked and `_pysearch._root_of` checks the one it computes.
     """
 
     __slots__ = ("target", "terms")
@@ -126,7 +129,10 @@ def _search(
         ctx.D, big_a, big_b, depth_cap, node_budget, shortest
     )
     if status == _pysearch.STATUS_FOUND:
-        terms = tuple(ctx.from_half_pair(a, b) for a, b in raw_terms)
+        # Each pair is built unchecked.  A window's pairs are integral as
+        # walked (a steps by 2 when kappa = 2, and b = a (mod 2)); a last
+        # term computed rather than walked is checked by `_pysearch._root_of`.
+        terms = tuple(_from_pair(ctx, a, b) for a, b in raw_terms)
         return SearchVerdict(VerdictKind.FOUND, Decomposition(alpha, terms), nodes)
     if status == _pysearch.STATUS_BUDGET:
         return SearchVerdict(VerdictKind.BUDGET_EXCEEDED, None, nodes)

@@ -181,10 +181,13 @@ def s_is_sum_of_squares(
     raises RuntimeError; any other level moves up.  The ladder ends: an
     obstructed numerator never reaches it, every other numerator has an
     even sqrt(D)-coefficient from level j+1 on when 2 ramifies, and the
-    norm grows by m^4 per level.  The node budget bounds the whole
-    ladder's nodes, each level's search getting what the earlier levels'
-    nodes left; Unknown means only that it ran out, and is never evidence
-    of non-representability.
+    norm grows by m^4 per level.  The node budget bounds the ladder's
+    nodes and each level's work, not the ladder's whole work: each level's
+    search gets the budget less the nodes the earlier levels visited, but
+    a search's work is its nodes plus its windows' a-steps, so the
+    ladder's total work can reach the levels climbed times the budget.
+    Unknown means only that the budget ran out, and is never evidence of
+    non-representability.
     """
     if not xi.numerator.is_totally_positive():
         raise NotTotallyPositive(

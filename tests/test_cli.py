@@ -159,6 +159,81 @@ def test_shortest_and_max_terms_exclude_each_other(capsys):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
+ELEMENTS = {
+    "found": ("--D", "2", "--elem", "6+2sqrt2"),
+    "exhausted": ("--D", "6", "--elem", "6+2sqrt6"),
+    "budget-miss": ("--D", "13", "--elem", "20+2w", "--node-budget", "2"),
+}
+NO_VERDICT = (
+    "unknown", {"kind": "budget_exceeded", "budget": 2}, 3,
+    "no verdict for 20+2w: node budget 2 exceeded",
+)
+# (verdict, certificate without its node count, exit code, human line)
+CONTRACT = {
+    ("check", "found"): (
+        "sum_of_squares", {"kind": "decomposition", "terms": ["1+sqrt2", "1", "1", "1"]}, 0,
+        "6+2sqrt2 is a sum of 4 squares",
+    ),
+    ("decompose", "found"): (
+        "sum_of_squares", {"kind": "decomposition", "length": 4}, 0,
+        "6+2sqrt2 = (1+sqrt2)^2 + (1)^2 + (1)^2 + (1)^2",
+    ),
+    ("decompose --shortest", "found"): (
+        "sum_of_squares", {"kind": "decomposition", "length": 3}, 0,
+        "6+2sqrt2 = (1+sqrt2)^2 + (1)^2 + (sqrt2)^2  [shortest: 3 squares]",
+    ),
+    ("decompose --max-terms 2", "found"): (
+        "none_within_max_terms", {"kind": "exhaustion", "max_terms": 2}, 0,
+        "6+2sqrt2 is not a sum of at most 2 squares [exhausted 4 nodes]",
+    ),
+    ("check", "exhausted"): (
+        "not_sum_of_squares", {"kind": "exhaustion"}, 0,
+        "6+2sqrt6 is not a sum of squares [exhausted 2 nodes]",
+    ),
+    ("decompose", "exhausted"): (
+        "not_sum_of_squares", {"kind": "exhaustion"}, 0,
+        "6+2sqrt6 is not a sum of squares [exhausted 2 nodes]",
+    ),
+    ("decompose --shortest", "exhausted"): (
+        "not_sum_of_squares", {"kind": "exhaustion"}, 0,
+        "6+2sqrt6 is not a sum of squares in O(sqrt6)",
+    ),
+    ("decompose --max-terms 2", "exhausted"): (
+        "none_within_max_terms", {"kind": "exhaustion", "max_terms": 2}, 0,
+        "6+2sqrt6 is not a sum of at most 2 squares [exhausted 2 nodes]",
+    ),
+    ("check", "budget-miss"): NO_VERDICT,
+    ("decompose", "budget-miss"): NO_VERDICT,
+    ("decompose --shortest", "budget-miss"): NO_VERDICT,
+    ("decompose --max-terms 2", "budget-miss"): NO_VERDICT,
+}
+
+
+@pytest.mark.parametrize("elem", list(ELEMENTS))
+@pytest.mark.parametrize(
+    "call",
+    ["check", "decompose", "decompose --shortest", "decompose --max-terms 2"],
+    ids=lambda call: call.replace(" ", ""),
+)
+def test_check_and_decompose_print_their_contract(capsys, call, elem):
+    # Every cell of the two subcommands' output: the JSON verdict and
+    # certificate (its node count aside), the exit code and the human line.
+    verdict, certificate, code, human = CONTRACT[call, elem]
+    argv = [*call.split(), *ELEMENTS[elem]]
+    json_code, out = run_cli(capsys, *argv, "--format", "json")
+    record = json.loads(out)
+    record["certificate"].pop("nodes", None)
+    assert (json_code, record["verdict"], record["certificate"]) == (code, verdict, certificate)
+    assert run_cli(capsys, *argv) == (code, human + "\n")
+    if call == "check":
+        # check takes no search option of decompose's.
+        for option in (["--shortest"], ["--max-terms", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, *option])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -493,13 +568,14 @@ def test_usage_error_exits_2(capsys):
 @pytest.mark.parametrize(
     "argv,verdict,nodes",
     [
-        # The refutation needs 8 units of candidate scan, then 2 nodes.
+        # The refutation is charged 7 units for 2 nodes: the root's window
+        # tries 3 values of a (4 units), its one child's 2 (3 units).
         (["check", "--D", "6", "--elem", "6+2sqrt6"], "not_sum_of_squares", 2),
-        # Level 0 exhausts in 2 nodes; level 1 scans 23 units and hits in 4.
+        # Level 0 exhausts in 2 nodes for 7 units; level 1 hits in 4 for 13.
         (["sint", "--D", "6", "--elem", "6+2sqrt6", "--m", "2"], "representable", 6),
     ],
 )
-def test_small_budget_covers_the_candidate_work_actually_done(capsys, argv, verdict, nodes):
+def test_small_budget_covers_the_window_work_actually_done(capsys, argv, verdict, nodes):
     code, out = run_cli(capsys, *argv, "--node-budget", "35", "--format", "json")
     record = json.loads(out)
     assert (code, record["verdict"], record["nodes"]) == (0, verdict, nodes)

@@ -195,8 +195,8 @@ def test_candidates_match_the_row_scan(d, order):
 
 @pytest.mark.parametrize("d", RING_DS)
 def test_each_table_is_a_prefix_of_the_next_and_equals_brute_roots(d):
-    # Each bound's root table, as `list_roots` lists it for a sweep, and
-    # its count, which `count_roots` takes without listing a root.
+    # Each bound's list of roots, as `list_roots` lists it for a sweep,
+    # and its count, which `count_roots` takes without listing a root.
     ctx = RingContext(d)
     seen = []
     for trace_bound in (0, 7, 3, 20, 20, 61, 1, 100):
@@ -371,6 +371,14 @@ def test_root_of_is_exact_past_float_range(d, a, b):
     assert _pysearch._root_of(d, *(square + 2).half_coords) is None
 
 
+def test_root_of_refuses_a_root_outside_the_ring():
+    # (2 + sqrt3)/2 lies outside O when D = 3, and squares back from
+    # (1 + sqrt3)/2, which does too: the search builds its last term
+    # unchecked, so the integrality check here is the one that stands.
+    with pytest.raises(ValueError, match="not integral"):
+        _pysearch._root_of(3, 2, 1)
+
+
 # ---------------------------------------------------------------------------
 # the windowed traversal
 
@@ -448,7 +456,8 @@ def test_found_terms_are_canonical_and_non_increasing(d):
     # Each window lies at or below its parent's pick, in descending order,
     # and the arithmetic last term never lies above the previous pick, so
     # every hit lists nonzero canonical roots in non-increasing (A, B)
-    # order; a Decomposition keeps them as they come.
+    # order; a Decomposition keeps them as they come.  Every pair, walked
+    # or computed, is integral: A = B (mod 2), and B even unless D = 1 (mod 4).
     ctx = RingContext(d)
     found = 0
     for big_a, big_b in _targets(d, 60):
@@ -462,6 +471,7 @@ def test_found_terms_are_canonical_and_non_increasing(d):
                 continue
             assert all(a > 0 or (a == 0 and b > 0) for a, b in terms), args
             assert terms == sorted(terms, reverse=True), args
+            assert all((a - b) % 2 == 0 == b % ctx.kappa for a, b in terms), args
             found += 1
             if (depth, shortest) == runs[0]:
                 plain = terms

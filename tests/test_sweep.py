@@ -74,9 +74,9 @@ def test_the_least_sweep_budget_is_its_box_times_its_squares(d, trace):
 
 
 def test_a_refused_sweep_lists_no_root():
-    # Some 239,000 roots square to a trace of at most 430,000 when D = 2,
-    # past the root table's cap; they are counted, not listed, before the
-    # charge refuses the sweep.  Listing them would take about 41 MiB.
+    # Some 239,000 roots square to a trace of at most 430,000 when D = 2;
+    # they are counted, not listed, before the charge refuses the sweep.
+    # Listing them would take about 41 MiB.
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
