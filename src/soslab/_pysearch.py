@@ -2,6 +2,8 @@
 
 Everything here works on the doubled pairs (A, B) that `quadfield` stores,
 meaning (A + B*sqrt(D))/2, so one integer kernel serves both shapes of w.
+The ring's lattice is `quadfield`'s: the kernel reads kappa from its
+`RingContext` and walks the pairs `RingContext.is_integral` accepts.
 
 The traversal enumerates multisets of canonical nonzero roots (a > 0, or
 a = 0 and b > 0): each node picks roots in descending (A, B) order, at or
@@ -16,17 +18,17 @@ Each node walks, inline, its own window of roots, listed by no one.  A
 root fits the remainder (RA, RB) only if |a +- b*sqrt(D)| is at most
 sqrt(2*(RA +- RB*sqrt(D))), so a <= isqrt(RA + isqrt(RA^2 - D*RB^2)), and
 for each a, b*sqrt(D) lies in one interval whose ends follow from integer
-bounds above those two roots; b = a (mod 2), and a is even when 2
-ramifies (kappa = 2).  a runs down from that bound, or from the parent's
-a if smaller, and b down its interval.  These are the roots fitting the
-node's remainder that one list of every root fitting the target would
-hold at or after the parent's position, in the same order, so the nodes
-are those that walking such a list visits, in the same order.
+bounds above those two roots; a steps by kappa and b = a (mod 2), so
+every pair walked is integral.  a runs down from that bound, or from the
+parent's a if smaller, and b down its interval.  These are the roots
+fitting the node's remainder that one list of every root fitting the
+target would hold at or after the parent's position, in the same order,
+so the nodes are those that walking such a list visits, in the same order.
 
 The budget bounds nodes plus window steps: each node is charged one unit,
-plus one per a its window will try (a_top // step + 1, step 2 when
-kappa = 2) before it walks them, so no loop runs unguarded, and a huge
-target with a small budget stops before its root counts as a node.  A
+plus one per a its window will try (a_top // kappa + 1) before it
+walks them, so no loop runs unguarded, and a huge target with a small
+budget stops before its root counts as a node.  A
 node whose remainder is 0, or with fewer than two terms left, walks
 nothing.  The b-walks need no charge: each interval holds at most two
 roots beyond those that fit, and each root that fits is a node of its
@@ -48,88 +50,30 @@ traversal with no hit is a proof that no decomposition exists within the
 term bound -- soundness rests only on integer arithmetic, never on any
 representability theorem.
 
-`generate_candidates` lists, by a row scan, every root that fits a target
-in the order the windows meet them; no search calls it, and perfbench's
-tracer wraps it by name.
+`generate_candidates` lists, by a scan of `quadfield`'s rows of roots,
+every root that fits a target in the order the windows meet them; no
+search calls it, and perfbench's tracer wraps it by name.
 """
 
 from __future__ import annotations
 
 from math import isqrt
-from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .errors import charge
+from .quadfield import _roots, count_roots
 
 if TYPE_CHECKING:
-    from collections.abc import Iterator
-
-    from .quadfield import RingContext
+    from .quadfield import RingContext, Root
 
 STATUS_EXHAUSTED = 0
 STATUS_FOUND = 1
 STATUS_BUDGET = 2
 
-# Candidate tuple layout: (A, B, SA, SB), a canonical nonzero root
-# (A + B*sqrt(D))/2, a > 0 or a = 0 and b > 0, where (SA, SB) are the
-# doubled coordinates of its square.
-Candidate = tuple[int, int, int, int]
-
-# `list_roots`' sort key: the trace SA of a root's square.
-_square_trace = itemgetter(2)
-
-
-def _rows(ctx: RingContext, trace_bound: int) -> Iterator[tuple[int, int, int, int]]:
-    """Each row b of canonical roots whose square has SA <= trace_bound.
-
-    A row is (b, b*b*D, a_lo, a_hi), the roots (a, b) for a in
-    range(a_lo, a_hi + 1, 2); empty rows are skipped.  Integral means
-    A = B (mod 2), with B even unless D = 1 (mod 4); SA = (A^2 + D*B^2)/2
-    <= T bounds |B| by isqrt(2T // D) and A by isqrt(2T - D*B^2).
-    """
-    d = ctx.D
-    b_max = isqrt(2 * trace_bound // d)
-    step = 1 if ctx.kappa == 1 else 2
-    for b in range(-b_max + b_max % step, b_max + 1, step):
-        bbd = b * b * d
-        a_lo = 1 if b <= 0 else 0
-        a_lo += (a_lo - b) % 2
-        a_hi = isqrt(2 * trace_bound - bbd)
-        if a_lo <= a_hi:
-            yield b, bbd, a_lo, a_hi
-
-
-def _roots(ctx: RingContext, trace_bound: int) -> Iterator[Candidate]:
-    """Every canonical nonzero root whose square has trace <= trace_bound,
-    as (A, B, SA, SB), row by row: sorted by (B, A)."""
-    for b, bbd, a_lo, a_hi in _rows(ctx, trace_bound):
-        for a in range(a_lo, a_hi + 1, 2):
-            yield a, b, (a * a + bbd) // 2, a * b
-
-
-def count_roots(ctx: RingContext, trace_bound: int, limit: int) -> int:
-    """How many canonical nonzero roots square to a trace <= trace_bound,
-    counted row by row without listing one: once the count passes `limit`,
-    that count, some number above `limit`, is returned at once."""
-    count = 0
-    for _, _, a_lo, a_hi in _rows(ctx, trace_bound):
-        # Counted in integers: len() of a range fails beyond sys.maxsize.
-        count += (a_hi - a_lo) // 2 + 1
-        if count > limit:
-            break
-    return count
-
-
-def list_roots(ctx: RingContext, trace_bound: int) -> list[Candidate]:
-    """Every canonical nonzero root whose square has trace <= trace_bound,
-    sorted by (SA, B, A)."""
-    # Listed by (B, A), so a stable sort by SA leaves them in (SA, B, A) order.
-    return sorted(_roots(ctx, trace_bound), key=_square_trace)
-
 
 def generate_candidates(
     ctx: RingContext, big_a: int, big_b: int, budget: int
-) -> list[Candidate]:
+) -> list[Root]:
     """All canonical roots whose square fits under (A, B) in both embeddings.
 
     Canonical means a > 0, or a = 0 and b > 0.  The target must be totally
@@ -162,18 +106,19 @@ def generate_candidates(
     return out
 
 
-def _root_of(d: int, r_a: int, r_b: int) -> tuple[int, int] | None:
-    """The canonical root (A, B) whose square is the element (r_a, r_b) of O,
-    or None.
+def _root_of(ctx: RingContext, r_a: int, r_b: int) -> tuple[int, int] | None:
+    """The canonical root (A, B) whose square is the element (r_a, r_b) of
+    ctx's ring, or None.
 
     A root (a + b*sqrt(D))/2 squares to SA = (a^2 + D*b^2)/2 and SB = a*b,
     so SA^2 - D*SB^2 = t^2 with t = (a^2 - D*b^2)/2: t is an integer, a^2
     is SA + t or SA - t, and b = SB/a.  a = 0 only when SB = 0 and
     D*b^2 = 2*SA.  A guess that squares back to (r_a, r_b) is in O, since
-    O is integrally closed.  Its parity is still checked, raising
-    ValueError as `RingContext.from_half_pair` does: this pair is computed
-    rather than walked, and `decompose._search` builds it unchecked.
+    O is integrally closed.  `RingContext.is_integral` still checks it, as
+    `from_half_pair` does: this pair is computed rather than walked, and
+    `decompose._search` builds it unchecked.
     """
+    d = ctx.D
     t2 = r_a * r_a - d * r_b * r_b
     if r_a <= 0 or t2 < 0:
         return None
@@ -183,14 +128,14 @@ def _root_of(d: int, r_a: int, r_b: int) -> tuple[int, int] | None:
     for a in (isqrt(r_a + t), isqrt(r_a - t)):
         b = r_b // a if a else isqrt(2 * r_a // d)
         if a * b == r_b and a * a + d * b * b == 2 * r_a:
-            if (a - b) % 2 or (b % 2 and d % 4 != 1):
+            if not ctx.is_integral(a, b):
                 raise ValueError(f"the root ({a}+{b}*sqrt{d})/2 is not integral")
             return a, b
     return None
 
 
 def run_search(
-    d: int,
+    ctx: RingContext,
     big_a: int,
     big_b: int,
     max_depth: int,
@@ -208,7 +153,7 @@ def run_search(
     known to be minimal.  `budget` bounds the nodes plus the a-steps of
     their windows; `nodes` counts the nodes alone.
     """
-    step = 1 if d % 4 == 1 else 2
+    d, step = ctx.D, ctx.kappa
     nodes = 0
     spent = 0
     path: list[tuple[int, int]] = []
@@ -226,7 +171,7 @@ def run_search(
         """Fewer than two terms left: with one, the only completion is the
         root of the remainder itself."""
         if limit - len(path) == 1:
-            last = _root_of(d, r_a, r_b)
+            last = _root_of(ctx, r_a, r_b)
             if last is not None:
                 return hit(path + [last])
         return False
@@ -279,6 +224,7 @@ def run_search(
                 if a == 0 and b_lo < 1:
                     b_lo = 1
                 aa = a * a
+                # `RingContext.is_integral`'s pairs, inline: a steps by kappa, b = a (mod 2).
                 for b in range(b_hi - (b_hi - a) % 2, b_lo - 1, -2):
                     d_a = r_a - (aa + d * b * b) // 2
                     if d_a < 0:

@@ -453,6 +453,8 @@ def cmd_verify(cfg: CliConfig) -> int:
     )
     claims = list(CLAIM_NAMES) if cfg.args.claim == "all" else [cfg.args.claim]
     reports = run_claims(spec, claims)
+    if not reports:
+        raise ValueError(f"{cfg.args.claim} applies to none of D = {cfg.args.D}")
     if cfg.fmt == "human":
         for report in reports:
             status = "PASS" if report.passed else "FAIL"

@@ -126,12 +126,12 @@ def _search(
     if max_terms is not None:
         depth_cap = min(depth_cap, max(max_terms, 0))
     status, nodes, raw_terms = _pysearch.run_search(
-        ctx.D, big_a, big_b, depth_cap, node_budget, shortest
+        ctx, big_a, big_b, depth_cap, node_budget, shortest
     )
     if status == _pysearch.STATUS_FOUND:
         # Each pair is built unchecked.  A window's pairs are integral as
-        # walked (a steps by 2 when kappa = 2, and b = a (mod 2)); a last
-        # term computed rather than walked is checked by `_pysearch._root_of`.
+        # walked (a steps by kappa, and b = a (mod 2)); a last term computed
+        # rather than walked is checked by `_pysearch._root_of`.
         terms = tuple(_from_pair(ctx, a, b) for a, b in raw_terms)
         return SearchVerdict(VerdictKind.FOUND, Decomposition(alpha, terms), nodes)
     if status == _pysearch.STATUS_BUDGET:

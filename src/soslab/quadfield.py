@@ -6,7 +6,8 @@ For squarefree D >= 2 the ring of integers of Q(sqrt(D)) is Z[w] with
     w = (1 + sqrt(D))/2   when D = 1 (mod 4).
 
 An element is stored as its doubled pair (A, B), meaning (A + B*sqrt(D))/2,
-which is integral exactly when A = B (mod 2), both even unless D = 1 (mod 4).
+which is integral exactly when A = B (mod 2), both even unless D = 1 (mod 4)
+(`RingContext.is_integral`, the one statement of that rule).
 In that pair the trace is A, the norm (A^2 - D*B^2)/4 and the conjugate
 (A, -B), and total positivity is the integer test A > 0, A^2 > D*B^2, so
 the arithmetic reads the same for both shapes of w.  The coordinates (u, v)
@@ -117,13 +118,15 @@ class RingContext(Record):
         """Element a + b*sqrt(D) with integer a, b."""
         return _from_pair(self, 2 * a, 2 * b)
 
-    def from_half_pair(self, big_a: int, big_b: int) -> QuadInt:
-        """Element (A + B*sqrt(D))/2 from doubled coordinates (A, B).
+    def is_integral(self, big_a: int, big_b: int) -> bool:
+        """Whether (A + B*sqrt(D))/2 lies in the ring: A = B (mod 2), and B a
+        multiple of kappa, so both are even unless D = 1 (mod 4)."""
+        return (big_a - big_b) % 2 == 0 and big_b % self.kappa == 0
 
-        The pair must satisfy the integrality rule of the ring: A = B (mod 2),
-        both even unless D = 1 (mod 4).
-        """
-        if (big_a - big_b) % 2 or big_b % self.kappa:
+    def from_half_pair(self, big_a: int, big_b: int) -> QuadInt:
+        """Element (A + B*sqrt(D))/2 from doubled coordinates (A, B), which
+        must pass `is_integral`."""
+        if not self.is_integral(big_a, big_b):
             raise ValueError(
                 f"({big_a}+{big_b}*sqrt{self.D})/2 is not integral for D={self.D}: "
                 "coordinates must agree mod 2, and be even unless D = 1 (mod 4)"
@@ -359,19 +362,70 @@ def squares_sum_to(
     return rational == 2 * big_a and cross == big_b
 
 
-# -- the box of totally positive elements ---------------------------------------
+# -- the ring's lattice: the box of totally positive elements, and the roots ---
+
+# A canonical nonzero root (A, B), A > 0 or A = 0 < B, and its square's (SA, SB).
+Root = tuple[int, int, int, int]
+
+
+def _partners(x: int, lo: int, hi: int) -> range:
+    """The y in [lo, hi] with y = x (mod 2): for x a multiple of kappa, those
+    that make (x, y) and (y, x) integral (`RingContext.is_integral`)."""
+    return range(lo + (lo - x) % 2, hi + 1, 2)
+
+
+def _count(rows: Iterator[tuple[int, range]], limit: int) -> int:
+    """How many pairs the rows hold, or, once the count passes `limit`, that
+    count, some number above it, at the end of the row that passed it."""
+    total = 0
+    for _, row in rows:
+        # Not len(), which fails beyond sys.maxsize: a `_partners` row has lo <= hi + 1.
+        total += (row.stop - row.start + 1) // 2
+        if total > limit:
+            break
+    return total
 
 
 def _box_rows(ctx: RingContext, trace_bound: int) -> Iterator[tuple[int, range]]:
     """Each trace A <= trace_bound with the B that complete it, ascending,
     in doubled coordinates: (A + B*sqrt(D))/2 is totally positive exactly
-    when A > 0 and D*B^2 < A^2, and integral exactly when A = B (mod 2),
-    both even unless D = 1 (mod 4).  The one statement of that rule."""
-    step = 1 if ctx.kappa == 1 else 2
-    for big_a in range(step, trace_bound + 1, step):
+    when A > 0 and D*B^2 < A^2, and integral (`RingContext.is_integral`)
+    exactly when A is a multiple of kappa and B = A (mod 2)."""
+    for big_a in range(ctx.kappa, trace_bound + 1, ctx.kappa):
         b_max = isqrt((big_a * big_a - 1) // ctx.D)
-        b_max -= (b_max - big_a) % 2
-        yield big_a, range(-b_max, b_max + 1, 2)
+        yield big_a, _partners(big_a, -b_max, b_max)
+
+
+def _root_rows(ctx: RingContext, trace_bound: int) -> Iterator[tuple[int, range]]:
+    """Each B, a multiple of kappa, with the A of the canonical roots
+    (A + B*sqrt(D))/2 whose square has trace SA <= trace_bound, ascending:
+    SA = (A^2 + D*B^2)/2 bounds |B| by isqrt(2T // D) and A by
+    isqrt(2T - D*B^2)."""
+    b_max = isqrt(2 * trace_bound // ctx.D)
+    for b in range(-b_max + b_max % ctx.kappa, b_max + 1, ctx.kappa):
+        yield b, _partners(b, 0 if b > 0 else 1, isqrt(2 * trace_bound - b * b * ctx.D))
+
+
+def _roots(ctx: RingContext, trace_bound: int) -> Iterator[Root]:
+    """Every canonical nonzero root whose square has trace <= trace_bound,
+    row by row: sorted by (B, A)."""
+    for b, row in _root_rows(ctx, trace_bound):
+        bbd = b * b * ctx.D
+        for a in row:
+            yield a, b, (a * a + bbd) // 2, a * b
+
+
+def count_roots(ctx: RingContext, trace_bound: int, limit: int) -> int:
+    """How many canonical nonzero roots square to a trace <= trace_bound,
+    counted row by row without listing one, with `_count`'s early exit."""
+    return _count(_root_rows(ctx, trace_bound), limit)
+
+
+def list_roots(ctx: RingContext, trace_bound: int) -> list[Root]:
+    """Every canonical nonzero root whose square has trace <= trace_bound,
+    sorted by (SA, B, A)."""
+    # Listed by (B, A), so a stable sort by SA leaves them in (SA, B, A) order.
+    return sorted(_roots(ctx, trace_bound), key=lambda root: root[2])
 
 
 def scan_totally_positive(ctx: RingContext, trace_bound: int) -> Iterator[QuadInt]:
@@ -383,15 +437,10 @@ def scan_totally_positive(ctx: RingContext, trace_bound: int) -> Iterator[QuadIn
 
 
 def count_totally_positive(ctx: RingContext, trace_bound: int, limit: int) -> int:
-    """How many elements `scan_totally_positive` yields, or, once the count
-    passes `limit`, some number above it: every even trace holds an element,
-    so it reads at most 2*(limit + 1) rows, whatever the trace bound."""
-    total = 0
-    for _, row in _box_rows(ctx, trace_bound):
-        total += len(row)
-        if total > limit:
-            break
-    return total
+    """How many elements `scan_totally_positive` yields, with `_count`'s
+    early exit: every even trace holds an element, so it reads at most
+    2*(limit + 1) rows, whatever the trace bound."""
+    return _count(_box_rows(ctx, trace_bound), limit)
 
 
 def charge_scan(ctx: RingContext, trace_bound: int, node_budget: int) -> None:

@@ -2,7 +2,8 @@
 trace at most T, from one breadth-first pass over rows of bits.
 
 The pass starts from 0 and adds every nonzero square whose trace fits, in
-the doubled coordinates (A, B) of `_pysearch`.  The layer at which an
+the doubled coordinates (A, B) of `quadfield`, which lists and counts the
+roots of those squares (`list_roots`, `count_roots`).  The layer at which an
 element is first reached is its shortest length.  An element of the box
 that is never reached is not a sum of squares at all: a square is totally
 nonnegative, so every partial sum of a decomposition of alpha lies below
@@ -24,7 +25,8 @@ record: the length of (A, B) is the first layer of row A whose bits hold
 B + W, and no layer's bits hold it when it is no sum of squares.
 
 The sweep answers lengths only; the search oracle in `decompose` stays the
-independent engine the tests compare it against, and builds decompositions.
+independent engine the tests compare it against, and builds decompositions;
+the sweep imports nothing of its kernel, `_pysearch`.
 """
 
 from __future__ import annotations
@@ -32,9 +34,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from math import isqrt
 
-from ._pysearch import count_roots, list_roots
 from .errors import DEFAULT_NODE_BUDGET, ContextMismatch, charge
-from .quadfield import QuadInt, RingContext, count_totally_positive
+from .quadfield import QuadInt, RingContext, count_roots, count_totally_positive, list_roots
 
 
 class Sweep:

@@ -788,6 +788,22 @@ def test_verify_doubling_outside_2_3_5_scans_nothing(capsys):
     assert main(["verify", *argv]) == 0
 
 
+@pytest.mark.parametrize("fmt", ["json", "human"])
+@pytest.mark.parametrize("claim,d_spec", [("scharlau", "7"), ("maass", "2,3")])
+def test_verify_of_a_claim_that_applies_to_no_listed_d_is_a_usage_error(
+    capsys, tmp_path, fmt, claim, d_spec
+):
+    # A pass over zero instances would be a misleading verdict.
+    out_path = tmp_path / "report"
+    argv = ["verify", claim, "--D", d_spec, "--trace-bound", "10", "--format", fmt]
+    assert main([*argv, "--out", str(out_path)]) == 2
+    assert not out_path.exists()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{claim} applies to none of D = {d_spec}" in captured.err
+
+
 # An empty range is charged nothing: its width is 0 or below.
 @pytest.mark.parametrize("d_spec", ["2..1", "4..4", "10..5", "2..-5"])
 def test_verify_rejects_an_empty_d_spec(capsys, d_spec):

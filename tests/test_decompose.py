@@ -221,7 +221,7 @@ def test_odd_coefficient_is_refuted_at_the_root(d):
         # Neither independent engine has the rule, and both agree.
         assert not lengths.is_sum_of_squares(alpha), str(alpha)
         big_a, big_b = alpha.half_coords
-        status, _, _ = _pysearch.run_search(ctx.D, big_a, big_b, big_a // 2, 10**7)
+        status, _, _ = _pysearch.run_search(ctx, big_a, big_b, big_a // 2, 10**7)
         assert status == _pysearch.STATUS_EXHAUSTED, str(alpha)
 
 
@@ -280,7 +280,7 @@ def test_verdict_kind_ignores_candidate_order(alpha, data):
     big_a, big_b = alpha.half_coords
     cands = reference_candidates(d, big_a, big_b, 10**6)
     shuffled = data.draw(st.permutations(cands))
-    status, _, _ = _pysearch.run_search(d, big_a, big_b, big_a // 2, 10**6)
+    status, _, _ = _pysearch.run_search(alpha.ctx, big_a, big_b, big_a // 2, 10**6)
     shuf_status, _, _ = reference_search(d, big_a, big_b, shuffled, big_a // 2, 10**6)
     assert status == shuf_status
 
@@ -393,7 +393,7 @@ def test_shortest_length_ignores_candidate_order(alpha, data):
     cands = reference_candidates(d, big_a, big_b, 10**6)
     shuffled = data.draw(st.permutations(cands))
     runs = [
-        _pysearch.run_search(d, big_a, big_b, big_a // 2, 10**6, True),
+        _pysearch.run_search(alpha.ctx, big_a, big_b, big_a // 2, 10**6, True),
         reference_search(d, big_a, big_b, shuffled, big_a // 2, 10**6, True),
     ]
     assert [status for status, _, _ in runs] == [runs[0][0]] * 2

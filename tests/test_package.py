@@ -102,7 +102,7 @@ ELEMENT = ["--D", "6", "--elem", "6+2sqrt6"]
         (["sint", *ELEMENT, "--m", "2"], {"sweep", "verify"}),
         (
             ["scan", "--D", "6", "--trace-bound", "8", "--with-oracle"],
-            {"criteria", "decompose", "sintegers", "verify"},
+            {"criteria", "decompose", "_pysearch", "sintegers", "verify"},
         ),
         (["verify", "thm3", "--D", "2..6", "--trace-bound", "8"], set()),
         (

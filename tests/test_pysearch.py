@@ -30,6 +30,7 @@ from soslab import (
 )
 from soslab import _pysearch
 from soslab.errors import charge
+from soslab.quadfield import count_roots, list_roots
 from soslab.sweep import Sweep
 
 # kappa = 2 (2, 3, 6, 7) and kappa = 1 (5, 13, 17, 21).
@@ -190,24 +191,24 @@ def test_candidates_match_the_row_scan(d, order):
     for big_a, big_b in targets:
         got = _pysearch.generate_candidates(ctx, big_a, big_b, 10**8)
         assert got == reference_candidates(d, big_a, big_b, 10**8), (big_a, big_b)
-    assert _pysearch.list_roots(ctx, 44) == brute_roots(d, 44)
+    assert list_roots(ctx, 44) == brute_roots(d, 44)
 
 
 @pytest.mark.parametrize("d", RING_DS)
-def test_each_table_is_a_prefix_of_the_next_and_equals_brute_roots(d):
+def test_each_root_list_is_a_prefix_of_the_next_and_equals_brute_roots(d):
     # Each bound's list of roots, as `list_roots` lists it for a sweep,
     # and its count, which `count_roots` takes without listing a root.
     ctx = RingContext(d)
     seen = []
     for trace_bound in (0, 7, 3, 20, 20, 61, 1, 100):
-        roots = _pysearch.list_roots(ctx, trace_bound)
+        roots = list_roots(ctx, trace_bound)
         assert roots == brute_roots(d, trace_bound)
-        assert _pysearch.count_roots(ctx, trace_bound, 10**8) == len(roots)
+        assert count_roots(ctx, trace_bound, 10**8) == len(roots)
         if len(roots) > len(seen):
             assert roots[: len(seen)] == seen
         seen = roots
     # Counting stops once it passes its limit: at the end of a row.
-    assert 10 < _pysearch.count_roots(ctx, 100, 10) < len(seen)
+    assert 10 < count_roots(ctx, 100, 10) < len(seen)
 
 
 # For D = 3 and 7, b_max = isqrt(2A // D) is odd: the last row is odd, so
@@ -337,7 +338,8 @@ def test_a_window_keeps_roots_below_a_negative_upper_end():
     # (2 - sqrt2)^2 = 6 - 4*sqrt2, searched with two terms allowed so that
     # the root walks its window: at a = 4 the largest b*sqrt2 is
     # 2 - 4 < 0, and the root (4, -2) lies below it.
-    assert _pysearch.run_search(2, 12, -8, 2, 100) == (_pysearch.STATUS_FOUND, 2, [(4, -2)])
+    got = _pysearch.run_search(RingContext(2), 12, -8, 2, 100)
+    assert got == (_pysearch.STATUS_FOUND, 2, [(4, -2)])
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +348,11 @@ def test_a_window_keeps_roots_below_a_negative_upper_end():
 
 @pytest.mark.parametrize("d", RING_DS)
 def test_root_of_matches_the_listed_roots(d):
+    ctx = RingContext(d)
     by_square = {(r[2], r[3]): (r[0], r[1]) for r in brute_roots(d, 60)}
     for big_a, big_b in _targets(d, 60):
         expected = by_square.get((big_a, big_b))
-        assert _pysearch._root_of(d, big_a, big_b) == expected, (big_a, big_b)
+        assert _pysearch._root_of(ctx, big_a, big_b) == expected, (big_a, big_b)
 
 
 @pytest.mark.parametrize(
@@ -366,9 +369,9 @@ def test_root_of_is_exact_past_float_range(d, a, b):
     ctx = RingContext(d)
     root = ctx.from_half_pair(a, b)
     square = root * root
-    assert _pysearch._root_of(d, *square.half_coords) == (a, b)
+    assert _pysearch._root_of(ctx, *square.half_coords) == (a, b)
     # Totally positive, and no square.
-    assert _pysearch._root_of(d, *(square + 2).half_coords) is None
+    assert _pysearch._root_of(ctx, *(square + 2).half_coords) is None
 
 
 def test_root_of_refuses_a_root_outside_the_ring():
@@ -376,7 +379,7 @@ def test_root_of_refuses_a_root_outside_the_ring():
     # (1 + sqrt3)/2, which does too: the search builds its last term
     # unchecked, so the integrality check here is the one that stands.
     with pytest.raises(ValueError, match="not integral"):
-        _pysearch._root_of(3, 2, 1)
+        _pysearch._root_of(RingContext(3), 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +399,11 @@ def _searches(d, trace_bound):
 def test_lazy_traversal_matches_the_reference(d):
     # The same (status, nodes, terms) as the reference over the row scan's
     # descending list: plain, capped and shortest.
+    ctx = RingContext(d)
     for big_a, big_b, cands in _searches(d, 40):
         for depth in (big_a // 2, 1, 2, 3, 4, 5):
             for shortest in (False, True):
-                args = (d, big_a, big_b, depth, 10**7, shortest)
+                args = (ctx, big_a, big_b, depth, 10**7, shortest)
                 want = reference_search(d, big_a, big_b, cands, depth, 10**7, shortest)
                 assert _pysearch.run_search(*args) == want, args
 
@@ -410,9 +414,10 @@ def test_lazy_traversal_stops_at_the_same_node_under_any_budget(d):
     # `nodes` nodes was about to visit one more: the reference, walking the
     # same nodes in the same order, stops at node nodes + 1 under a node
     # budget of `nodes`.
+    ctx = RingContext(d)
     for big_a, big_b, cands in _searches(d, 26):
         for shortest in (False, True):
-            args = (d, big_a, big_b, big_a // 2)
+            args = (ctx, big_a, big_b, big_a // 2)
             full = _pysearch.run_search(*args, 10**7, shortest)
             budget, last = 1, 0
             while (got := _pysearch.run_search(*args, budget, shortest)) != full:
@@ -442,7 +447,7 @@ def test_lazy_traversal_matches_the_reference_on_deep_refutations():
             # term left.
             for depth in (big_a // 2, 3, 4, 5):
                 for shortest in (False, True):
-                    args = (d, big_a, big_b, depth, 10**8, shortest)
+                    args = (ctx, big_a, big_b, depth, 10**8, shortest)
                     result = _pysearch.run_search(*args)
                     assert result[0] == _pysearch.STATUS_EXHAUSTED
                     want = reference_search(d, big_a, big_b, cands, depth, 10**8, shortest)
@@ -465,7 +470,7 @@ def test_found_terms_are_canonical_and_non_increasing(d):
         runs = [(big_a // 2, False), (big_a // 2, True)]
         runs += [(depth, False) for depth in range(1, 6)]
         for depth, shortest in runs:
-            args = (d, big_a, big_b, depth, 10**8, shortest)
+            args = (ctx, big_a, big_b, depth, 10**8, shortest)
             status, _, terms = _pysearch.run_search(*args)
             if status != _pysearch.STATUS_FOUND:
                 continue

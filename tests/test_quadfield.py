@@ -140,6 +140,23 @@ def test_from_half_pair_validates_parity():
     with pytest.raises(ValueError):
         ctx.from_half_pair(3, 2)
 
+    # The one rule: (A, B) is integral exactly when it is the doubled pair
+    # (2u + (2 - kappa)v, kappa*v) of some u + v*w, and from_half_pair
+    # refuses exactly the pairs that are not.
+    for d in (2, 3, 5, 6, 7, 13):
+        ctx = RingContext(d)
+        t, k = 2 - ctx.kappa, ctx.kappa
+        pairs = {(2 * u + t * v, k * v) for u in range(-12, 13) for v in range(-12, 13)}
+        for big_a in range(-12, 13):
+            for big_b in range(-12, 13):
+                integral = (big_a, big_b) in pairs
+                assert ctx.is_integral(big_a, big_b) is integral, (d, big_a, big_b)
+                if integral:
+                    assert ctx.from_half_pair(big_a, big_b).half_coords == (big_a, big_b)
+                else:
+                    with pytest.raises(ValueError, match="not integral"):
+                        ctx.from_half_pair(big_a, big_b)
+
 
 def test_named_elements():
     ctx = RingContext(6)

@@ -16,9 +16,8 @@ from soslab import (
     run_claims,
     scan_totally_positive,
 )
-from soslab._pysearch import list_roots
 from soslab.cli import main as cli_main
-from soslab.quadfield import count_totally_positive
+from soslab.quadfield import count_totally_positive, list_roots
 
 DIFFERENTIAL_DS = (2, 3, 5, 6, 7, 13)
 TRACE = 30
