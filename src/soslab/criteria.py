@@ -11,16 +11,21 @@ elements are not sums of squares at all.
 The interval's scale, center, radicand and parity are written once, in
 `_interval`, and every test here reads them.  "n is in [(c - sqrt(R))/s,
 (c + sqrt(R))/s]" is the integer inequality (s*n - c)^2 <= R, and the
-admissible n are read off in closed form as a `range`, so a hit costs the
-same at any norm.  A radicand of at least D^2 always leaves one, whatever
-the center (`_radicand_hits`, where it is proved); `peters_guaranteed`
-reads that bound on one element.  `multiple_misses` decides the test for
-the even multiples 2m*beta of many betas, m = 1..m_max, in one beta-major
-pass from two integers per beta read once, its trace and norm: 2m*beta's
-radicand grows with m, so each walk stops at the first m that reaches the
-bound, the admissible range is computed only below it, and the table of
-multipliers stops where every beta reaches it (`tabled_multipliers`):
-ceil(D/4) - 1 entries when D = 1 (mod 4), ceil(D/2) - 1 otherwise.
+admissible n are read off in closed form as a `range` (`PetersInterval`
+prints them), so a hit costs the same at any norm.  Along a row of one
+trace A the center is fixed and only the radicand moves, with B, so the
+test is one bound per row, D*B^2 <= A^2 - (kappa*delta)^2, delta the
+distance from the center to the nearest admissible point (`_row_bound`,
+which `peters_five_squares` reads).  A radicand of at least D^2 always
+leaves a point, whatever the center (`_radicand_hits`, where it is
+proved); `peters_guaranteed` reads that bound on one element.
+`multiple_misses` decides the test for the even multiples 2m*beta of many
+betas, m = 1..m_max, in one pass over the betas from two integers per
+beta read once, its trace and norm: 2m*beta's radicand grows with m, so
+each walk stops at the first m that reaches the bound, the admissible
+range is computed only below it, and the table of multipliers stops where
+every beta reaches it (`tabled_multipliers`): ceil(D/4) - 1 entries when
+D = 1 (mod 4), ceil(D/2) - 1 otherwise.
 
 The witness constructions pick concrete elements that certify negative
 results: the doubling witness k + sqrt(D) (minimal k making it totally
@@ -102,10 +107,31 @@ def peters_interval(alpha: QuadInt) -> PetersInterval | None:
     return None if shape is None else PetersInterval(*shape)
 
 
+def _row_bound(ctx: RingContext, big_a: int) -> int:
+    """The interval test along the row of trace A, as one bound on B: a
+    totally positive (A + B*sqrt(D))/2 where the test applies hits exactly
+    when D*B^2 <= _row_bound(ctx, A).
+
+    In both shapes of `_interval` the center is A/kappa, the admissible
+    scale*n are the integers of one class mod 2D (D*A's when kappa = 1,
+    where n must have the parity of B, hence of A; 0 when kappa = 2, where
+    A is even), and kappa^2 times the radicand is A^2 - D*B^2.  So with
+    delta the distance from the center to that class, the test hits
+    exactly when delta^2 <= radicand, that is D*B^2 <= A^2 - (kappa*delta)^2.
+    """
+    two_d = 2 * ctx.D
+    offset = (big_a // ctx.kappa - ctx.D * (big_a % 2)) % two_d
+    delta = ctx.kappa * min(offset, two_d - offset)
+    return big_a * big_a - delta * delta
+
+
 def peters_five_squares(alpha: QuadInt) -> bool:
-    """Interval test for "alpha is a sum of five squares in O"."""
-    shape = _interval(alpha)
-    return shape is not None and bool(_admissible_points(*shape))
+    """Interval test for "alpha is a sum of five squares in O", read off
+    the bound of alpha's row (`_row_bound`) where the test applies."""
+    if _interval(alpha) is None:
+        return False
+    big_a, big_b = alpha.half_coords
+    return alpha.ctx.D * big_b * big_b <= _row_bound(alpha.ctx, big_a)
 
 
 def _radicand_hits(ctx: RingContext, radicand: int) -> bool:
@@ -160,6 +186,11 @@ def multiple_misses(
     most N(beta).  The table of multipliers stops before the first m whose
     reach is 1, since every beta has N(beta) >= 1 (`tabled_multipliers`),
     whatever m_max.
+
+    At a fixed trace, a larger N(beta) only widens each interval, so a
+    caller that asks where each m first misses along rows of one trace
+    needs only each row's least-norm beta (`verify.estimate_stable_multiplier`
+    hands it one per row).
     """
     scale, unit_center, unit_radicand, parity = _interval(ctx.one)
     bound = ctx.D * ctx.D

@@ -17,15 +17,22 @@ the node budget first (the lengths ride on the scan's charge), shared by
 every claim that reads it and dropped before the next ring's; it times
 each claim alone and returns the reports claims outer, D inner.  The
 doubling and small-multiplier witnesses are refuted by the search oracle.
-`stable-multiplier` decides the interval test of each multiple 2m*beta in
-integers, in one beta-major pass, `criteria.multiple_misses`: it reads
-each beta's trace and norm once and walks m = 1, 2, ..., m_max up to the
-first 2m*beta whose radicand reaches D^2 (the bound `peters_guaranteed`
-states), past which every multiple hits; the admissible range is computed
-only below it, and the multiplier table stops where every beta reaches
-it, at ceil(D/4) - 1 entries when D = 1 (mod 4) and ceil(D/2) - 1
-otherwise (`criteria.tabled_multipliers`), so its work and memory do not
-grow with m_max.  For a large m, `thresholds` tests no interval at all:
+Both interval claims work per row of one trace: along a row the test's
+center is fixed, and its radicand falls as |B| grows.  `peters-oracle`
+states the test once per row as a bound on D*B^2 (`criteria._row_bound`)
+and compares one integer per element.  `stable-multiplier` lists no
+element: it walks the box's rows (`quadfield._box_rows`) and hands
+`criteria.multiple_misses` one beta per row, the row's first in scan
+order, whose norm is the row's least, so it misses exactly when some
+element of its row misses.  `multiple_misses` decides the interval test
+of each multiple 2m*beta in integers: it reads each beta's trace and norm
+once and walks m = 1, 2, ..., m_max up to the first 2m*beta whose
+radicand reaches D^2 (the bound `peters_guaranteed` states), past which
+every multiple hits; the admissible range is computed only below it, and
+the multiplier table stops where every beta reaches it, at ceil(D/4) - 1
+entries when D = 1 (mod 4) and ceil(D/2) - 1 otherwise
+(`criteria.tabled_multipliers`), so its work and memory do not grow with
+m_max.  For a large m, `thresholds` tests no interval at all:
 kappa*m's own radicand reaches D^2 (`large_multiplier_guaranteed`), so
 every kappa*m*beta hits by the same bound, and the harness relies on that
 proof instead of checking it; the sweep still confirms each multiple it
@@ -51,11 +58,11 @@ from typing import Literal, NamedTuple
 
 from ._record import Record
 from .criteria import (
+    _row_bound,
     doubling_witness,
     large_multiplier_guaranteed,
     multiple_misses,
     odd_multiple_witness,
-    peters_five_squares,
     small_multiplier_obstructed,
     tabled_multipliers,
 )
@@ -64,6 +71,8 @@ from .errors import WrongField, charge
 from .quadfield import (
     QuadInt,
     RingContext,
+    _box_rows,
+    _from_pair,
     charge_scan,
     charge_square_factor,
     cube_root,
@@ -291,6 +300,11 @@ def verify_peters_equivalence(
 ) -> Report:
     """Interval test vs. the sweep on every scanned totally positive element.
 
+    The elements come row by row, one row per trace A, so the test is
+    stated once per row as a bound on D*B^2 (`criteria._row_bound`, the
+    bound `peters_five_squares` reads) and decided per element by one
+    integer compare, with the square class where 2 ramifies.
+
     A hit that the sweep refutes breaks the criterion's stated
     (sufficiency) direction and is a failure.  A sum of squares the interval
     test misses is only a failure where the criterion is an equivalence
@@ -299,8 +313,12 @@ def verify_peters_equivalence(
     """
     failures = []
     findings = []
+    row = bound = None
     for alpha, n in zip(elements, lengths, strict=True):
-        peters = peters_five_squares(alpha)
+        big_a, big_b = alpha.half_coords
+        if big_a != row:
+            row, bound = big_a, _row_bound(ctx, big_a)
+        peters = ctx.D * big_b * big_b <= bound and is_square_mod_two(alpha)
         sos = n is not None
         if peters and not sos:
             failures.append(
@@ -376,7 +394,7 @@ def verify_multiplier_thresholds(
 
 
 def estimate_stable_multiplier(
-    ctx: RingContext, spec: ScanSpec, betas: list[QuadInt], lengths: None
+    ctx: RingContext, spec: ScanSpec, betas: None, lengths: None
 ) -> Report:
     """Smallest m* such that the interval test accepts 2*m*beta for every
     scanned totally positive beta and every m in [m*, m_max], where m_max
@@ -390,20 +408,36 @@ def estimate_stable_multiplier(
     m exists (any m >= D/2 qualifies), and the report records the largest
     multiplier below m* that still fails, with a failing element: the
     first scanned beta at which it misses.  `instances_checked` counts, for
-    each m, the betas up to and including that first miss.  The pass is
-    charged first, one unit per beta and tabled multiplier
-    (`criteria.tabled_multipliers`), so an m_max past the table costs no
-    more than one at its end.
+    each m, the betas up to and including that first miss.
+
+    The claim walks the box by rows of one trace (`quadfield._box_rows`)
+    and lists no element.  Along a row the test of 2m*beta has a fixed
+    center and a radicand that grows with N(beta), so it cannot get worse
+    as the norm grows, and the least norm is at the row's ends.  So the
+    row's first element in scan order misses exactly when some element of
+    the row misses, and it is then the row's first miss: `multiple_misses`
+    is handed that one beta per row, and its row indexes map back to scan
+    indexes.  The pass is charged first, one unit per scanned beta and
+    tabled multiplier (`criteria.tabled_multipliers`), so an m_max past
+    the table costs no more than one at its end; the rows walked to count
+    the betas are those of the scan that `run_claims` charged before.
     """
     m_max = spec.m_range[1] if spec.m_range else -(-ctx.D // 2) + 1
     claim_id = f"stable-multiplier/D={ctx.D}/m_max={m_max}"
-    work = tabled_multipliers(ctx, m_max) * len(betas)
-    charge(work, spec.node_budget, f"the multiples of {claim_id}")
+    # The scan index and the element of each nonempty row's first beta.
+    starts: list[int] = []
+    firsts: list[QuadInt] = []
+    n = 0
+    for big_a, row in _box_rows(ctx, spec.trace_bound):
+        if row:
+            starts.append(n)
+            firsts.append(_from_pair(ctx, big_a, row[0]))
+            n += len(row)
+    charge(tabled_multipliers(ctx, m_max) * n, spec.node_budget, f"the multiples of {claim_id}")
     first_bad: dict[int, int] = {}
-    for i, m in multiple_misses(ctx, betas, m_max):
+    for i, m in multiple_misses(ctx, firsts, m_max):
         first_bad.setdefault(m, i)
-    n = len(betas)
-    instances = m_max * n - sum(n - i - 1 for i in first_bad.values())
+    instances = m_max * n - sum(n - starts[i] - 1 for i in first_bad.values())
     largest_failing = max(first_bad, default=None)
     m_star = None if largest_failing == m_max else (largest_failing or 0) + 1
     details = {
@@ -411,7 +445,7 @@ def estimate_stable_multiplier(
         "m_star": m_star,
         "largest_failing_m": largest_failing,
         "failing_example": (
-            {"m": largest_failing, "beta": str(betas[first_bad[largest_failing]])}
+            {"m": largest_failing, "beta": str(firsts[first_bad[largest_failing]])}
             if largest_failing is not None
             else None
         ),
@@ -457,8 +491,10 @@ class _Claim(NamedTuple):
     reads: tuple[int, ...] | None
     # The fourth argument: "lengths", the shortest length of each scanned
     # element in scan order, or "sweep", the ring's Sweep, for claims whose
-    # targets lie off the scan; None passes nothing.
-    fourth: Literal["sweep", "lengths"] | None
+    # targets lie off the scan; both come with the scanned elements.
+    # "rows" passes neither, nor the elements: the claim walks the box's
+    # rows itself, and the scan is charged but not listed for it.
+    fourth: Literal["sweep", "lengths", "rows"]
 
 
 # In report order: run_claims walks D outer, but its reports, and so the
@@ -470,7 +506,7 @@ _CLAIMS: dict[str, _Claim] = {
     "pythagoras": _Claim("verify_pythagoras", None, None, "lengths"),
     "peters-oracle": _Claim("verify_peters_equivalence", None, None, "lengths"),
     "thresholds": _Claim("verify_multiplier_thresholds", None, None, "sweep"),
-    "stable-multiplier": _Claim("estimate_stable_multiplier", None, None, None),
+    "stable-multiplier": _Claim("estimate_stable_multiplier", None, None, "rows"),
     "local-necessity": _Claim("verify_local_necessity", None, None, "lengths"),
 }
 
@@ -495,7 +531,8 @@ def run_claims(spec: ScanSpec, claims: list[str]) -> list[Report]:
     `scharlau`, `maass`, `pythagoras`, `peters-oracle` and
     `local-necessity` read the lengths; `doubling` and `thresholds` read
     the sweep, since their targets lie off the scan; `stable-multiplier`
-    reads neither.  The sweep reaches 2*trace_bound when `doubling` reads
+    reads neither, and walks the box's rows itself, so its scan is charged
+    but not listed.  The sweep reaches 2*trace_bound when `doubling` reads
     it (it checks doubled elements) and trace_bound otherwise.  The
     reports come back claims outer, D inner, in the order the claims were
     named.
@@ -513,18 +550,20 @@ def run_claims(spec: ScanSpec, claims: list[str]) -> list[Report]:
             if not _covers(entry.rings, d):
                 continue
             reads = _covers(entry.reads, d)
-            if reads and entry.fourth is not None and sweep is None:
+            lists = reads and entry.fourth != "rows"
+            if lists and sweep is None:
                 doubled = "doubling" in names and _covers(_CLAIMS["doubling"].reads, d)
                 trace = 2 * spec.trace_bound if doubled else spec.trace_bound
                 sweep = Sweep(ctx, trace, node_budget=spec.node_budget)
             if reads and elements is None:
                 charge_scan(ctx, spec.trace_bound, spec.node_budget)
-                elements = list(scan_totally_positive(ctx, spec.trace_bound))
-            if reads and entry.fourth == "lengths" and lengths is None:
+                if lists:
+                    elements = list(scan_totally_positive(ctx, spec.trace_bound))
+            if lists and entry.fourth == "lengths" and lengths is None:
                 lengths = [sweep.length(alpha) for alpha in elements]
-            fourth = {"sweep": sweep, "lengths": lengths}.get(entry.fourth) if reads else None
+            fourth = {"sweep": sweep, "lengths": lengths}.get(entry.fourth) if lists else None
             start = time.perf_counter()
-            report = globals()[entry.function](ctx, spec, elements if reads else None, fourth)
+            report = globals()[entry.function](ctx, spec, elements if lists else None, fourth)
             report.elapsed = time.perf_counter() - start
             runs.append((position, report))
     runs.sort(key=lambda run: run[0])

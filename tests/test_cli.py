@@ -5,8 +5,9 @@ import time
 
 import pytest
 
-from soslab import BasisMismatch, ParseError, RingContext, cli, quadfield
+from soslab import BasisMismatch, ParseError, RingContext, cli, criteria, quadfield
 from soslab.cli import _parse_d_spec, main, parse_element
+from soslab.criteria import _admissible_points
 
 # ---------------------------------------------------------------------------
 # element grammar
@@ -645,13 +646,20 @@ def test_verify_budget_error_names_the_scan_or_the_multiples(capsys, argv, scope
     assert f"no verdict for {scope} within the node budget" in capsys.readouterr().err
 
 
-def test_stable_multiplier_charges_only_the_tabled_multiples(capsys):
+def test_stable_multiplier_charges_only_the_tabled_multiples(capsys, monkeypatch):
     # D = 5 tables m = 1 alone, so an m_max of 2*10^8 is charged one unit
-    # per beta, not 2*10^8.
+    # per beta, not 2*10^8, and the box's one beta, 1, is tested at m = 1
+    # alone: one (beta, m) interval test.
+    tests = []
+
+    def counted(*args):
+        tests.append(args)
+        return _admissible_points(*args)
+
+    monkeypatch.setattr(criteria, "_admissible_points", counted)
     argv = ["stable-multiplier", "--D", "5", "--trace-bound", "2", "--m-range", "1..200000000"]
-    start = time.perf_counter()
     code = main(["verify", *argv])
-    assert time.perf_counter() - start < 5
+    assert len(tests) == 1
     assert code == 0
     out, err = capsys.readouterr()
     assert err == ""

@@ -30,7 +30,7 @@ from soslab import (
 )
 from soslab import criteria, verify
 from soslab.criteria import _admissible_points, _interval, multiple_misses
-from soslab.quadfield import QuadInt, square_factor
+from soslab.quadfield import QuadInt, _box_rows, square_factor
 
 # ---------------------------------------------------------------------------
 # the interval criterion
@@ -96,6 +96,25 @@ def test_admissible_points_match_a_scan():
                 for parity in (None, 0, 1):
                     args = (scale, center, radicand, parity)
                     assert tuple(_admissible_points(*args)) == _admissible_by_scan(*args), args
+
+
+def test_row_bound_matches_the_interval_on_every_small_element():
+    # One bound per trace row against the admissible integers of each
+    # element's own interval, and against peters_five_squares, on every
+    # totally positive element of trace <= 60 for every squarefree D < 120.
+    checked = 0
+    for d in range(2, 120):
+        if square_factor(d) is not None:
+            continue
+        ctx = RingContext(d)
+        for alpha in scan_totally_positive(ctx, 60):
+            big_a, big_b = alpha.half_coords
+            interval = peters_interval(alpha)
+            hit = interval is not None and bool(interval.admissible)
+            row = interval is not None and d * big_b * big_b <= criteria._row_bound(ctx, big_a)
+            assert row is hit is peters_five_squares(alpha), (d, str(alpha))
+            checked += 1
+    assert checked == 14780
 
 
 GUARANTEE_DS = (2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 21)
@@ -226,10 +245,10 @@ class _CountedBetas(list):
 
 
 def test_stable_multiplier_pass_stops_at_the_radicand_bound(monkeypatch):
-    # Over the acceptance box, stable-multiplier reads each beta once, and
-    # computes an admissible range only for the pairs (2m, beta) whose
-    # radicand is below D^2: 2,701 of 42,736 (its reports count 35,026
-    # instances, each m up to its first miss).
+    # Over the acceptance box, stable-multiplier reads one beta per nonempty
+    # row, 741 of the 3,930 scanned, and computes an admissible range only
+    # for the pairs (2m, beta) whose radicand is below D^2: 1,474 (its
+    # reports count 35,026 instances, each m up to its first miss).
     ranges = []
 
     def counted_range(*args):
@@ -247,10 +266,12 @@ def test_stable_multiplier_pass_stops_at_the_radicand_bound(monkeypatch):
     d_list = tuple(d for d in range(2, 51) if square_factor(d) is None)
     reports = run_claims(ScanSpec(d_list, 40), ["stable-multiplier"])
     sizes = [len(list(scan_totally_positive(RingContext(d), 40))) for d in d_list]
-    assert sum(betas.reads for betas in passed) == sum(sizes) == 3930
+    rows = [sum(1 for _, row in _box_rows(RingContext(d), 40) if row) for d in d_list]
+    assert sum(sizes) == 3930
+    assert sum(betas.reads for betas in passed) == sum(rows) == 741
     assert sum(r.details["m_max"] * n for r, n in zip(reports, sizes, strict=True)) == 42736
     assert sum(r.instances_checked for r in reports) == 35026
-    assert len(ranges) <= 2701
+    assert len(ranges) == 1474
 
 
 def test_huge_interval_is_decided_without_listing_it(ctx5):

@@ -24,7 +24,8 @@ from soslab import (
 from soslab import quadfield, verify
 from soslab.cli import _parse_d_spec
 from soslab.cli import main as cli_main
-from soslab.criteria import peters_five_squares
+from soslab.criteria import multiple_misses, peters_five_squares
+from soslab.quadfield import square_factor
 from soslab.verify import CLAIM_ALIASES, CLAIM_NAMES
 
 BUDGET = 10**7
@@ -446,6 +447,38 @@ def test_stable_multiplier_estimates():
     assert rep.details["largest_failing_m"] == 1
     rep = claim("stable-multiplier", 2, 12, m_range=(1, 3))
     assert rep.details["m_star"] == 1
+
+
+def test_stable_multiplier_per_row_finds_the_full_scans_first_misses():
+    # One beta per row against multiple_misses over every scanned beta: the
+    # same first miss per m, so the same report, for every squarefree
+    # D <= 60 at traces 2..40 and m_max at its default, at 1 and at D + 1.
+    for d in range(2, 61):
+        if square_factor(d) is not None:
+            continue
+        for trace in range(2, 41):
+            ctx = RingContext(d)
+            betas = list(scan_totally_positive(ctx, trace))
+            n = len(betas)
+            for m_range in (None, (1, 1), (1, d + 1)):
+                m_max = m_range[1] if m_range else -(-d // 2) + 1
+                first_bad = {}
+                for i, m in multiple_misses(ctx, betas, m_max):
+                    first_bad.setdefault(m, i)
+                largest = max(first_bad, default=None)
+                report = claim("stable-multiplier", d, trace, m_range=m_range)
+                assert report.instances_checked == m_max * n - sum(
+                    n - i - 1 for i in first_bad.values()
+                ), (d, trace, m_max)
+                assert report.details == {
+                    "m_max": m_max,
+                    "m_star": None if largest == m_max else (largest or 0) + 1,
+                    "largest_failing_m": largest,
+                    "failing_example": (
+                        None if largest is None
+                        else {"m": largest, "beta": str(betas[first_bad[largest]])}
+                    ),
+                }, (d, trace, m_max)
 
 
 def test_stable_multiplier_is_an_estimate_bounded_by_the_box():
